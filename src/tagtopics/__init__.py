@@ -7,12 +7,12 @@ interests from resource topics -- and ranks resources against a seed by the
 Jensen-Shannon divergence of their topic distributions.
 """
 
-from .corpus import (Corpus, Triple, Vocab, aggregate_rt, filter_tags,
-                     ingest_triples, read_corpus, save_corpus, write_corpus_tsv)
+from .corpus import (Corpus, Triple, Vocab, filter_tags, ingest_triples,
+                     read_corpus, save_corpus, write_corpus_tsv)
 from .errors import ConfigError, DataError, DegeneracyError, TagTopicsError
-from .itm import ItmModel, m_step, train_itm
+from .itm import ItmModel, train_itm
 from .metrics import LabelSet, count_relevant_topk, effort_to_n
-from .modelio import load_model, read_model, save_model
+from .modelio import load_model, read_model
 from .mwa import MwaModel, train_mwa
 from .plsa import PlsaModel, train_plsa
 from .sampling import (PlantedSpec, load_spec, planted_two_topic_spec,
@@ -27,10 +27,10 @@ __all__ = [
     "ConfigError", "Corpus", "DataError", "DegeneracyError", "ItmModel",
     "LabelSet", "MwaModel", "PlantedSpec", "PlsaModel", "RankedList",
     "TagTopicsError", "TopicDistribution", "TrainConfig", "TrainLog", "Triple",
-    "Vocab", "aggregate_rt", "count_relevant_topk", "effort_to_n",
-    "filter_tags", "ingest_triples", "js_divergence", "load_model",
-    "load_spec", "m_step", "planted_two_topic_spec", "rank_by_seed",
-    "read_corpus", "read_model", "read_ranking", "read_spec", "sample_corpus",
-    "save_corpus", "save_model", "save_spec", "train_itm", "train_mwa",
-    "train_plsa", "write_corpus_tsv", "write_ranking", "write_spec",
+    "Vocab", "count_relevant_topk", "effort_to_n", "filter_tags",
+    "ingest_triples", "js_divergence", "load_model", "load_spec",
+    "planted_two_topic_spec", "rank_by_seed", "read_corpus", "read_model",
+    "read_ranking", "read_spec", "sample_corpus", "save_corpus", "save_spec",
+    "train_itm", "train_mwa", "train_plsa", "write_corpus_tsv", "write_ranking",
+    "write_spec",
 ]

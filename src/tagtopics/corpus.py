@@ -13,6 +13,7 @@ user-aggregated resource-tag counts ``n(r, t)``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -134,7 +135,6 @@ class Corpus:
                 raise DataError(f"{what} vocabulary entries without triples: {bad}")
 
         self._rt_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._n_rt_cache: dict[tuple[int, int], int] | None = None
 
     @classmethod
     def from_counts(cls, resources: Vocab, users: Vocab, tags: Vocab,
@@ -144,8 +144,10 @@ class Corpus:
             for entry in vocab.entries:
                 if "\t" in entry or "\n" in entry or "\r" in entry:
                     raise DataError(f"vocabulary entry {entry!r} contains reserved characters")
-        keys = np.array(sorted(counts), dtype=np.int64).reshape(len(counts), 3)
-        values = np.array([counts[tuple(k)] for k in keys], dtype=np.int64)
+        # Dict order is fine: __init__ sorts the triples.
+        keys = np.fromiter(chain.from_iterable(counts), dtype=np.int64,
+                           count=3 * len(counts)).reshape(len(counts), 3)
+        values = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
         return cls(resources, users, tags, keys[:, 0], keys[:, 1], keys[:, 2], values)
 
     @property
@@ -157,11 +159,6 @@ class Corpus:
         for r, u, t, n in zip(self.r_ids, self.u_ids, self.t_ids, self.counts):
             yield Triple(int(r), int(u), int(t), int(n))
 
-    @property
-    def triples(self) -> list[Triple]:
-        """Materialized triple list; prefer :meth:`iter_triples` for large corpora."""
-        return list(self.iter_triples())
-
     def rt_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """User-aggregated pairs as parallel arrays ``(r, t, n(r, t))``, sorted by (r, t)."""
         if self._rt_cache is None:
@@ -170,12 +167,6 @@ class Corpus:
             n_rt = np.bincount(inverse, weights=self.counts).astype(np.int64)
             self._rt_cache = (uniq // len(self.tags), uniq % len(self.tags), n_rt)
         return self._rt_cache
-
-    @property
-    def n_rt(self) -> dict[tuple[int, int], int]:
-        if self._n_rt_cache is None:
-            self._n_rt_cache = aggregate_rt(self)
-        return self._n_rt_cache
 
     def stats(self) -> dict[str, int]:
         return {
@@ -284,8 +275,3 @@ def filter_tags(corpus: Corpus, min_freq: int = DEFAULT_MIN_TAG_FREQ,
     return Corpus(new_resources, new_users, new_tags,
                   remap_r[sub_r], remap_u[sub_u], remap_t[sub_t], sub_n)
 
-
-def aggregate_rt(corpus: Corpus) -> dict[tuple[int, int], int]:
-    """Resource-tag counts summed over users, as a sparse ``(r, t) -> n`` map."""
-    r, t, n = corpus.rt_arrays()
-    return {(int(ri), int(ti)): int(ni) for ri, ti, ni in zip(r, t, n)}

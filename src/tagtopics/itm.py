@@ -37,10 +37,10 @@ import numpy as np
 
 from . import _textio
 from .corpus import Corpus
-from .errors import ConfigError, DataError, DegeneracyError
+from .errors import ConfigError, DataError
 from .similarity import TopicDistribution
-from .training import (TrainConfig, TrainLog, em_fit, mapreduce_slices,
-                       noisy_uniform_rows, normalize_rows)
+from .training import (TrainConfig, TrainLog, check_support, em_fit,
+                       mapreduce_slices, noisy_uniform_rows, normalize_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +59,14 @@ class ItmModel:
     """
 
     kind: ClassVar[str] = "itm"
+    DIMS: ClassVar[tuple] = ("n_interests", "n_topics", "n_resources", "n_users", "n_tags")
+    TABLES: ClassVar[tuple] = (
+        ("user_probs", "p(u)", ("n_users",)),
+        ("resource_probs", "p(r)", ("n_resources",)),
+        ("interest_given_user", "p(i|u)", ("n_users", "n_interests")),
+        ("topic_given_resource", "p(z|r)", ("n_resources", "n_topics")),
+        ("tag_given_interest_topic", "p(t|i,z)", ("n_interests", "n_topics", "n_tags")),
+    )
 
     tag_given_interest_topic: np.ndarray
     interest_given_user: np.ndarray
@@ -88,27 +96,7 @@ class ItmModel:
         return self.tag_given_interest_topic.shape[2]
 
     def validate(self, atol: float = 1e-10) -> None:
-        if self.tag_given_interest_topic.ndim != 3:
-            raise DataError("p(t|i,z) must be a 3-D table")
-        if self.interest_given_user.shape[1] != self.n_interests:
-            raise DataError("interest dimensions disagree between tables")
-        if self.topic_given_resource.shape[1] != self.n_topics:
-            raise DataError("topic dimensions disagree between tables")
-        if self.user_probs.shape != (self.n_users,):
-            raise DataError("p(u) length disagrees with p(i|u) table")
-        if self.resource_probs.shape != (self.n_resources,):
-            raise DataError("p(r) length disagrees with p(z|r) table")
-        flat_tag = self.tag_given_interest_topic.reshape(-1, self.n_tags)
-        for name, table in (("p(t|i,z)", flat_tag),
-                            ("p(i|u)", self.interest_given_user),
-                            ("p(z|r)", self.topic_given_resource)):
-            if (table < 0).any():
-                raise DataError(f"{name} has negative entries")
-            if not np.allclose(table.sum(axis=1), 1.0, rtol=0, atol=atol):
-                raise DataError(f"{name} rows do not sum to 1")
-        for name, vec in (("p(u)", self.user_probs), ("p(r)", self.resource_probs)):
-            if (vec < 0).any() or abs(vec.sum() - 1.0) > atol:
-                raise DataError(f"{name} is not a distribution")
+        _textio.validate(self, atol)
 
     def check_corpus(self, corpus: Corpus) -> None:
         shape = (self.n_resources, self.n_users, self.n_tags)
@@ -116,16 +104,20 @@ class ItmModel:
         if shape != expected:
             raise DataError(f"model dimensions {shape} do not match corpus {expected}")
 
+    def mixture(self, rr, uu, tt) -> np.ndarray:
+        """Unnormalised joint p(t|i,z) p(i|u) p(z|r) of the triples
+        ``(rr[n], uu[n], tt[n])``, as [n, I, K]."""
+        joint = np.moveaxis(self.tag_given_interest_topic[:, :, tt], 2, 0).copy()
+        joint *= self.interest_given_user[uu][:, :, None]
+        joint *= self.topic_given_resource[rr][:, None, :]
+        return joint
+
     def posterior(self, resource: int, user: int, tag: int) -> np.ndarray:
         """Joint posterior p(i, z | u, r, t) for one triple, as an [I, K] table."""
-        weights = (self.tag_given_interest_topic[:, :, tag]
-                   * self.interest_given_user[user][:, None]
-                   * self.topic_given_resource[resource][None, :])
-        total = weights.sum()
-        if total <= 0.0:
-            raise DegeneracyError(
-                f"degenerate posterior for triple (r={resource}, u={user}, t={tag})")
-        return weights / total
+        weights = self.mixture([resource], [user], [tag])
+        totals = weights.sum(axis=(1, 2))
+        check_support(totals, "triple", r=[resource], u=[user], t=[tag])
+        return weights[0] / totals[0]
 
     def log_likelihood(self, corpus: Corpus) -> float:
         self.check_corpus(corpus)
@@ -135,10 +127,8 @@ class ItmModel:
         log_r = np.log(self.resource_probs)
         for lo in range(0, corpus.num_triples, chunk):
             hi = min(lo + chunk, corpus.num_triples)
-            rr, uu, tt = corpus.r_ids[lo:hi], corpus.u_ids[lo:hi], corpus.t_ids[lo:hi]
-            mix = (np.moveaxis(self.tag_given_interest_topic[:, :, tt], 2, 0)
-                   * self.interest_given_user[uu][:, :, None]
-                   * self.topic_given_resource[rr][:, None, :]).sum(axis=(1, 2))
+            rr, uu = corpus.r_ids[lo:hi], corpus.u_ids[lo:hi]
+            mix = self.mixture(rr, uu, corpus.t_ids[lo:hi]).sum(axis=(1, 2))
             with np.errstate(divide="ignore"):
                 terms = np.log(mix) + log_u[uu] + log_r[rr]
             total += float((corpus.counts[lo:hi] * terms).sum())
@@ -151,79 +141,8 @@ class ItmModel:
             raise DataError(f"unknown resource id {resource}")
         return TopicDistribution(self.topic_given_resource[resource].copy())
 
-    def to_text(self, stream) -> None:
-        """Header ``itm I K R U T seed``; then p(u), p(r), the p(i|u) rows,
-        the p(z|r) rows and the I*K p(t|i,z) rows in interest-major order."""
-        stream.write("# tagtopics model format v1\n")
-        stream.write(f"itm {self.n_interests} {self.n_topics} {self.n_resources} "
-                     f"{self.n_users} {self.n_tags} {self.seed}\n")
-        stream.write(_textio.format_row(self.user_probs) + "\n")
-        stream.write(_textio.format_row(self.resource_probs) + "\n")
-        for row in self.interest_given_user:
-            stream.write(_textio.format_row(row) + "\n")
-        for row in self.topic_given_resource:
-            stream.write(_textio.format_row(row) + "\n")
-        for row in self.tag_given_interest_topic.reshape(-1, self.n_tags):
-            stream.write(_textio.format_row(row) + "\n")
-
-    @classmethod
-    def _from_parts(cls, header: list[str], stream) -> "ItmModel":
-        if header[0] != cls.kind or len(header) != 7:
-            raise DataError(f"bad itm header: {' '.join(header)!r}")
-        n_int, n_top, n_res, n_usr, n_tag, seed = _textio.parse_ints(header[1:], "itm header")
-        model = cls(
-            user_probs=_textio.parse_row(stream, n_usr, "p(u)"),
-            resource_probs=_textio.parse_row(stream, n_res, "p(r)"),
-            interest_given_user=_textio.parse_matrix(stream, n_usr, n_int, "p(i|u)"),
-            topic_given_resource=_textio.parse_matrix(stream, n_res, n_top, "p(z|r)"),
-            tag_given_interest_topic=_textio.parse_matrix(
-                stream, n_int * n_top, n_tag, "p(t|i,z)").reshape(n_int, n_top, n_tag),
-            seed=seed,
-        )
-        model.validate()
-        return model
-
-    @classmethod
-    def from_text(cls, stream) -> "ItmModel":
-        return cls._from_parts(_textio.next_fields(stream, "model header"), stream)
-
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as stream:
-            self.to_text(stream)
-
-    @classmethod
-    def load(cls, path) -> "ItmModel":
-        with open(path, encoding="utf-8") as stream:
-            return cls.from_text(stream)
-
-
-def m_step(corpus: Corpus, posteriors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Re-estimate the three conditional tables from per-triple posteriors.
-
-    ``posteriors`` is an ``[num_triples, I, K]`` array aligned with the
-    corpus triple order (see :meth:`Corpus.iter_triples`).  Returns
-    ``(tag_given_interest_topic, interest_given_user, topic_given_resource)``.
-    Intended for small corpora and tests; the trainer streams these sums.
-    """
-    post = np.asarray(posteriors, dtype=float)
-    if post.ndim != 3 or post.shape[0] != corpus.num_triples:
-        raise DataError(f"posteriors must be [num_triples, I, K], got {post.shape}")
-    n_interests, n_topics = post.shape[1], post.shape[2]
-    weighted = post * corpus.counts[:, None, None]
-
-    expected_t = np.zeros((n_interests, n_topics, len(corpus.tags)))
-    np.add.at(expected_t.transpose(2, 0, 1), corpus.t_ids, weighted)
-    tag_table = normalize_rows(expected_t.reshape(-1, len(corpus.tags)))
-    tag_table = tag_table.reshape(n_interests, n_topics, len(corpus.tags))
-
-    expected_ui = np.zeros((len(corpus.users), n_interests))
-    np.add.at(expected_ui, corpus.u_ids, weighted.sum(axis=2))
-    interest_table = expected_ui / corpus.n_u[:, None]
-
-    expected_rz = np.zeros((len(corpus.resources), n_topics))
-    np.add.at(expected_rz, corpus.r_ids, weighted.sum(axis=1))
-    topic_table = expected_rz / corpus.n_r[:, None]
-    return tag_table, interest_table, topic_table
+        _textio.save(self, path)
 
 
 def train_itm(corpus: Corpus, cfg: TrainConfig,
@@ -270,14 +189,9 @@ def train_itm(corpus: Corpus, cfg: TrainConfig,
         for a in range(lo, hi, chunk):
             b = min(a + chunk, hi)
             rr, uu, tt = corpus.r_ids[a:b], corpus.u_ids[a:b], corpus.t_ids[a:b]
-            post = np.moveaxis(model.tag_given_interest_topic[:, :, tt], 2, 0).copy()
-            post *= model.interest_given_user[uu][:, :, None]
-            post *= model.topic_given_resource[rr][:, None, :]
+            post = model.mixture(rr, uu, tt)
             totals = post.sum(axis=(1, 2))
-            if (totals <= 0.0).any():
-                bad = int(np.argmax(totals <= 0.0))
-                raise DegeneracyError(
-                    f"degenerate posterior for triple (r={rr[bad]}, u={uu[bad]}, t={tt[bad]})")
+            check_support(totals, "triple", r=rr, u=uu, t=tt)
             post *= (weights[a:b] / totals)[:, None, None]
             np.add.at(expected_t.transpose(2, 0, 1), tt, post)
             np.add.at(expected_ui, uu, post.sum(axis=2))

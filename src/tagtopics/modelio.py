@@ -17,13 +17,10 @@ def read_model(stream):
     cls = MODEL_TYPES.get(header[0])
     if cls is None:
         raise DataError(f"unknown model kind {header[0]!r}; expected one of {sorted(MODEL_TYPES)}")
-    return cls._from_parts(header, stream)
+    return _textio.read_tables(cls, header, stream)
 
 
 def load_model(path):
     with open(path, encoding="utf-8") as stream:
         return read_model(stream)
 
-
-def save_model(model, path) -> None:
-    model.save(path)

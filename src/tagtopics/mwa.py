@@ -27,8 +27,8 @@ from . import _textio
 from .corpus import Corpus
 from .errors import DataError, DegeneracyError
 from .similarity import TopicDistribution
-from .training import (TrainConfig, TrainLog, em_fit, mapreduce_slices,
-                       noisy_uniform_rows, normalize_rows)
+from .training import (TrainConfig, TrainLog, check_support, em_fit,
+                       mapreduce_slices, noisy_uniform_rows, normalize_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -40,6 +40,13 @@ class MwaModel:
     """Aspect-model tables: p(z), p(r|z), p(u|z), p(t|z) (rows indexed by z)."""
 
     kind: ClassVar[str] = "mwa"
+    DIMS: ClassVar[tuple] = ("n_topics", "n_resources", "n_users", "n_tags")
+    TABLES: ClassVar[tuple] = (
+        ("topic_probs", "p(z)", ("n_topics",)),
+        ("resource_given_topic", "p(r|z)", ("n_topics", "n_resources")),
+        ("user_given_topic", "p(u|z)", ("n_topics", "n_users")),
+        ("tag_given_topic", "p(t|z)", ("n_topics", "n_tags")),
+    )
 
     topic_probs: np.ndarray
     resource_given_topic: np.ndarray
@@ -64,18 +71,7 @@ class MwaModel:
         return self.tag_given_topic.shape[1]
 
     def validate(self, atol: float = 1e-10) -> None:
-        tables = (("p(r|z)", self.resource_given_topic),
-                  ("p(u|z)", self.user_given_topic),
-                  ("p(t|z)", self.tag_given_topic))
-        for name, table in tables:
-            if table.ndim != 2 or table.shape[0] != self.n_topics:
-                raise DataError(f"{name} shape disagrees with p(z)")
-            if (table < 0).any():
-                raise DataError(f"{name} has negative entries")
-            if not np.allclose(table.sum(axis=1), 1.0, rtol=0, atol=atol):
-                raise DataError(f"{name} rows do not sum to 1")
-        if (self.topic_probs < 0).any() or abs(self.topic_probs.sum() - 1.0) > atol:
-            raise DataError("p(z) is not a distribution")
+        _textio.validate(self, atol)
 
     def check_corpus(self, corpus: Corpus) -> None:
         shape = (self.n_resources, self.n_users, self.n_tags)
@@ -83,28 +79,28 @@ class MwaModel:
         if shape != expected:
             raise DataError(f"model dimensions {shape} do not match corpus {expected}")
 
+    def mixture(self, rr, uu, tt) -> np.ndarray:
+        """Unnormalised joint p(z) p(r|z) p(u|z) p(t|z) of the triples
+        ``(rr[n], uu[n], tt[n])``, as [n, K]."""
+        return (self.topic_probs
+                * self.resource_given_topic[:, rr].T
+                * self.user_given_topic[:, uu].T
+                * self.tag_given_topic[:, tt].T)
+
     def posterior(self, resource: int, user: int, tag: int) -> np.ndarray:
         """E-step posterior p(z | r, u, t) for one observed triple."""
-        weights = (self.topic_probs
-                   * self.resource_given_topic[:, resource]
-                   * self.user_given_topic[:, user]
-                   * self.tag_given_topic[:, tag])
-        total = weights.sum()
-        if total <= 0.0:
-            raise DegeneracyError(
-                f"degenerate posterior for triple (r={resource}, u={user}, t={tag})")
-        return weights / total
+        weights = self.mixture([resource], [user], [tag])
+        totals = weights.sum(axis=1)
+        check_support(totals, "triple", r=[resource], u=[user], t=[tag])
+        return weights[0] / totals[0]
 
     def log_likelihood(self, corpus: Corpus) -> float:
         self.check_corpus(corpus)
         total = 0.0
         for lo in range(0, corpus.num_triples, _TRIPLE_CHUNK):
             hi = min(lo + _TRIPLE_CHUNK, corpus.num_triples)
-            rr, uu, tt = corpus.r_ids[lo:hi], corpus.u_ids[lo:hi], corpus.t_ids[lo:hi]
-            mix = (self.topic_probs
-                   * self.resource_given_topic[:, rr].T
-                   * self.user_given_topic[:, uu].T
-                   * self.tag_given_topic[:, tt].T).sum(axis=1)
+            mix = self.mixture(corpus.r_ids[lo:hi], corpus.u_ids[lo:hi],
+                               corpus.t_ids[lo:hi]).sum(axis=1)
             with np.errstate(divide="ignore"):
                 terms = np.log(mix)
             total += float((corpus.counts[lo:hi] * terms).sum())
@@ -122,44 +118,8 @@ class MwaModel:
             raise DegeneracyError(f"resource {resource} has no support")
         return TopicDistribution(weights / total)
 
-    def to_text(self, stream) -> None:
-        """Header ``mwa K R U T seed``; then p(z), then the p(r|z), p(u|z)
-        and p(t|z) tables, one row per topic."""
-        stream.write("# tagtopics model format v1\n")
-        stream.write(f"mwa {self.n_topics} {self.n_resources} {self.n_users} "
-                     f"{self.n_tags} {self.seed}\n")
-        stream.write(_textio.format_row(self.topic_probs) + "\n")
-        for table in (self.resource_given_topic, self.user_given_topic, self.tag_given_topic):
-            for row in table:
-                stream.write(_textio.format_row(row) + "\n")
-
-    @classmethod
-    def _from_parts(cls, header: list[str], stream) -> "MwaModel":
-        if header[0] != cls.kind or len(header) != 6:
-            raise DataError(f"bad mwa header: {' '.join(header)!r}")
-        n_topics, n_resources, n_users, n_tags, seed = _textio.parse_ints(header[1:], "mwa header")
-        model = cls(
-            topic_probs=_textio.parse_row(stream, n_topics, "p(z)"),
-            resource_given_topic=_textio.parse_matrix(stream, n_topics, n_resources, "p(r|z)"),
-            user_given_topic=_textio.parse_matrix(stream, n_topics, n_users, "p(u|z)"),
-            tag_given_topic=_textio.parse_matrix(stream, n_topics, n_tags, "p(t|z)"),
-            seed=seed,
-        )
-        model.validate()
-        return model
-
-    @classmethod
-    def from_text(cls, stream) -> "MwaModel":
-        return cls._from_parts(_textio.next_fields(stream, "model header"), stream)
-
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as stream:
-            self.to_text(stream)
-
-    @classmethod
-    def load(cls, path) -> "MwaModel":
-        with open(path, encoding="utf-8") as stream:
-            return cls.from_text(stream)
+        _textio.save(self, path)
 
 
 def train_mwa(corpus: Corpus, cfg: TrainConfig,
@@ -191,15 +151,9 @@ def train_mwa(corpus: Corpus, cfg: TrainConfig,
         for a in range(lo, hi, _TRIPLE_CHUNK):
             b = min(a + _TRIPLE_CHUNK, hi)
             rr, uu, tt = corpus.r_ids[a:b], corpus.u_ids[a:b], corpus.t_ids[a:b]
-            post = (model.topic_probs
-                    * model.resource_given_topic[:, rr].T
-                    * model.user_given_topic[:, uu].T
-                    * model.tag_given_topic[:, tt].T)
+            post = model.mixture(rr, uu, tt)
             totals = post.sum(axis=1)
-            if (totals <= 0.0).any():
-                bad = int(np.argmax(totals <= 0.0))
-                raise DegeneracyError(
-                    f"degenerate posterior for triple (r={rr[bad]}, u={uu[bad]}, t={tt[bad]})")
+            check_support(totals, "triple", r=rr, u=uu, t=tt)
             post *= (weights[a:b] / totals)[:, None]
             expected_z += post.sum(axis=0)
             np.add.at(expected_rz, rr, post)

@@ -28,10 +28,10 @@ import numpy as np
 
 from . import _textio
 from .corpus import Corpus
-from .errors import DataError, DegeneracyError
+from .errors import DataError
 from .similarity import TopicDistribution
-from .training import (TrainConfig, TrainLog, em_fit, mapreduce_slices,
-                       noisy_uniform_rows, normalize_rows)
+from .training import (TrainConfig, TrainLog, check_support, em_fit,
+                       mapreduce_slices, noisy_uniform_rows, normalize_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +47,12 @@ class PlsaModel:
     """
 
     kind: ClassVar[str] = "plsa"
+    DIMS: ClassVar[tuple] = ("n_topics", "n_resources", "n_tags")
+    TABLES: ClassVar[tuple] = (
+        ("resource_probs", "p(r)", ("n_resources",)),
+        ("tag_given_topic", "p(t|z)", ("n_topics", "n_tags")),
+        ("topic_given_resource", "p(z|r)", ("n_resources", "n_topics")),
+    )
 
     tag_given_topic: np.ndarray
     topic_given_resource: np.ndarray
@@ -66,21 +72,7 @@ class PlsaModel:
         return self.tag_given_topic.shape[1]
 
     def validate(self, atol: float = 1e-10) -> None:
-        """Check shapes, non-negativity and row normalization."""
-        if self.tag_given_topic.ndim != 2 or self.topic_given_resource.ndim != 2:
-            raise DataError("parameter tables must be 2-D")
-        if self.topic_given_resource.shape[1] != self.n_topics:
-            raise DataError("topic dimensions disagree between tables")
-        if self.resource_probs.shape != (self.n_resources,):
-            raise DataError("resource_probs length disagrees with p(z|r) table")
-        for name, table in (("p(t|z)", self.tag_given_topic),
-                            ("p(z|r)", self.topic_given_resource)):
-            if (table < 0).any():
-                raise DataError(f"{name} has negative entries")
-            if not np.allclose(table.sum(axis=1), 1.0, rtol=0, atol=atol):
-                raise DataError(f"{name} rows do not sum to 1")
-        if (self.resource_probs < 0).any() or abs(self.resource_probs.sum() - 1.0) > atol:
-            raise DataError("p(r) is not a distribution")
+        _textio.validate(self, atol)
 
     def check_corpus(self, corpus: Corpus) -> None:
         if self.n_resources != len(corpus.resources) or self.n_tags != len(corpus.tags):
@@ -88,13 +80,16 @@ class PlsaModel:
                 f"model dimensions ({self.n_resources} resources, {self.n_tags} tags) "
                 f"do not match corpus ({len(corpus.resources)}, {len(corpus.tags)})")
 
+    def mixture(self, rr, tt) -> np.ndarray:
+        """Unnormalised joint p(t|z) p(z|r) of the pairs ``(rr[n], tt[n])``, as [n, K]."""
+        return self.topic_given_resource[rr] * self.tag_given_topic[:, tt].T
+
     def posterior(self, resource: int, tag: int) -> np.ndarray:
         """E-step posterior p(z | r, t) for one observed pair."""
-        weights = self.topic_given_resource[resource] * self.tag_given_topic[:, tag]
-        total = weights.sum()
-        if total <= 0.0:
-            raise DegeneracyError(f"degenerate posterior for pair (r={resource}, t={tag})")
-        return weights / total
+        weights = self.mixture([resource], [tag])
+        totals = weights.sum(axis=1)
+        check_support(totals, "pair", r=[resource], t=[tag])
+        return weights[0] / totals[0]
 
     def log_likelihood(self, corpus: Corpus) -> float:
         """sum_{r,t} n(r,t) log p(r,t); -inf (with a warning) if an observed
@@ -104,8 +99,8 @@ class PlsaModel:
         total = 0.0
         for lo in range(0, len(n_pairs), _PAIR_CHUNK):
             hi = min(lo + _PAIR_CHUNK, len(n_pairs))
-            rr, tt = r_pairs[lo:hi], t_pairs[lo:hi]
-            mix = (self.topic_given_resource[rr] * self.tag_given_topic[:, tt].T).sum(axis=1)
+            rr = r_pairs[lo:hi]
+            mix = self.mixture(rr, t_pairs[lo:hi]).sum(axis=1)
             with np.errstate(divide="ignore"):
                 terms = np.log(mix * self.resource_probs[rr])
             total += float((n_pairs[lo:hi] * terms).sum())
@@ -118,43 +113,8 @@ class PlsaModel:
             raise DataError(f"unknown resource id {resource}")
         return TopicDistribution(self.topic_given_resource[resource].copy())
 
-    def to_text(self, stream) -> None:
-        """Header ``plsa K R T seed``; then p(r), the K p(t|z) rows and the
-        R p(z|r) rows, one row per line."""
-        stream.write("# tagtopics model format v1\n")
-        stream.write(f"plsa {self.n_topics} {self.n_resources} {self.n_tags} {self.seed}\n")
-        stream.write(_textio.format_row(self.resource_probs) + "\n")
-        for row in self.tag_given_topic:
-            stream.write(_textio.format_row(row) + "\n")
-        for row in self.topic_given_resource:
-            stream.write(_textio.format_row(row) + "\n")
-
-    @classmethod
-    def _from_parts(cls, header: list[str], stream) -> "PlsaModel":
-        if header[0] != cls.kind or len(header) != 5:
-            raise DataError(f"bad plsa header: {' '.join(header)!r}")
-        n_topics, n_resources, n_tags, seed = _textio.parse_ints(header[1:], "plsa header")
-        model = cls(
-            resource_probs=_textio.parse_row(stream, n_resources, "p(r)"),
-            tag_given_topic=_textio.parse_matrix(stream, n_topics, n_tags, "p(t|z)"),
-            topic_given_resource=_textio.parse_matrix(stream, n_resources, n_topics, "p(z|r)"),
-            seed=seed,
-        )
-        model.validate()
-        return model
-
-    @classmethod
-    def from_text(cls, stream) -> "PlsaModel":
-        return cls._from_parts(_textio.next_fields(stream, "model header"), stream)
-
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as stream:
-            self.to_text(stream)
-
-    @classmethod
-    def load(cls, path) -> "PlsaModel":
-        with open(path, encoding="utf-8") as stream:
-            return cls.from_text(stream)
+        _textio.save(self, path)
 
 
 def train_plsa(corpus: Corpus, cfg: TrainConfig,
@@ -186,12 +146,9 @@ def train_plsa(corpus: Corpus, cfg: TrainConfig,
         for a in range(lo, hi, _PAIR_CHUNK):
             b = min(a + _PAIR_CHUNK, hi)
             rr, tt = r_pairs[a:b], t_pairs[a:b]
-            post = model.topic_given_resource[rr] * model.tag_given_topic[:, tt].T
+            post = model.mixture(rr, tt)
             totals = post.sum(axis=1)
-            if (totals <= 0.0).any():
-                bad = int(np.argmax(totals <= 0.0))
-                raise DegeneracyError(
-                    f"degenerate posterior for pair (r={rr[bad]}, t={tt[bad]})")
+            check_support(totals, "pair", r=rr, t=tt)
             post *= (weights[a:b] / totals)[:, None]
             np.add.at(expected_tz.T, tt, post)
             np.add.at(expected_rz, rr, post)

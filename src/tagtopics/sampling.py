@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _textio
 from .corpus import Corpus, Vocab
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .itm import ItmModel
 from .modelio import read_model
 from .mwa import MwaModel
@@ -53,13 +54,19 @@ class PlantedSpec:
 
 def _draw_flat(rng: np.random.Generator, probs: np.ndarray, n: int) -> np.ndarray:
     cum = np.cumsum(np.asarray(probs, dtype=float))
-    idx = (cum <= rng.random(n)[:, None]).sum(axis=1)
-    return np.minimum(idx, len(cum) - 1)
+    return np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(cum) - 1)
 
 
 def _draw_rows(rng: np.random.Generator, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(np.asarray(table, dtype=float)[rows], axis=1)
-    idx = (cum <= rng.random(len(rows))[:, None]).sum(axis=1)
+    """One draw from row ``rows[n]`` of ``table`` per n; a binary search per
+    distinct row instead of an n-by-columns comparison."""
+    cum = np.cumsum(np.asarray(table, dtype=float), axis=1)
+    u = rng.random(len(rows))
+    idx = np.empty(len(rows), dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    distinct, starts = np.unique(rows[order], return_index=True)
+    for row, group in zip(distinct, np.split(order, starts[1:])):
+        idx[group] = np.searchsorted(cum[row], u[group], side="right")
     return np.minimum(idx, cum.shape[1] - 1)
 
 
@@ -90,7 +97,8 @@ def sample_corpus(spec: PlantedSpec) -> Corpus:
         r = _draw_flat(rng, model.resource_probs, n)
         i = _draw_rows(rng, model.interest_given_user, u)
         z = _draw_rows(rng, model.topic_given_resource, r)
-        t = _draw_rows(rng, model.tag_given_interest_topic[i, z], np.arange(n))
+        t = _draw_rows(rng, model.tag_given_interest_topic.reshape(-1, model.n_tags),
+                       i * model.n_topics + z)
 
     def compact(ids: np.ndarray, prefix: str) -> tuple[Vocab, np.ndarray]:
         planted, first_pos = np.unique(ids, return_index=True)
@@ -115,13 +123,10 @@ def write_spec(spec: PlantedSpec, stream) -> None:
     """Header ``spec n_samples seed n_users`` followed by the model serialization."""
     stream.write("# tagtopics sampling spec v1\n")
     stream.write(f"spec {spec.n_samples} {spec.seed} {spec.n_users}\n")
-    spec.model.to_text(stream)
+    _textio.write_model(spec.model, stream)
 
 
 def read_spec(stream) -> PlantedSpec:
-    from . import _textio
-    from .errors import DataError
-
     header = _textio.next_fields(stream, "sampling spec header")
     if header[0] != "spec" or len(header) != 4:
         raise DataError(f"bad sampling spec header: {' '.join(header)!r}")

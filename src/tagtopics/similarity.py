@@ -29,8 +29,8 @@ class TopicDistribution:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a non-empty 1-D vector")
-        if (probs < 0).any():
-            raise ValueError("probabilities must be non-negative")
+        if not np.isfinite(probs).all() or (probs < 0).any():
+            raise ValueError("probabilities must be finite and non-negative")
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {total!r}, not 1")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DegeneracyError
 
 MODEL_KINDS = ("plsa", "mwa", "itm")
 
@@ -27,9 +27,7 @@ _INIT_NOISE = 0.1
 class TrainConfig:
     """Knobs shared by every trainer.
 
-    ``interests`` only matters for the interest-topic model; ``min_tag_freq``
-    and ``max_tag_freq`` describe the corpus reduction applied upstream at
-    ingestion time and are not consulted by the trainers themselves.
+    ``interests`` only matters for the interest-topic model.
     ``max_table_bytes`` bounds the size of the dense parameter tables a
     trainer may allocate.
     """
@@ -41,8 +39,6 @@ class TrainConfig:
     max_iters: int = 200
     seed: int = 0
     workers: int = 1
-    min_tag_freq: int = 1
-    max_tag_freq: int | None = None
     max_table_bytes: int = 2**31
 
     def validate(self) -> None:
@@ -58,10 +54,6 @@ class TrainConfig:
             raise ConfigError("max_iters must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.min_tag_freq < 1:
-            raise ConfigError("min_tag_freq must be >= 1")
-        if self.max_tag_freq is not None and self.max_tag_freq < self.min_tag_freq:
-            raise ConfigError("max_tag_freq must be >= min_tag_freq")
         if self.max_table_bytes < 1:
             raise ConfigError("max_table_bytes must be >= 1")
 
@@ -101,6 +93,16 @@ def normalize_rows(counts: np.ndarray) -> np.ndarray:
         counts[dead] = 1.0
         sums = counts.sum(axis=1, keepdims=True)
     return counts / sums
+
+
+def check_support(totals: np.ndarray, what: str, **ids) -> None:
+    """Raise :class:`DegeneracyError` naming the first data row whose mixture
+    total is not positive; ``ids`` maps each id name to its per-row ids."""
+    dead = totals <= 0.0
+    if dead.any():
+        bad = int(np.argmax(dead))
+        where = ", ".join(f"{name}={row_ids[bad]}" for name, row_ids in ids.items())
+        raise DegeneracyError(f"degenerate posterior for {what} ({where})")
 
 
 def slice_bounds(n: int, parts: int) -> list[tuple[int, int]]:

@@ -11,6 +11,11 @@ def make_corpus(lines):
     return ingest_triples(lines)
 
 
+def rt_counts(corpus):
+    """User-aggregated counts ``{(r, t): n(r, t)}`` read off ``Corpus.rt_arrays``."""
+    return {(int(r), int(t)): int(n) for r, t, n in zip(*corpus.rt_arrays())}
+
+
 def named_triples(corpus):
     """Counts keyed by entity names, independent of id assignment."""
     return {

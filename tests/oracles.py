@@ -17,7 +17,7 @@ def plsa_joint(model, r, t):
 
 def plsa_log_likelihood(model, corpus):
     ll = 0.0
-    for (r, t), n in sorted(corpus.n_rt.items()):
+    for r, t, n in zip(*corpus.rt_arrays()):
         ll += n * math.log(plsa_joint(model, r, t))
     return ll
 
@@ -117,6 +117,19 @@ def itm_m_step(corpus, posteriors):
     topic_table = [[v / corpus.n_r[r] for v in row] for r, row in enumerate(num_rz)]
 
     return tag_table, interest_table, topic_table
+
+
+def draw_by_comparison(table, rows, uniforms):
+    """Inverse-CDF draws as the number of running row sums at or below each
+    uniform (clamped to the last column)."""
+    draws = []
+    for row, u in zip(rows, uniforms):
+        cum, count = 0.0, 0
+        for p in table[row]:
+            cum += p
+            count += cum <= u
+        draws.append(min(count, len(table[row]) - 1))
+    return draws
 
 
 def js_divergence(p, q):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_corpus, named_triples
-from tagtopics.corpus import (Triple, Vocab, aggregate_rt, filter_tags,
-                              ingest_triples, write_corpus_tsv)
+from helpers import make_corpus, named_triples, rt_counts
+from tagtopics.corpus import (Triple, Vocab, filter_tags, ingest_triples,
+                              write_corpus_tsv)
 from tagtopics.errors import ConfigError, DataError
 
 
@@ -35,13 +35,13 @@ class TestVocab:
 class TestIngest:
     def test_duplicate_lines_merge(self):
         corpus = make_corpus(["a\tu1\tx", "a\tu1\tx"])
-        assert corpus.triples == [Triple(0, 0, 0, 2)]
+        assert list(corpus.iter_triples()) == [Triple(0, 0, 0, 2)]
         assert corpus.total == 2
 
     def test_marginals(self, tiny_corpus):
         a, x = tiny_corpus.resources.id_of("a"), tiny_corpus.tags.id_of("x")
         u1 = tiny_corpus.users.id_of("u1")
-        assert tiny_corpus.n_rt[(a, x)] == 2
+        assert rt_counts(tiny_corpus)[(a, x)] == 2
         assert tiny_corpus.n_r[a] == 2
         assert tiny_corpus.n_u[u1] == 2
         assert tiny_corpus.total == 3
@@ -101,7 +101,7 @@ class TestCorpusProperties:
             expected[(r, u, t)] += n
         assert named_triples(corpus) == dict(expected)
 
-        rt = aggregate_rt(corpus)
+        rt = rt_counts(corpus)
         for r in range(len(corpus.resources)):
             assert sum(n for (ri, _), n in rt.items() if ri == r) == corpus.n_r[r]
         assert sum(rt.values()) == corpus.total
@@ -184,16 +184,16 @@ class TestFilterTags:
 class TestAggregateRt:
     def test_single_triple(self):
         corpus = make_corpus(["a\tu1\tx\t3"])
-        assert aggregate_rt(corpus) == {(0, 0): 3}
+        assert rt_counts(corpus) == {(0, 0): 3}
 
     def test_sums_over_users(self):
         corpus = make_corpus(["a\tu1\tx\t2", "a\tu2\tx\t5"])
-        assert aggregate_rt(corpus) == {(0, 0): 7}
+        assert rt_counts(corpus) == {(0, 0): 7}
 
     def test_matches_nested_loop(self, four_resource_corpus):
         expected = {}
         for tr in four_resource_corpus.iter_triples():
             key = (tr.resource, tr.tag)
             expected[key] = expected.get(key, 0) + tr.count
-        assert aggregate_rt(four_resource_corpus) == expected
-        assert all(n > 0 for n in aggregate_rt(four_resource_corpus).values())
+        assert rt_counts(four_resource_corpus) == expected
+        assert all(n > 0 for n in four_resource_corpus.rt_arrays()[2])

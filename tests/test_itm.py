@@ -6,10 +6,12 @@ import pytest
 
 import oracles
 from helpers import make_corpus, random_corpus
+from tagtopics._textio import write_model
 from tagtopics.errors import ConfigError, DataError, DegeneracyError
-from tagtopics.itm import ItmModel, m_step, train_itm
+from tagtopics.itm import ItmModel, train_itm
 from tagtopics.plsa import train_plsa
 from tagtopics.sampling import planted_two_topic_spec, sample_corpus
+from tagtopics.modelio import read_model
 from tagtopics.training import TrainConfig, noisy_uniform_rows
 
 def cfg(**kwargs):
@@ -67,35 +69,6 @@ class TestPosterior:
             model.posterior(0, 0, 1)
 
 
-class TestMStep:
-    def test_single_triple_interest_update(self):
-        corpus = make_corpus(["a\tu\tx"])
-        post = np.array([[[0.1, 0.3], [0.4, 0.2]]])
-        _, interest_table, _ = m_step(corpus, post)
-        np.testing.assert_allclose(interest_table[0], post[0].sum(axis=1), atol=1e-14)
-
-    def test_uniform_posteriors_give_uniform_topics(self, toy_corpus):
-        n_interests, n_topics = 2, 3
-        post = np.full((toy_corpus.num_triples, n_interests, n_topics),
-                       1.0 / (n_interests * n_topics))
-        _, interest_table, topic_table = m_step(toy_corpus, post)
-        np.testing.assert_allclose(topic_table, 1.0 / n_topics, atol=1e-14)
-        np.testing.assert_allclose(interest_table, 1.0 / n_interests, atol=1e-14)
-
-    def test_matches_bruteforce_on_three_triples(self):
-        corpus = make_corpus(["a\tu\tx\t2", "a\tv\ty", "b\tu\ty\t3"])
-        rng = np.random.default_rng(4)
-        post = rng.dirichlet(np.ones(4), size=corpus.num_triples).reshape(-1, 2, 2)
-        got = m_step(corpus, post)
-        want = oracles.itm_m_step(corpus, post)
-        for got_table, want_table in zip(got, want):
-            np.testing.assert_allclose(got_table, np.asarray(want_table), atol=1e-12)
-
-    def test_rejects_misaligned_posteriors(self, toy_corpus):
-        with pytest.raises(DataError):
-            m_step(toy_corpus, np.full((2, 2, 2), 0.25))
-
-
 class TestTrainItm:
     def test_degenerate_latents_recover_tag_marginal(self, toy_corpus):
         model, log = train_itm(toy_corpus, cfg(topics=1, interests=1, tol=1e-9))
@@ -120,7 +93,7 @@ class TestTrainItm:
         )
         posts = np.stack([start.posterior(tr.resource, tr.user, tr.tag)
                           for tr in corpus.iter_triples()])
-        tag_table, interest_table, topic_table = m_step(corpus, posts)
+        tag_table, interest_table, topic_table = oracles.itm_m_step(corpus, posts)
         np.testing.assert_allclose(trained.tag_given_interest_topic, tag_table, atol=1e-10)
         np.testing.assert_allclose(trained.interest_given_user, interest_table, atol=1e-10)
         np.testing.assert_allclose(trained.topic_given_resource, topic_table, atol=1e-10)
@@ -266,9 +239,9 @@ class TestStructuralInvariants:
     def test_serialization_roundtrip_is_exact(self, toy_corpus):
         model, _ = train_itm(toy_corpus, cfg(max_iters=6, seed=9))
         buffer = io.StringIO()
-        model.to_text(buffer)
+        write_model(model, buffer)
         buffer.seek(0)
-        again = ItmModel.from_text(buffer)
+        again = read_model(buffer)
         for name in ("tag_given_interest_topic", "interest_given_user",
                      "topic_given_resource", "user_probs", "resource_probs"):
             assert np.array_equal(getattr(model, name), getattr(again, name))

@@ -1,14 +1,19 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tagtopics._textio import write_model
 from tagtopics.errors import DataError
 from tagtopics.itm import train_itm
-from tagtopics.modelio import load_model, read_model, save_model
+from tagtopics.modelio import load_model, read_model
 from tagtopics.mwa import train_mwa
-from tagtopics.plsa import train_plsa
+from tagtopics.plsa import PlsaModel, train_plsa
 from tagtopics.training import TrainConfig
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def trained_models(corpus):
@@ -22,7 +27,7 @@ def trained_models(corpus):
 def test_read_model_dispatches_on_header(toy_corpus):
     for model in trained_models(toy_corpus):
         buffer = io.StringIO()
-        model.to_text(buffer)
+        write_model(model, buffer)
         buffer.seek(0)
         again = read_model(buffer)
         assert type(again) is type(model)
@@ -32,7 +37,7 @@ def test_read_model_dispatches_on_header(toy_corpus):
 def test_save_and_load_through_files(toy_corpus, tmp_path):
     for model in trained_models(toy_corpus):
         path = tmp_path / f"model.{model.kind}"
-        save_model(model, path)
+        model.save(path)
         again = load_model(path)
         assert type(again) is type(model)
         # exact float round trip through the text format
@@ -53,7 +58,7 @@ def test_unknown_kind_rejected():
 def test_truncated_file_rejected(toy_corpus):
     model, _ = train_plsa(toy_corpus, TrainConfig(model="plsa", topics=2, seed=1, max_iters=2))
     buffer = io.StringIO()
-    model.to_text(buffer)
+    write_model(model, buffer)
     lines = buffer.getvalue().splitlines()[:-1]
     with pytest.raises(DataError, match="unexpected end of file"):
         read_model(io.StringIO("\n".join(lines)))
@@ -80,3 +85,30 @@ def test_denormalized_table_rejected():
 def test_bad_header_arity_rejected():
     with pytest.raises(DataError, match="bad plsa header"):
         read_model(io.StringIO("plsa 1 1\n"))
+
+
+@pytest.mark.parametrize("kind", ["plsa", "mwa", "itm"])
+def test_golden_file_rewrites_byte_for_byte(kind, tmp_path):
+    golden = DATA / f"golden.{kind}"
+    model = load_model(golden)
+    assert model.kind == kind
+    model.save(tmp_path / "again")
+    assert (tmp_path / "again").read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    "plsa 1 2 2 0\nnan nan\n0.5 0.5\n1.0\n1.0\n",
+    "mwa 1 1 1 1 0\nnan\n1.0\n1.0\n1.0\n",
+    "itm 1 1 1 1 1 0\nnan\n1.0\n1.0\n1.0\n1.0\n",
+], ids=["plsa", "mwa", "itm"])
+def test_non_finite_table_rejected(text):
+    with pytest.raises(DataError, match="non-finite"):
+        read_model(io.StringIO(text))
+
+
+def test_table_sizes_must_agree():
+    model = PlsaModel(tag_given_topic=np.full((2, 3), 1 / 3),
+                      topic_given_resource=np.full((4, 3), 1 / 3),
+                      resource_probs=np.full(4, 0.25))
+    with pytest.raises(DataError, match="n_topics"):
+        model.validate()

@@ -6,8 +6,10 @@ import pytest
 
 import oracles
 from helpers import make_corpus, random_corpus
+from tagtopics._textio import write_model
 from tagtopics.errors import DataError, DegeneracyError
 from tagtopics.mwa import MwaModel, train_mwa
+from tagtopics.modelio import read_model
 from tagtopics.training import TrainConfig
 
 
@@ -200,9 +202,9 @@ class TestStructuralInvariants:
     def test_serialization_roundtrip_is_exact(self, toy_corpus):
         model, _ = train_mwa(toy_corpus, cfg(max_iters=6, seed=9))
         buffer = io.StringIO()
-        model.to_text(buffer)
+        write_model(model, buffer)
         buffer.seek(0)
-        again = MwaModel.from_text(buffer)
+        again = read_model(buffer)
         for name in ("topic_probs", "resource_given_topic", "user_given_topic",
                      "tag_given_topic"):
             assert np.array_equal(getattr(model, name), getattr(again, name))

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import make_corpus, permute_corpus_tags, random_corpus
+from helpers import make_corpus, permute_corpus_tags, random_corpus, rt_counts
+from tagtopics._textio import write_model
 from tagtopics.errors import ConfigError, DataError, DegeneracyError
 from tagtopics.plsa import PlsaModel, train_plsa
+from tagtopics.modelio import read_model
 from tagtopics.training import TrainConfig
 
 
@@ -28,7 +30,7 @@ class TestTrainPlsa:
         expected = sum(
             n * math.log((toy_corpus.n_r[r] / toy_corpus.total)
                          * (toy_corpus.n_t[t] / toy_corpus.total))
-            for (r, t), n in toy_corpus.n_rt.items())
+            for (r, t), n in rt_counts(toy_corpus).items())
         assert model.log_likelihood(toy_corpus) == pytest.approx(expected, abs=1e-10)
 
     def test_disjoint_resources_separate(self, disjoint_corpus):
@@ -41,7 +43,7 @@ class TestTrainPlsa:
         # the separated solution is the analytic optimum: p(t|r) saturated
         bound = sum(
             n * math.log((corpus.n_r[r] / corpus.total) * (n / corpus.n_r[r]))
-            for (r, t), n in corpus.n_rt.items())
+            for (r, t), n in rt_counts(corpus).items())
         trained = model.log_likelihood(corpus)
         assert trained <= bound + 1e-9
         assert trained == pytest.approx(bound, abs=1e-6)
@@ -134,7 +136,7 @@ class TestLogLikelihood:
 class TestPosterior:
     def test_rows_sum_to_one_on_observed_pairs(self, toy_corpus):
         model, _ = train_plsa(toy_corpus, cfg(max_iters=4))
-        for (r, t) in toy_corpus.n_rt:
+        for (r, t) in rt_counts(toy_corpus):
             post = model.posterior(r, t)
             assert post.sum() == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(post, oracles.plsa_posterior(model, r, t), atol=1e-13)
@@ -193,9 +195,9 @@ class TestStructuralInvariants:
     def test_serialization_roundtrip_is_exact(self, toy_corpus):
         model, _ = train_plsa(toy_corpus, cfg(max_iters=6, seed=9))
         buffer = io.StringIO()
-        model.to_text(buffer)
+        write_model(model, buffer)
         buffer.seek(0)
-        again = PlsaModel.from_text(buffer)
+        again = read_model(buffer)
         assert np.array_equal(model.tag_given_topic, again.tag_given_topic)
         assert np.array_equal(model.topic_given_resource, again.topic_given_resource)
         assert np.array_equal(model.resource_probs, again.resource_probs)

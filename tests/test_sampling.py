@@ -12,8 +12,9 @@ from tagtopics.errors import ConfigError, DataError
 from tagtopics.itm import ItmModel
 from tagtopics.mwa import MwaModel
 from tagtopics.plsa import PlsaModel
-from tagtopics.sampling import (PlantedSpec, planted_two_topic_spec, read_spec,
-                                sample_corpus, write_spec)
+from tagtopics.sampling import (PlantedSpec, _draw_flat, _draw_rows,
+                                planted_two_topic_spec, read_spec, sample_corpus,
+                                write_spec)
 
 
 def point_mass_plsa_spec(n_samples):
@@ -99,6 +100,36 @@ class TestSampleCorpus:
         with pytest.raises(ConfigError):
             sample_corpus(PlantedSpec(model=point_mass_plsa_spec(1).model,
                                       n_samples=0, seed=0))
+
+
+class TestDraws:
+    @staticmethod
+    def sparse_table(rng, n_rows, n_cols):
+        """Random rows with about half their entries zero, leading and
+        trailing zeros included."""
+        table = rng.random((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.5)
+        table[:, 0] = 0.0
+        table[:, -1] = 0.0
+        table[table.sum(axis=1) == 0.0, 1] = 1.0
+        return table / table.sum(axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_row_draws_match_comparison_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        table = self.sparse_table(rng, 7, 12)
+        rows = rng.integers(0, 7, 600)
+        got = _draw_rows(np.random.default_rng(seed + 50), table, rows)
+        uniforms = np.random.default_rng(seed + 50).random(len(rows))
+        assert got.tolist() == oracles.draw_by_comparison(
+            table.tolist(), rows.tolist(), uniforms.tolist())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_flat_draws_match_comparison_oracle(self, seed):
+        probs = self.sparse_table(np.random.default_rng(seed), 1, 15)[0]
+        got = _draw_flat(np.random.default_rng(seed + 50), probs, 600)
+        uniforms = np.random.default_rng(seed + 50).random(600)
+        assert got.tolist() == oracles.draw_by_comparison(
+            [probs.tolist()], [0] * 600, uniforms.tolist())
 
 
 class TestSpecIo:

@@ -28,6 +28,7 @@ class TestTopicDistribution:
         [0.5, 0.6],
         [1.2, -0.2],
         [],
+        [np.nan, 1.0],
     ])
     def test_invalid_vectors_rejected(self, probs):
         with pytest.raises(ValueError):
