@@ -116,8 +116,9 @@ class Corpus:
         self.t_ids = t_ids[order]
         self.counts = counts[order]
 
-        key = (self.r_ids * len(users) + self.u_ids) * len(tags) + self.t_ids
-        if len(key) > 1 and (np.diff(key) <= 0).any():
+        # Compared column by column: a composite (r, u, t) key wraps in int64.
+        same_r, same_u, same_t = (np.diff(ids) == 0 for ids in (self.r_ids, self.u_ids, self.t_ids))
+        if (same_r & same_u & same_t).any():
             raise DataError("duplicate (resource, user, tag) keys; counts must be pre-merged")
 
         self.n_r = np.bincount(self.r_ids, weights=self.counts, minlength=len(resources)).astype(np.int64)

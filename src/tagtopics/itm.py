@@ -26,23 +26,18 @@ sums are accumulated streaming, chunk by chunk.
 
 from __future__ import annotations
 
-import logging
-import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from . import _textio
+from . import _textio, training
 from .corpus import Corpus
 from .errors import ConfigError, DataError
 from .similarity import TopicDistribution
-from .training import (TrainConfig, TrainLog, check_support, em_fit,
-                       mapreduce_slices, noisy_uniform_rows, normalize_rows)
-
-logger = logging.getLogger(__name__)
+# perfbench/tracing.py patches em_fit and mapreduce_slices by model module.
+from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
+                       mapreduce_slices, noisy_uniform_rows, normalize_rows, triples)
 
 # Posterior scratch per chunk is bounded by roughly this many float64 values.
 _SCRATCH_ELEMS = 1 << 18
@@ -99,10 +94,35 @@ class ItmModel:
         _textio.validate(self, atol)
 
     def check_corpus(self, corpus: Corpus) -> None:
-        shape = (self.n_resources, self.n_users, self.n_tags)
-        expected = (len(corpus.resources), len(corpus.users), len(corpus.tags))
-        if shape != expected:
-            raise DataError(f"model dimensions {shape} do not match corpus {expected}")
+        training.check_corpus(self, corpus)
+
+    @classmethod
+    def initial(cls, corpus: Corpus, cfg: TrainConfig, rng) -> "ItmModel":
+        """Raises :class:`ConfigError` before allocating anything if the dense
+        p(t|i,z) table would exceed ``cfg.max_table_bytes``."""
+        n_tags = len(corpus.tags)
+        table_bytes = 8 * cfg.interests * cfg.topics * n_tags
+        if table_bytes > cfg.max_table_bytes:
+            raise ConfigError(
+                f"p(t|i,z) table needs {table_bytes} bytes, over the budget of "
+                f"{cfg.max_table_bytes}; lower interests/topics or raise max_table_bytes")
+        # Draw order keeps the interests=1 case aligned with the pLSA trainer's
+        # initialization for the same seed (the p(i|u) rows normalize to 1.0).
+        return cls(
+            tag_given_interest_topic=noisy_uniform_rows(
+                rng, cfg.interests * cfg.topics, n_tags).reshape(cfg.interests, cfg.topics, n_tags),
+            topic_given_resource=noisy_uniform_rows(rng, len(corpus.resources), cfg.topics),
+            interest_given_user=noisy_uniform_rows(rng, len(corpus.users), cfg.interests),
+            user_probs=corpus.n_u / corpus.total,
+            resource_probs=corpus.n_r / corpus.total,
+            seed=cfg.seed,
+        )
+
+    rows = staticmethod(triples)
+
+    @property
+    def chunk_rows(self) -> int:
+        return max(1, _SCRATCH_ELEMS // (self.n_interests * self.n_topics))
 
     def mixture(self, rr, uu, tt) -> np.ndarray:
         """Unnormalised joint p(t|i,z) p(i|u) p(z|r) of the triples
@@ -114,27 +134,31 @@ class ItmModel:
 
     def posterior(self, resource: int, user: int, tag: int) -> np.ndarray:
         """Joint posterior p(i, z | u, r, t) for one triple, as an [I, K] table."""
-        weights = self.mixture([resource], [user], [tag])
-        totals = weights.sum(axis=(1, 2))
-        check_support(totals, "triple", r=[resource], u=[user], t=[tag])
-        return weights[0] / totals[0]
+        return training.posterior(self, r=resource, u=user, t=tag)
+
+    def zero_stats(self):
+        return (np.zeros_like(self.tag_given_interest_topic),
+                np.zeros((self.n_users, self.n_interests)),
+                np.zeros((self.n_resources, self.n_topics)))
+
+    def scatter(self, stats, ids, post) -> None:
+        np.add.at(stats[0].transpose(2, 0, 1), ids["t"], post)
+        np.add.at(stats[1], ids["u"], post.sum(axis=2))
+        np.add.at(stats[2], ids["r"], post.sum(axis=1))
+
+    def m_step(self, stats) -> None:
+        expected_t, expected_ui, expected_rz = stats
+        self.tag_given_interest_topic = normalize_rows(
+            expected_t.reshape(-1, self.n_tags)).reshape(expected_t.shape)
+        self.interest_given_user = normalize_rows(expected_ui)
+        self.topic_given_resource = normalize_rows(expected_rz)
+
+    def log_terms(self, mix, ids) -> np.ndarray:
+        log_u, log_r = np.log(self.user_probs), np.log(self.resource_probs)
+        return np.log(mix) + log_u[ids["u"]] + log_r[ids["r"]]
 
     def log_likelihood(self, corpus: Corpus) -> float:
-        self.check_corpus(corpus)
-        chunk = max(1, _SCRATCH_ELEMS // (self.n_interests * self.n_topics))
-        total = 0.0
-        log_u = np.log(self.user_probs)
-        log_r = np.log(self.resource_probs)
-        for lo in range(0, corpus.num_triples, chunk):
-            hi = min(lo + chunk, corpus.num_triples)
-            rr, uu = corpus.r_ids[lo:hi], corpus.u_ids[lo:hi]
-            mix = self.mixture(rr, uu, corpus.t_ids[lo:hi]).sum(axis=(1, 2))
-            with np.errstate(divide="ignore"):
-                terms = np.log(mix) + log_u[uu] + log_r[rr]
-            total += float((corpus.counts[lo:hi] * terms).sum())
-        if not math.isfinite(total):
-            logger.warning("observed triple has zero probability; log-likelihood is degenerate (-inf)")
-        return total
+        return training.log_likelihood(self, corpus)
 
     def topic_distribution(self, resource: int) -> TopicDistribution:
         if not 0 <= resource < self.n_resources:
@@ -147,71 +171,5 @@ class ItmModel:
 
 def train_itm(corpus: Corpus, cfg: TrainConfig,
               iteration_hook=None) -> tuple[ItmModel, TrainLog]:
-    """Fit the interest-topic model by EM; deterministic per (seed, workers).
-
-    Raises :class:`ConfigError` before allocating anything if the dense
-    p(t|i,z) table would exceed ``cfg.max_table_bytes``.
-    """
-    cfg.validate()
-    if cfg.interests < 1:
-        raise ConfigError("interests must be >= 1")
-    n_resources = len(corpus.resources)
-    n_users = len(corpus.users)
-    n_tags = len(corpus.tags)
-    table_bytes = 8 * cfg.interests * cfg.topics * n_tags
-    if table_bytes > cfg.max_table_bytes:
-        raise ConfigError(
-            f"p(t|i,z) table needs {table_bytes} bytes, over the budget of "
-            f"{cfg.max_table_bytes}; lower interests/topics or raise max_table_bytes")
-    if cfg.topics > n_tags:
-        warnings.warn(f"topics={cfg.topics} exceeds the tag vocabulary size {n_tags}")
-
-    rng = np.random.default_rng(cfg.seed)
-    # Draw order keeps the interests=1 case aligned with the pLSA trainer's
-    # initialization for the same seed (the p(i|u) rows normalize to 1.0).
-    model = ItmModel(
-        tag_given_interest_topic=noisy_uniform_rows(
-            rng, cfg.interests * cfg.topics, n_tags).reshape(cfg.interests, cfg.topics, n_tags),
-        topic_given_resource=noisy_uniform_rows(rng, n_resources, cfg.topics),
-        interest_given_user=noisy_uniform_rows(rng, n_users, cfg.interests),
-        user_probs=corpus.n_u / corpus.total,
-        resource_probs=corpus.n_r / corpus.total,
-        seed=cfg.seed,
-    )
-    weights = corpus.counts.astype(float)
-    chunk = max(1, _SCRATCH_ELEMS // (cfg.interests * cfg.topics))
-    executor = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
-
-    def accumulate(lo: int, hi: int):
-        expected_t = np.zeros((cfg.interests, cfg.topics, n_tags))
-        expected_ui = np.zeros((n_users, cfg.interests))
-        expected_rz = np.zeros((n_resources, cfg.topics))
-        for a in range(lo, hi, chunk):
-            b = min(a + chunk, hi)
-            rr, uu, tt = corpus.r_ids[a:b], corpus.u_ids[a:b], corpus.t_ids[a:b]
-            post = model.mixture(rr, uu, tt)
-            totals = post.sum(axis=(1, 2))
-            check_support(totals, "triple", r=rr, u=uu, t=tt)
-            post *= (weights[a:b] / totals)[:, None, None]
-            np.add.at(expected_t.transpose(2, 0, 1), tt, post)
-            np.add.at(expected_ui, uu, post.sum(axis=2))
-            np.add.at(expected_rz, rr, post.sum(axis=1))
-        return expected_t, expected_ui, expected_rz
-
-    def step() -> None:
-        expected_t, expected_ui, expected_rz = mapreduce_slices(
-            accumulate, corpus.num_triples, cfg.workers, executor)
-        model.tag_given_interest_topic = normalize_rows(
-            expected_t.reshape(-1, n_tags)).reshape(cfg.interests, cfg.topics, n_tags)
-        model.interest_given_user = normalize_rows(expected_ui)
-        model.topic_given_resource = normalize_rows(expected_rz)
-
-    hook = None
-    if iteration_hook is not None:
-        hook = lambda iteration, ll: iteration_hook(model, iteration, ll)
-    try:
-        log = em_fit(step, lambda: model.log_likelihood(corpus), cfg, hook=hook)
-    finally:
-        if executor is not None:
-            executor.shutdown()
-    return model, log
+    """Fit the interest-topic model by EM (see :func:`training.train`)."""
+    return training.train(ItmModel, corpus, cfg, iteration_hook)

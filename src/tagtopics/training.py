@@ -1,20 +1,36 @@
-"""Shared training machinery for the three EM models.
+"""One EM trainer for the three models.
 
-All trainers follow the same protocol: seeded near-uniform initialization,
-alternating E/M passes over the data, and a log-likelihood history that is
-recorded after every parameter update.  Convergence is declared when the
-relative log-likelihood improvement drops below ``tol``.
+:func:`train` fits any model class by the same protocol: seeded
+near-uniform initialization, alternating E/M passes over the data, and a
+log-likelihood history recorded after every parameter update; it stops when
+the relative log-likelihood improvement drops below ``tol``.  The trainer
+owns the config checks, the worker pool, the chunked E-step, the map-reduce
+of the statistics and the log-likelihood pass.  A model class supplies only
+its own math: ``kind``/``DIMS``/``TABLES`` (its file schema, see
+``_textio``); ``initial(corpus, cfg, rng)``, the seeded start;
+``rows(corpus)``, the data rows as ``({id name: ids}, counts)``;
+``chunk_rows``, rows per chunk, which fixes the summation order;
+``mixture(*ids)``, the unnormalised joint per row as [n, latent...];
+``zero_stats()``, ``scatter(stats, ids, post)`` and ``m_step(stats)``, the
+sufficient statistics from weighted posteriors and the in-place update; and
+``log_terms(mix, ids)``, log p(row) from the mixture summed per row.
 """
 
 from __future__ import annotations
 
+import contextlib
+import logging
 import math
+import warnings
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegeneracyError
+from .errors import ConfigError, DataError, DegeneracyError
+
+logger = logging.getLogger(__name__)
 
 MODEL_KINDS = ("plsa", "mwa", "itm")
 
@@ -95,16 +111,6 @@ def normalize_rows(counts: np.ndarray) -> np.ndarray:
     return counts / sums
 
 
-def check_support(totals: np.ndarray, what: str, **ids) -> None:
-    """Raise :class:`DegeneracyError` naming the first data row whose mixture
-    total is not positive; ``ids`` maps each id name to its per-row ids."""
-    dead = totals <= 0.0
-    if dead.any():
-        bad = int(np.argmax(dead))
-        where = ", ".join(f"{name}={row_ids[bad]}" for name, row_ids in ids.items())
-        raise DegeneracyError(f"degenerate posterior for {what} ({where})")
-
-
 def slice_bounds(n: int, parts: int) -> list[tuple[int, int]]:
     edges = [n * i // parts for i in range(parts + 1)]
     return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
@@ -152,3 +158,98 @@ def em_fit(
             converged = True
             break
     return TrainLog(history, converged)
+
+
+def triples(corpus):
+    """The corpus triples as data rows: ``({"r", "u", "t"} ids, counts)``."""
+    return {"r": corpus.r_ids, "u": corpus.u_ids, "t": corpus.t_ids}, corpus.counts
+
+
+def _row_name(ids: dict) -> str:
+    return "pair" if len(ids) == 2 else "triple"
+
+
+def _supported_mixture(model, ids: dict):
+    """``model.mixture`` of the data rows ``ids`` and its totals over the
+    latent axes; raises :class:`DegeneracyError` naming a row without support."""
+    mix = model.mixture(*ids.values())
+    totals = mix.sum(axis=tuple(range(1, mix.ndim)))
+    dead = totals <= 0.0
+    if dead.any():
+        bad = int(np.argmax(dead))
+        where = ", ".join(f"{name}={col[bad]}" for name, col in ids.items())
+        raise DegeneracyError(f"degenerate posterior for {_row_name(ids)} ({where})")
+    return mix, totals
+
+
+def posterior(model, **ids) -> np.ndarray:
+    """E-step posterior of one observed row, e.g. ``posterior(model, r=0, t=2)``."""
+    mix, totals = _supported_mixture(model, {name: [i] for name, i in ids.items()})
+    return mix[0] / totals[0]
+
+
+def check_corpus(model, corpus) -> None:
+    """Raise :class:`DataError` unless the model's vocabulary sizes (those
+    of its ``DIMS``) match the corpus."""
+    vocabs = {"n_resources": corpus.resources, "n_users": corpus.users, "n_tags": corpus.tags}
+    dims = [dim for dim in model.DIMS if dim in vocabs]
+    shape = tuple(getattr(model, dim) for dim in dims)
+    expected = tuple(len(vocabs[dim]) for dim in dims)
+    if shape != expected:
+        raise DataError(f"model dimensions {shape} do not match corpus {expected} "
+                        f"({', '.join(dims)})")
+
+
+def log_likelihood(model, corpus) -> float:
+    """sum over data rows of n log p(row); -inf (with a warning) if an
+    observed row has zero probability."""
+    model.check_corpus(corpus)
+    ids, counts = model.rows(corpus)
+    total = 0.0
+    for lo in range(0, len(counts), model.chunk_rows):
+        chunk = {name: col[lo:lo + model.chunk_rows] for name, col in ids.items()}
+        mix = model.mixture(*chunk.values())
+        mix = mix.sum(axis=tuple(range(1, mix.ndim)))
+        with np.errstate(divide="ignore"):
+            terms = model.log_terms(mix, chunk)
+        total += float((counts[lo:lo + model.chunk_rows] * terms).sum())
+    if not math.isfinite(total):
+        logger.warning(f"observed {_row_name(ids)} has zero probability; "
+                       "log-likelihood is degenerate (-inf)")
+    return total
+
+
+def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
+    """Fit model class ``cls`` to ``corpus`` by EM; returns ``(model, TrainLog)``.
+
+    Deterministic for a fixed ``cfg.seed`` and ``cfg.workers``.  The optional
+    ``iteration_hook(model, iteration, ll)`` is called after every update."""
+    cfg.validate()
+    if cfg.model != cls.kind:
+        raise ConfigError(f"config is for model {cfg.model!r}, but this trainer fits {cls.kind!r}")
+    if cfg.topics > len(corpus.tags):
+        warnings.warn(f"topics={cfg.topics} exceeds the tag vocabulary size {len(corpus.tags)}")
+    model = cls.initial(corpus, cfg, np.random.default_rng(cfg.seed))
+    ids, counts = model.rows(corpus)
+    weights = counts.astype(float)
+    executor = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
+
+    def accumulate(lo: int, hi: int):
+        stats = model.zero_stats()
+        for a in range(lo, hi, model.chunk_rows):
+            b = min(a + model.chunk_rows, hi)
+            chunk = {name: col[a:b] for name, col in ids.items()}
+            post, totals = _supported_mixture(model, chunk)
+            post *= (weights[a:b] / totals).reshape((-1,) + (1,) * (post.ndim - 1))
+            model.scatter(stats, chunk, post)
+        return stats
+
+    def step() -> None:
+        model.m_step(mapreduce_slices(accumulate, len(weights), cfg.workers, executor))
+
+    hook = None
+    if iteration_hook is not None:
+        hook = lambda iteration, ll: iteration_hook(model, iteration, ll)
+    with executor or contextlib.nullcontext():
+        log = em_fit(step, lambda: model.log_likelihood(corpus), cfg, hook=hook)
+    return model, log

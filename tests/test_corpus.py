@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_corpus, named_triples, rt_counts
-from tagtopics.corpus import (Triple, Vocab, filter_tags, ingest_triples,
+from tagtopics.corpus import (Corpus, Triple, Vocab, filter_tags, ingest_triples,
                               write_corpus_tsv)
 from tagtopics.errors import ConfigError, DataError
 
@@ -197,3 +197,34 @@ class TestAggregateRt:
             expected[key] = expected.get(key, 0) + tr.count
         assert rt_counts(four_resource_corpus) == expected
         assert all(n > 0 for n in four_resource_corpus.rt_arrays()[2])
+
+
+class SizedVocab:
+    """Stands in for a vocabulary of ``size`` entries without storing them."""
+
+    def __init__(self, size):
+        self.entries = range(size)
+
+    def __len__(self):
+        return len(self.entries)
+
+
+class TestDuplicateKeys:
+    def test_repeated_triple_rejected(self):
+        vocab = Vocab(["a", "b"])
+        with pytest.raises(DataError, match="duplicate"):
+            Corpus(vocab, vocab, vocab, [0, 1, 0], [1, 0, 1], [0, 1, 0], [1, 1, 1])
+
+    def test_triples_differing_in_one_column_accepted(self):
+        vocab = Vocab(["a", "b"])
+        corpus = Corpus(vocab, vocab, vocab, [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0],
+                        [1, 2, 3, 4])
+        assert corpus.num_triples == 4
+
+    def test_no_false_duplicates_when_composite_key_overflows(self):
+        # (r * |U| + u) * |T| + t exceeds int64 for r = 1.1M and |U| = |T| = 3M.
+        # The corpus is still invalid (most ids have no triples), but it must
+        # get past the duplicate check to say so.
+        big = SizedVocab(3_000_000)
+        with pytest.raises(DataError, match="resource vocabulary entries without triples"):
+            Corpus(SizedVocab(1_100_001), big, big, [0, 1_100_000], [0, 0], [0, 0], [1, 1])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tagtopics import train_itm, train_mwa, train_plsa
 from tagtopics.errors import ConfigError
 from tagtopics.training import (TrainConfig, em_fit, noisy_uniform_rows,
                                 slice_bounds)
@@ -27,6 +28,12 @@ class TestTrainConfig:
 
     def test_interests_ignored_for_non_itm(self):
         TrainConfig(model="plsa", interests=0).validate()
+
+    @pytest.mark.parametrize("trainer,model", [
+        (train_plsa, "itm"), (train_mwa, "plsa"), (train_itm, "mwa")])
+    def test_trainer_rejects_config_for_another_model(self, trainer, model, toy_corpus):
+        with pytest.raises(ConfigError, match=f"config is for model '{model}'"):
+            trainer(toy_corpus, TrainConfig(model=model, topics=2, interests=2, max_iters=1))
 
 
 def test_noisy_uniform_rows_are_distributions():
