@@ -127,14 +127,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="corpus file from `ingest`")
     p.add_argument("output", help="model file to write")
     p.add_argument("--model", choices=MODEL_KINDS, required=True)
-    p.add_argument("--topics", type=int, default=100)
-    p.add_argument("--interests", type=int, default=20, help="itm only")
-    p.add_argument("--tol", type=float, default=1e-6,
+    defaults = TrainConfig()
+    p.add_argument("--topics", type=int, default=defaults.topics)
+    p.add_argument("--interests", type=int, default=defaults.interests, help="itm only")
+    p.add_argument("--tol", type=float, default=defaults.tol,
                    help="relative log-likelihood improvement threshold")
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-table-bytes", type=int, default=2**31)
+    p.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--workers", type=int, default=defaults.workers)
+    p.add_argument("--max-table-bytes", type=int, default=defaults.max_table_bytes)
     p.set_defaults(run=cmd_train)
 
     p = sub.add_parser("rank", help="rank resources by divergence from a seed resource")

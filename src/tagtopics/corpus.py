@@ -13,7 +13,6 @@ user-aggregated resource-tag counts ``n(r, t)``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -85,6 +84,28 @@ class Vocab:
         return f"Vocab({len(self.entries)} entries)"
 
 
+def _sort_rows(columns):
+    """Lexicographic order of the rows of the parallel id ``columns``, the
+    columns in that order, and a mask of the sorted rows that differ from the
+    row before.  Rows are compared column by column, because a composite key
+    over several vocabularies can wrap in int64."""
+    order = np.lexsort(columns[::-1])
+    columns = [col[order] for col in columns]
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for col in columns:
+        first[1:] |= col[1:] != col[:-1]
+    return order, columns, first
+
+
+def merge_rows(columns, counts: np.ndarray):
+    """The distinct rows of the parallel id ``columns`` in lexicographic
+    order, as ``(columns, counts)``, with ``counts`` summed over repeats."""
+    order, columns, first = _sort_rows(columns)
+    starts = np.flatnonzero(first)
+    return [col[starts] for col in columns], np.add.reduceat(counts[order], starts)
+
+
 class Corpus:
     """Merged triple counts plus consistent marginals.
 
@@ -110,15 +131,9 @@ class Corpus:
         if (counts < 1).any():
             raise DataError("triple counts must be positive")
 
-        order = np.lexsort((t_ids, u_ids, r_ids))
-        self.r_ids = r_ids[order]
-        self.u_ids = u_ids[order]
-        self.t_ids = t_ids[order]
+        order, (self.r_ids, self.u_ids, self.t_ids), first = _sort_rows((r_ids, u_ids, t_ids))
         self.counts = counts[order]
-
-        # Compared column by column: a composite (r, u, t) key wraps in int64.
-        same_r, same_u, same_t = (np.diff(ids) == 0 for ids in (self.r_ids, self.u_ids, self.t_ids))
-        if (same_r & same_u & same_t).any():
+        if not first.all():
             raise DataError("duplicate (resource, user, tag) keys; counts must be pre-merged")
 
         self.n_r = np.bincount(self.r_ids, weights=self.counts, minlength=len(resources)).astype(np.int64)
@@ -137,20 +152,6 @@ class Corpus:
 
         self._rt_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    @classmethod
-    def from_counts(cls, resources: Vocab, users: Vocab, tags: Vocab,
-                    counts: dict[tuple[int, int, int], int]) -> "Corpus":
-        """Build a corpus from a merged ``(r, u, t) -> count`` mapping."""
-        for vocab in (resources, users, tags):
-            for entry in vocab.entries:
-                if "\t" in entry or "\n" in entry or "\r" in entry:
-                    raise DataError(f"vocabulary entry {entry!r} contains reserved characters")
-        # Dict order is fine: __init__ sorts the triples.
-        keys = np.fromiter(chain.from_iterable(counts), dtype=np.int64,
-                           count=3 * len(counts)).reshape(len(counts), 3)
-        values = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-        return cls(resources, users, tags, keys[:, 0], keys[:, 1], keys[:, 2], values)
-
     @property
     def num_triples(self) -> int:
         """Number of distinct (resource, user, tag) keys."""
@@ -163,10 +164,8 @@ class Corpus:
     def rt_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """User-aggregated pairs as parallel arrays ``(r, t, n(r, t))``, sorted by (r, t)."""
         if self._rt_cache is None:
-            key = self.r_ids * len(self.tags) + self.t_ids
-            uniq, inverse = np.unique(key, return_inverse=True)
-            n_rt = np.bincount(inverse, weights=self.counts).astype(np.int64)
-            self._rt_cache = (uniq // len(self.tags), uniq % len(self.tags), n_rt)
+            (r, t), n_rt = merge_rows((self.r_ids, self.t_ids), self.counts)
+            self._rt_cache = (r, t, n_rt)
         return self._rt_cache
 
     def stats(self) -> dict[str, int]:
@@ -192,7 +191,8 @@ def ingest_triples(lines: Iterable[str]) -> Corpus:
     by first appearance; merged counts do not depend on line order.
     """
     resources, users, tags = Vocab(), Vocab(), Vocab()
-    merged: dict[tuple[int, int, int], int] = {}
+    ids: list[int] = []
+    counts: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.startswith(COMMENT_CHAR):
@@ -212,11 +212,17 @@ def ingest_triples(lines: Iterable[str]) -> Corpus:
                 raise DataError(f"line {lineno}: count must be positive, got {count}")
         else:
             count = 1
-        key = (resources.add(name_r), users.add(name_u), tags.add(name_t))
-        merged[key] = merged.get(key, 0) + count
-    if not merged:
+        ids += (resources.add(name_r), users.add(name_u), tags.add(name_t))
+        counts.append(count)
+    if not counts:
         raise DataError("empty corpus")
-    return Corpus.from_counts(resources, users, tags, merged)
+    for vocab in (resources, users, tags):
+        for entry in vocab.entries:
+            if "\n" in entry or "\r" in entry:
+                raise DataError(f"vocabulary entry {entry!r} contains reserved characters")
+    (r, u, t), merged = merge_rows(np.array(ids, dtype=np.int64).reshape(-1, 3).T,
+                                   np.array(counts, dtype=np.int64))
+    return Corpus(resources, users, tags, r, u, t, merged)
 
 
 def read_corpus(path) -> Corpus:

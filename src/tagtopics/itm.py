@@ -26,9 +26,6 @@ sums are accumulated streaming, chunk by chunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 import numpy as np
 
 from . import _textio, training
@@ -43,8 +40,7 @@ from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
 _SCRATCH_ELEMS = 1 << 18
 
 
-@dataclass
-class ItmModel:
+class ItmModel(_textio.Tables):
     """Interest-topic tables.
 
     ``tag_given_interest_topic[i, z, t]`` holds p(t|i,z);
@@ -53,42 +49,15 @@ class ItmModel:
     ``user_probs`` and ``resource_probs`` are the fixed empirical p(u), p(r).
     """
 
-    kind: ClassVar[str] = "itm"
-    DIMS: ClassVar[tuple] = ("n_interests", "n_topics", "n_resources", "n_users", "n_tags")
-    TABLES: ClassVar[tuple] = (
+    kind = "itm"
+    DIMS = ("n_interests", "n_topics", "n_resources", "n_users", "n_tags")
+    TABLES = (
         ("user_probs", "p(u)", ("n_users",)),
         ("resource_probs", "p(r)", ("n_resources",)),
         ("interest_given_user", "p(i|u)", ("n_users", "n_interests")),
         ("topic_given_resource", "p(z|r)", ("n_resources", "n_topics")),
         ("tag_given_interest_topic", "p(t|i,z)", ("n_interests", "n_topics", "n_tags")),
     )
-
-    tag_given_interest_topic: np.ndarray
-    interest_given_user: np.ndarray
-    topic_given_resource: np.ndarray
-    user_probs: np.ndarray
-    resource_probs: np.ndarray
-    seed: int = 0
-
-    @property
-    def n_interests(self) -> int:
-        return self.tag_given_interest_topic.shape[0]
-
-    @property
-    def n_topics(self) -> int:
-        return self.tag_given_interest_topic.shape[1]
-
-    @property
-    def n_resources(self) -> int:
-        return self.topic_given_resource.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.interest_given_user.shape[0]
-
-    @property
-    def n_tags(self) -> int:
-        return self.tag_given_interest_topic.shape[2]
 
     def validate(self, atol: float = 1e-10) -> None:
         _textio.validate(self, atol)

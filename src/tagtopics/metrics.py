@@ -39,13 +39,6 @@ class LabelSet:
     def is_positive(self, resource) -> bool:
         return self.label_of(resource) in POSITIVE_LABELS
 
-    def check_resources(self, known: Iterable) -> None:
-        """Raise if any labeled resource is absent from ``known``."""
-        known = set(known)
-        unknown = [resource for resource in self.labels if resource not in known]
-        if unknown:
-            raise DataError(f"labels reference unknown resources: {unknown[:5]}")
-
     @classmethod
     def from_tsv(cls, lines: Iterable[str]) -> "LabelSet":
         """Parse ``resource<TAB>label`` lines; ``#`` comments and blanks skipped."""

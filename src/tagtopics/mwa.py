@@ -14,9 +14,6 @@ inversion, p(z|r) = p(r|z) p(z) / sum_z' p(r|z') p(z').
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 import numpy as np
 
 from . import _textio, training
@@ -28,41 +25,18 @@ from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
                        mapreduce_slices, noisy_uniform_rows, normalize_rows, triples)
 
 
-@dataclass
-class MwaModel:
+class MwaModel(_textio.Tables):
     """Aspect-model tables: p(z), p(r|z), p(u|z), p(t|z) (rows indexed by z)."""
 
-    kind: ClassVar[str] = "mwa"
-    DIMS: ClassVar[tuple] = ("n_topics", "n_resources", "n_users", "n_tags")
-    TABLES: ClassVar[tuple] = (
+    kind = "mwa"
+    DIMS = ("n_topics", "n_resources", "n_users", "n_tags")
+    TABLES = (
         ("topic_probs", "p(z)", ("n_topics",)),
         ("resource_given_topic", "p(r|z)", ("n_topics", "n_resources")),
         ("user_given_topic", "p(u|z)", ("n_topics", "n_users")),
         ("tag_given_topic", "p(t|z)", ("n_topics", "n_tags")),
     )
-    chunk_rows: ClassVar[int] = 1 << 15
-
-    topic_probs: np.ndarray
-    resource_given_topic: np.ndarray
-    user_given_topic: np.ndarray
-    tag_given_topic: np.ndarray
-    seed: int = 0
-
-    @property
-    def n_topics(self) -> int:
-        return self.topic_probs.shape[0]
-
-    @property
-    def n_resources(self) -> int:
-        return self.resource_given_topic.shape[1]
-
-    @property
-    def n_users(self) -> int:
-        return self.user_given_topic.shape[1]
-
-    @property
-    def n_tags(self) -> int:
-        return self.tag_given_topic.shape[1]
+    chunk_rows = 1 << 15
 
     def validate(self, atol: float = 1e-10) -> None:
         _textio.validate(self, atol)

@@ -17,9 +17,6 @@ counts and p(z|r) from posterior-weighted resource rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 import numpy as np
 
 from . import _textio, training
@@ -31,39 +28,21 @@ from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
                        mapreduce_slices, noisy_uniform_rows, normalize_rows)
 
 
-@dataclass
-class PlsaModel:
+class PlsaModel(_textio.Tables):
     """Parameter tables of a trained pLSA model.
 
     ``tag_given_topic[z, t]`` holds p(t|z); ``topic_given_resource[r, z]``
     holds p(z|r); ``resource_probs[r]`` holds the empirical p(r).
     """
 
-    kind: ClassVar[str] = "plsa"
-    DIMS: ClassVar[tuple] = ("n_topics", "n_resources", "n_tags")
-    TABLES: ClassVar[tuple] = (
+    kind = "plsa"
+    DIMS = ("n_topics", "n_resources", "n_tags")
+    TABLES = (
         ("resource_probs", "p(r)", ("n_resources",)),
         ("tag_given_topic", "p(t|z)", ("n_topics", "n_tags")),
         ("topic_given_resource", "p(z|r)", ("n_resources", "n_topics")),
     )
-    chunk_rows: ClassVar[int] = 1 << 15
-
-    tag_given_topic: np.ndarray
-    topic_given_resource: np.ndarray
-    resource_probs: np.ndarray
-    seed: int = 0
-
-    @property
-    def n_topics(self) -> int:
-        return self.tag_given_topic.shape[0]
-
-    @property
-    def n_resources(self) -> int:
-        return self.topic_given_resource.shape[0]
-
-    @property
-    def n_tags(self) -> int:
-        return self.tag_given_topic.shape[1]
+    chunk_rows = 1 << 15
 
     def validate(self, atol: float = 1e-10) -> None:
         _textio.validate(self, atol)

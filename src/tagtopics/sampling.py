@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _textio
-from .corpus import Corpus, Vocab
+from .corpus import Corpus, Vocab, merge_rows
 from .errors import ConfigError, DataError
 from .itm import ItmModel
 from .modelio import read_model
@@ -111,12 +111,8 @@ def sample_corpus(spec: PlantedSpec) -> Corpus:
     users, u_new = compact(u, "u")
     tags, t_new = compact(t, "t")
 
-    key = (r_new * len(users) + u_new) * len(tags) + t_new
-    uniq, inverse = np.unique(key, return_inverse=True)
-    counts = np.bincount(inverse)
-    r_u = uniq // (len(users) * len(tags))
-    rem = uniq % (len(users) * len(tags))
-    return Corpus(resources, users, tags, r_u, rem // len(tags), rem % len(tags), counts)
+    (r, u, t), counts = merge_rows((r_new, u_new, t_new), np.ones(n, dtype=np.int64))
+    return Corpus(resources, users, tags, r, u, t, counts)
 
 
 def write_spec(spec: PlantedSpec, stream) -> None:

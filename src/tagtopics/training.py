@@ -6,8 +6,8 @@ log-likelihood history recorded after every parameter update; it stops when
 the relative log-likelihood improvement drops below ``tol``.  The trainer
 owns the config checks, the worker pool, the chunked E-step, the map-reduce
 of the statistics and the log-likelihood pass.  A model class supplies only
-its own math: ``kind``/``DIMS``/``TABLES`` (its file schema, see
-``_textio``); ``initial(corpus, cfg, rng)``, the seeded start;
+its own math: ``kind``/``DIMS``/``TABLES`` (its tables and file schema,
+see ``_textio.Tables``); ``initial(corpus, cfg, rng)``, the seeded start;
 ``rows(corpus)``, the data rows as ``({id name: ids}, counts)``;
 ``chunk_rows``, rows per chunk, which fixes the summation order;
 ``mixture(*ids)``, the unnormalised joint per row as [n, latent...];

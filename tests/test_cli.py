@@ -1,4 +1,5 @@
 import io
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from tagtopics.modelio import load_model
 from tagtopics.mwa import MwaModel
 from tagtopics.sampling import planted_two_topic_spec, save_spec
 from tagtopics.similarity import rank_by_seed, write_ranking
-from tagtopics.training import TrainConfig
+from tagtopics.training import MODEL_KINDS, TrainConfig
 
 
 @pytest.fixture
@@ -93,6 +94,23 @@ class TestTrain:
 
     def test_unknown_flag_is_usage_error(self, triple_file, tmp_path):
         assert run("train", triple_file, tmp_path / "m", "--model", "nope") == 1
+
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_defaults_are_train_config_defaults(self, kind, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        def trainer(corpus, cfg):
+            seen.append(cfg)
+            raise Stop
+
+        seen = []
+        monkeypatch.setattr(cli, "read_corpus", lambda path: None)
+        monkeypatch.setitem(cli._TRAINERS, kind, trainer)
+        with pytest.raises(Stop):
+            run("train", "corpus.tsv", "model.txt", "--model", kind)
+        assert asdict(seen[0]) == asdict(TrainConfig(model=kind))
 
 
 class TestRank:

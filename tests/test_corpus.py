@@ -2,13 +2,14 @@ import io
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_corpus, named_triples, rt_counts
 from tagtopics.corpus import (Corpus, Triple, Vocab, filter_tags, ingest_triples,
-                              write_corpus_tsv)
+                              merge_rows, write_corpus_tsv)
 from tagtopics.errors import ConfigError, DataError
 
 
@@ -64,6 +65,11 @@ class TestIngest:
     ])
     def test_malformed_lines(self, line, fragment):
         with pytest.raises(DataError, match=fragment):
+            ingest_triples([line])
+
+    @pytest.mark.parametrize("line", ["a\rb\tu1\tx", "a\tu1\nu2\tx", "a\tu1\tx\ry\t2"])
+    def test_reserved_characters_rejected(self, line):
+        with pytest.raises(DataError, match="reserved characters"):
             ingest_triples([line])
 
     def test_error_names_offending_line(self):
@@ -228,3 +234,23 @@ class TestDuplicateKeys:
         big = SizedVocab(3_000_000)
         with pytest.raises(DataError, match="resource vocabulary entries without triples"):
             Corpus(SizedVocab(1_100_001), big, big, [0, 1_100_000], [0, 0], [0, 0], [1, 1])
+
+
+class TestMergeRows:
+    def test_repeated_rows_summed_in_lexicographic_order(self):
+        (r, u, t), counts = merge_rows(
+            (np.array([1, 0, 1, 0, 1]), np.array([0, 2, 0, 2, 0]), np.array([3, 1, 3, 0, 3])),
+            np.array([1, 2, 3, 4, 5]))
+        assert [r.tolist(), u.tolist(), t.tolist()] == [[0, 0, 1], [2, 2, 0], [0, 1, 3]]
+        assert counts.tolist() == [4, 2, 9]
+
+    def test_rows_kept_apart_when_composite_key_overflows(self):
+        # With |U| = |T| = 3M, (r * |U| + u) * |T| + t wraps in int64 for
+        # r = 1.1M, and (3149638, 691236, 1551616) wraps onto the same key
+        # as (1100000, 0, 0).
+        rows = np.array([[1_100_000, 0, 0], [3_149_638, 691_236, 1_551_616],
+                         [0, 2_999_999, 2_999_999], [1_100_000, 0, 0]])
+        (r, u, t), counts = merge_rows(rows.T, np.array([1, 2, 4, 8]))
+        assert np.column_stack((r, u, t)).tolist() == [
+            [0, 2_999_999, 2_999_999], [1_100_000, 0, 0], [3_149_638, 691_236, 1_551_616]]
+        assert counts.tolist() == [4, 9, 2]

@@ -37,12 +37,6 @@ class TestLabelSet:
         with pytest.raises(DataError, match="conflicting"):
             LabelSet.from_tsv(io.StringIO("a\tsame\na\tunrelated\n"))
 
-    def test_check_resources(self):
-        labels = labeled({"a": "same", "ghost": "link-to"})
-        labels.check_resources(["a", "ghost", "b"])
-        with pytest.raises(DataError, match="ghost"):
-            labels.check_resources(["a", "b"])
-
 
 class TestCountRelevantTopk:
     def test_empty_labels(self):

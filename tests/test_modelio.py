@@ -112,3 +112,35 @@ def test_table_sizes_must_agree():
                       resource_probs=np.full(4, 0.25))
     with pytest.raises(DataError, match="n_topics"):
         model.validate()
+
+
+HAND_MODELS = ["hand_plsa_model", "hand_mwa_model", "hand_itm_model"]
+
+
+@pytest.mark.parametrize("fixture", HAND_MODELS)
+def test_sizes_match_every_table_axis(fixture, request):
+    model = request.getfixturevalue(fixture)
+    for dim in model.DIMS:
+        axes = [getattr(model, attr).shape[dims.index(dim)]
+                for attr, _, dims in model.TABLES if dim in dims]
+        assert axes and all(n == getattr(model, dim) for n in axes), dim
+
+
+@pytest.mark.parametrize("fixture", HAND_MODELS)
+def test_constructor_takes_exactly_the_tables(fixture, request):
+    model = request.getfixturevalue(fixture)
+    tables = {attr: getattr(model, attr) for attr, _, _ in model.TABLES}
+    again = type(model)(**tables, seed=4)
+    assert again.seed == 4 and all(again.__dict__[attr] is tables[attr] for attr in tables)
+    missing = dict(tables)
+    del missing[model.TABLES[-1][0]]
+    for kwargs in (missing, {**tables, "topic_table": tables[model.TABLES[0][0]]}):
+        with pytest.raises(TypeError, match=model.TABLES[0][0]):
+            type(model)(**kwargs)
+    with pytest.raises(TypeError):
+        type(model)(*tables.values())
+
+
+def test_plsa_has_no_user_or_interest_size(hand_plsa_model):
+    assert not hasattr(hand_plsa_model, "n_users")
+    assert not hasattr(hand_plsa_model, "n_interests")
