@@ -2,18 +2,26 @@
 
 ``tests/data/trained.<kind>.w<workers>`` holds the model file and
 ``tests/data/trained.ll`` the ``float.hex`` log-likelihood histories that
-training on ``toy_corpus`` produced when they were written.  Any change to
-the trainers' arithmetic or summation order shows up here.
+training on ``toy_corpus`` produced when they were written.
+``tests/data/trained.sliced`` holds, per kind and worker count, the model
+file's SHA-256 and the ``float.hex`` log-likelihood history of training on
+``sliced_corpus``, whose E-step spans many chunks.  Any change to the
+trainers' arithmetic or summation order shows up here.
 
 Rewrite the files (only after a deliberate numeric change) with
 ``PYTHONPATH=src python tests/test_golden_training.py``.
 """
 
+import hashlib
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tagtopics import train_itm, train_mwa, train_plsa
+from tagtopics.itm import ItmModel
+from tagtopics.sampling import PlantedSpec, sample_corpus
 from tagtopics.training import TrainConfig
 
 DATA = Path(__file__).parent / "data"
@@ -29,12 +37,46 @@ def train(corpus, kind, workers, path):
     return " ".join([kind, str(workers)] + [ll.hex() for ll in log.log_likelihoods])
 
 
+def sliced_corpus():
+    """About 1.9k distinct triples sampled from a seeded random itm spec:
+    with I*K = 4096 an itm chunk holds 64 rows, so the E-step walks about
+    30 chunks."""
+    rng = np.random.default_rng(21)
+    model = ItmModel(user_probs=rng.dirichlet(np.ones(30)),
+                     resource_probs=rng.dirichlet(np.ones(40)),
+                     interest_given_user=rng.dirichlet(np.ones(3), size=30),
+                     topic_given_resource=rng.dirichlet(np.ones(4), size=40),
+                     tag_given_interest_topic=rng.dirichlet(np.ones(100), size=(3, 4)))
+    return sample_corpus(PlantedSpec(model=model, n_samples=2000, seed=22))
+
+
+def train_sliced(corpus, kind, workers, path):
+    """``kind workers sha256 ll...`` of a short run at I = K = 64."""
+    cfg = TrainConfig(model=kind, topics=64, interests=64, tol=1e-12, max_iters=2,
+                      seed=4, workers=workers)
+    model, log = TRAINERS[kind](corpus, cfg)
+    model.save(path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    return " ".join([kind, str(workers), digest] + [ll.hex() for ll in log.log_likelihoods])
+
+
+@pytest.fixture(scope="module")
+def sliced():
+    return sliced_corpus()
+
+
 @pytest.mark.parametrize("kind,workers", CASES)
 def test_training_reproduces_golden_output(kind, workers, toy_corpus, tmp_path):
     history = train(toy_corpus, kind, workers, tmp_path / "model")
     golden = DATA / f"trained.{kind}.w{workers}"
     assert (tmp_path / "model").read_bytes() == golden.read_bytes()
     assert history in (DATA / "trained.ll").read_text().splitlines()
+
+
+@pytest.mark.parametrize("kind,workers", CASES)
+def test_multi_chunk_training_reproduces_golden_output(kind, workers, sliced, tmp_path):
+    line = train_sliced(sliced, kind, workers, tmp_path / "model")
+    assert line in (DATA / "trained.sliced").read_text().splitlines()
 
 
 if __name__ == "__main__":
@@ -44,3 +86,8 @@ if __name__ == "__main__":
     lines = [train(corpus, kind, workers, DATA / f"trained.{kind}.w{workers}")
              for kind, workers in CASES]
     (DATA / "trained.ll").write_text("\n".join(lines) + "\n")
+    corpus = sliced_corpus()
+    with tempfile.TemporaryDirectory() as scratch:
+        lines = [train_sliced(corpus, kind, workers, Path(scratch) / "model")
+                 for kind, workers in CASES]
+    (DATA / "trained.sliced").write_text("\n".join(lines) + "\n")
