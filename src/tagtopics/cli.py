@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import difflib
 import sys
+from dataclasses import fields
 
 from .corpus import filter_tags, ingest_triples, read_corpus, save_corpus
 from .errors import ConfigError, DataError, DegeneracyError
@@ -47,9 +48,7 @@ def cmd_ingest(args) -> None:
 
 
 def cmd_train(args) -> None:
-    cfg = TrainConfig(model=args.model, topics=args.topics, interests=args.interests,
-                      tol=args.tol, max_iters=args.max_iters, seed=args.seed,
-                      workers=args.workers, max_table_bytes=args.max_table_bytes)
+    cfg = TrainConfig(**{field.name: getattr(args, field.name) for field in fields(TrainConfig)})
     cfg.validate()
     corpus = read_corpus(args.corpus)
     model, log = _TRAINERS[cfg.model](corpus, cfg)
@@ -79,10 +78,8 @@ def cmd_rank(args) -> None:
     ranked = rank_by_seed(dists, seed_id)
     meta = {"model": model.kind, "K": model.n_topics, "base": "e",
             "seed": corpus.resources.name_of(seed_id)}
-    with contextlib.ExitStack() as stack:
-        stream = sys.stdout
-        if args.output is not None:
-            stream = stack.enter_context(open(args.output, "w", encoding="utf-8"))
+    with (contextlib.nullcontext(sys.stdout) if args.output is None
+          else open(args.output, "w", encoding="utf-8")) as stream:
         write_ranking(ranked, stream, limit=args.top,
                       name_of=corpus.resources.name_of, meta=meta)
 
@@ -165,16 +162,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.run(args)
-    except ConfigError as exc:
-        print(f"tagtopics: usage error: {exc}", file=sys.stderr)
-        return 1
     except DegeneracyError as exc:
         print(f"tagtopics: degenerate computation: {exc}", file=sys.stderr)
         return 3
     except (DataError, OSError) as exc:
         print(f"tagtopics: data error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"tagtopics: usage error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -85,13 +85,18 @@ class Vocab:
 
 
 def _sort_rows(columns):
-    """Lexicographic order of the rows of the parallel id ``columns``, the
-    columns in that order, and a mask of the sorted rows that differ from the
-    row before.  Rows are compared column by column, because a composite key
-    over several vocabularies can wrap in int64."""
-    order = np.lexsort(columns[::-1])
+    """Lexicographic order of the rows of the parallel id ``columns`` (no
+    sort, only an O(n) check of adjacent rows, when they are already in
+    order), the columns in that order, and a mask of the sorted rows that
+    differ from the row before.  Rows are compared column by column, because
+    a composite key over several vocabularies can wrap in int64."""
+    tied, descends = True, False
+    for col in columns:
+        descends = descends or (tied & (col[1:] < col[:-1])).any()
+        tied &= col[1:] == col[:-1]
+    order = np.lexsort(columns[::-1]) if descends else slice(None)
     columns = [col[order] for col in columns]
-    first = np.zeros(len(order), dtype=bool)
+    first = np.zeros(len(columns[0]), dtype=bool)
     first[:1] = True
     for col in columns:
         first[1:] |= col[1:] != col[:-1]
@@ -200,9 +205,9 @@ def ingest_triples(lines: Iterable[str]) -> Corpus:
         fields = line.split("\t")
         if len(fields) not in (3, 4):
             raise DataError(f"line {lineno}: expected 3 or 4 tab-separated fields, got {len(fields)}")
-        name_r, name_u, name_t = fields[0], fields[1], fields[2]
-        if not name_r or not name_u or not name_t:
+        if not all(fields[:3]):
             raise DataError(f"line {lineno}: empty field")
+        count = 1
         if len(fields) == 4:
             try:
                 count = int(fields[3])
@@ -210,9 +215,7 @@ def ingest_triples(lines: Iterable[str]) -> Corpus:
                 raise DataError(f"line {lineno}: count {fields[3]!r} is not an integer") from None
             if count < 1:
                 raise DataError(f"line {lineno}: count must be positive, got {count}")
-        else:
-            count = 1
-        ids += (resources.add(name_r), users.add(name_u), tags.add(name_t))
+        ids += (resources.add(fields[0]), users.add(fields[1]), tags.add(fields[2]))
         counts.append(count)
     if not counts:
         raise DataError("empty corpus")

@@ -14,6 +14,10 @@ see ``_textio.Tables``); ``initial(corpus, cfg, rng)``, the seeded start;
 ``zero_stats()``, ``scatter(stats, ids, post)`` and ``m_step(stats)``, the
 sufficient statistics from weighted posteriors and the in-place update; and
 ``log_terms(mix, ids)``, log p(row) from the mixture summed per row.
+
+Both passes sum each of ``_SLICES`` fixed row slices from zero in
+``chunk_rows`` chunks and add the slice sums in slice order, so any worker
+count gives the same bits.
 """
 
 from __future__ import annotations
@@ -33,19 +37,22 @@ from .errors import ConfigError, DataError, DegeneracyError
 logger = logging.getLogger(__name__)
 
 MODEL_KINDS = ("plsa", "mwa", "itm")
+_ROW_NAMES = {2: "pair", 3: "triple"}
 
 # Relative amplitude of the seeded init noise; large enough to break topic
 # symmetry, small enough that every table starts close to uniform.
 _INIT_NOISE = 0.1
+
+_SLICES = 8  # row slices per data pass; fixed, since they fix the summation order
 
 
 @dataclass
 class TrainConfig:
     """Knobs shared by every trainer.
 
-    ``interests`` only matters for the interest-topic model.
-    ``max_table_bytes`` bounds the size of the dense parameter tables a
-    trainer may allocate.
+    ``interests`` only matters for the interest-topic model; ``workers``
+    changes the speed, never the result.  ``max_table_bytes`` bounds the
+    size of the dense parameter tables a trainer may allocate.
     """
 
     model: str = "plsa"
@@ -116,21 +123,17 @@ def slice_bounds(n: int, parts: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
 
 
-def mapreduce_slices(pass_fn, n: int, workers: int, executor):
-    """Run ``pass_fn(lo, hi)`` over contiguous slices and sum the partial
-    statistics in slice order.
-
-    The reduction order is fixed by the slice layout, so results are
-    bit-reproducible for a fixed worker count.
-    """
-    if executor is None or workers <= 1:
-        return pass_fn(0, n)
-    parts = list(executor.map(lambda bounds: pass_fn(*bounds), slice_bounds(n, workers)))
-    acc = list(parts[0])
-    for part in parts[1:]:
-        for i, value in enumerate(part):
-            acc[i] = acc[i] + value
-    return tuple(acc)
+def mapreduce_slices(pass_fn, n: int, slices: int, executor):
+    """Run ``pass_fn(lo, hi)`` over ``slices`` contiguous slices of ``range(n)``
+    on ``executor``'s threads (in turn if it is ``None``) and add the partials,
+    tuples of arrays, in slice order into the first one, in place."""
+    parts = (executor.map if executor else map)(lambda b: pass_fn(*b), slice_bounds(n, slices))
+    acc = next(parts)
+    for part in parts:
+        for total, value in zip(acc, part):
+            total += value
+        del part, value  # hold only the sum while the next partial is computed
+    return acc
 
 
 def em_fit(
@@ -165,10 +168,6 @@ def triples(corpus):
     return {"r": corpus.r_ids, "u": corpus.u_ids, "t": corpus.t_ids}, corpus.counts
 
 
-def _row_name(ids: dict) -> str:
-    return "pair" if len(ids) == 2 else "triple"
-
-
 def _supported_mixture(model, ids: dict):
     """``model.mixture`` of the data rows ``ids`` and its totals over the
     latent axes; raises :class:`DegeneracyError` naming a row without support."""
@@ -178,7 +177,7 @@ def _supported_mixture(model, ids: dict):
     if dead.any():
         bad = int(np.argmax(dead))
         where = ", ".join(f"{name}={col[bad]}" for name, col in ids.items())
-        raise DegeneracyError(f"degenerate posterior for {_row_name(ids)} ({where})")
+        raise DegeneracyError(f"degenerate posterior for {_ROW_NAMES[len(ids)]} ({where})")
     return mix, totals
 
 
@@ -200,21 +199,29 @@ def check_corpus(model, corpus) -> None:
                         f"({', '.join(dims)})")
 
 
+def _chunks(model, ids: dict, lo: int, hi: int):
+    """``(a, b, {name: col[a:b]})`` for each ``chunk_rows`` chunk of rows lo..hi."""
+    for a in range(lo, hi, model.chunk_rows):
+        b = min(a + model.chunk_rows, hi)
+        yield a, b, {name: col[a:b] for name, col in ids.items()}
+
+
 def log_likelihood(model, corpus) -> float:
-    """sum over data rows of n log p(row); -inf (with a warning) if an
-    observed row has zero probability."""
+    """sum over data rows of n log p(row), in the E-step's slices and chunks;
+    -inf (with a warning) if an observed row has zero probability."""
     model.check_corpus(corpus)
     ids, counts = model.rows(corpus)
     total = 0.0
-    for lo in range(0, len(counts), model.chunk_rows):
-        chunk = {name: col[lo:lo + model.chunk_rows] for name, col in ids.items()}
-        mix = model.mixture(*chunk.values())
-        mix = mix.sum(axis=tuple(range(1, mix.ndim)))
-        with np.errstate(divide="ignore"):
-            terms = model.log_terms(mix, chunk)
-        total += float((counts[lo:lo + model.chunk_rows] * terms).sum())
+    for lo, hi in slice_bounds(len(counts), _SLICES):
+        part = 0.0
+        for a, b, chunk in _chunks(model, ids, lo, hi):
+            mix = model.mixture(*chunk.values())
+            mix = mix.sum(axis=tuple(range(1, mix.ndim)))
+            with np.errstate(divide="ignore"):
+                part += float((counts[a:b] * model.log_terms(mix, chunk)).sum())
+        total += part
     if not math.isfinite(total):
-        logger.warning(f"observed {_row_name(ids)} has zero probability; "
+        logger.warning(f"observed {_ROW_NAMES[len(ids)]} has zero probability; "
                        "log-likelihood is degenerate (-inf)")
     return total
 
@@ -222,8 +229,8 @@ def log_likelihood(model, corpus) -> float:
 def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
     """Fit model class ``cls`` to ``corpus`` by EM; returns ``(model, TrainLog)``.
 
-    Deterministic for a fixed ``cfg.seed`` and ``cfg.workers``.  The optional
-    ``iteration_hook(model, iteration, ll)`` is called after every update."""
+    The result depends on ``cfg.seed`` only, not on ``cfg.workers``.  The
+    optional ``iteration_hook(model, iteration, ll)`` is called after every update."""
     cfg.validate()
     if cfg.model != cls.kind:
         raise ConfigError(f"config is for model {cfg.model!r}, but this trainer fits {cls.kind!r}")
@@ -231,25 +238,21 @@ def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
         warnings.warn(f"topics={cfg.topics} exceeds the tag vocabulary size {len(corpus.tags)}")
     model = cls.initial(corpus, cfg, np.random.default_rng(cfg.seed))
     ids, counts = model.rows(corpus)
-    weights = counts.astype(float)
     executor = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
 
     def accumulate(lo: int, hi: int):
         stats = model.zero_stats()
-        for a in range(lo, hi, model.chunk_rows):
-            b = min(a + model.chunk_rows, hi)
-            chunk = {name: col[a:b] for name, col in ids.items()}
+        for a, b, chunk in _chunks(model, ids, lo, hi):
             post, totals = _supported_mixture(model, chunk)
-            post *= (weights[a:b] / totals).reshape((-1,) + (1,) * (post.ndim - 1))
+            post *= (counts[a:b] / totals).reshape((-1,) + (1,) * (post.ndim - 1))
             model.scatter(stats, chunk, post)
         return stats
 
     def step() -> None:
-        model.m_step(mapreduce_slices(accumulate, len(weights), cfg.workers, executor))
+        model.m_step(mapreduce_slices(accumulate, len(counts), _SLICES, executor))
 
-    hook = None
-    if iteration_hook is not None:
-        hook = lambda iteration, ll: iteration_hook(model, iteration, ll)
+    hook = None if iteration_hook is None else (
+        lambda iteration, ll: iteration_hook(model, iteration, ll))
     with executor or contextlib.nullcontext():
         log = em_fit(step, lambda: model.log_likelihood(corpus), cfg, hook=hook)
     return model, log

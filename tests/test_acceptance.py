@@ -192,16 +192,19 @@ def test_criterion_8_metric_arithmetic():
 
 
 def test_criterion_9_determinism(tmp_path):
-    with criterion(9, "identical seed and workers give byte-identical model files"):
+    with criterion(9, "identical seed gives byte-identical model files at any worker count"):
         triples = tmp_path / "triples.tsv"
-        triples.write_text("a\tu1\tx\t3\na\tu2\ty\nb\tu1\ty\t2\nc\tu2\tz\n")
+        triples.write_text("a\tu1\tx\t3\na\tu2\ty\nb\tu1\ty\t2\nc\tu2\tz\n"
+                           "b\tu2\tx\nc\tu1\ty\t2\nc\tu1\tx\n")
         corpus = tmp_path / "corpus.tsv"
         assert cli.main(["ingest", str(triples), str(corpus)]) == 0
         for kind in TRAINERS:
             args = ["--model", kind, "--topics", "2", "--interests", "2",
-                    "--seed", "11", "--max-iters", "25", "--workers", "1"]
+                    "--seed", "11", "--max-iters", "25", "--workers"]
             first = tmp_path / f"first.{kind}"
             second = tmp_path / f"second.{kind}"
-            assert cli.main(["train", str(corpus), str(first)] + args) == 0
-            assert cli.main(["train", str(corpus), str(second)] + args) == 0
-            assert first.read_bytes() == second.read_bytes()
+            pooled = tmp_path / f"pooled.{kind}"
+            assert cli.main(["train", str(corpus), str(first)] + args + ["1"]) == 0
+            assert cli.main(["train", str(corpus), str(second)] + args + ["1"]) == 0
+            assert cli.main(["train", str(corpus), str(pooled)] + args + ["2"]) == 0
+            assert first.read_bytes() == second.read_bytes() == pooled.read_bytes()

@@ -1,4 +1,5 @@
 import io
+import itertools
 import random
 from collections import Counter
 
@@ -234,6 +235,37 @@ class TestDuplicateKeys:
         big = SizedVocab(3_000_000)
         with pytest.raises(DataError, match="resource vocabulary entries without triples"):
             Corpus(SizedVocab(1_100_001), big, big, [0, 1_100_000], [0, 0], [0, 0], [1, 1])
+
+
+class TestRowOrder:
+    # Strictly increasing (r, u, t) rows; every id 0/1 occurs in each column.
+    ROWS = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1)]
+
+    @staticmethod
+    def build(rows, counts):
+        vocab = Vocab(["a", "b"])
+        r, u, t = zip(*rows)
+        return Corpus(vocab, vocab, vocab, r, u, t, counts)
+
+    def test_every_permutation_gives_the_sorted_corpus(self):
+        counts = [1, 2, 3, 4]
+        for perm in itertools.permutations(range(len(self.ROWS))):
+            corpus = self.build([self.ROWS[i] for i in perm], [counts[i] for i in perm])
+            assert list(zip(corpus.r_ids.tolist(), corpus.u_ids.tolist(),
+                            corpus.t_ids.tolist())) == self.ROWS
+            assert corpus.counts.tolist() == counts
+
+    def test_sorted_rows_skip_the_sort(self, monkeypatch):
+        def no_sort(keys):
+            raise AssertionError("rows already in order were re-sorted")
+
+        monkeypatch.setattr(np, "lexsort", no_sort)
+        assert self.build(self.ROWS, [1, 2, 3, 4]).num_triples == 4
+
+    def test_sorted_rows_with_a_repeat_rejected(self):
+        rows = self.ROWS[:3] + [self.ROWS[2]] + self.ROWS[3:]
+        with pytest.raises(DataError, match="duplicate"):
+            self.build(rows, [1, 2, 3, 4, 5])
 
 
 class TestMergeRows:

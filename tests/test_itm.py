@@ -152,12 +152,6 @@ class TestTrainItm:
         assert np.array_equal(first.interest_given_user, second.interest_given_user)
         assert np.array_equal(first.topic_given_resource, second.topic_given_resource)
 
-    def test_workers_run_and_are_deterministic(self, toy_corpus):
-        first, log1 = train_itm(toy_corpus, cfg(seed=5, workers=2, max_iters=12))
-        second, log2 = train_itm(toy_corpus, cfg(seed=5, workers=2, max_iters=12))
-        assert np.array_equal(first.tag_given_interest_topic, second.tag_given_interest_topic)
-        assert log1.log_likelihoods == log2.log_likelihoods
-        first.validate()
 
 
 class TestLogLikelihood:

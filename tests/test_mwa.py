@@ -75,13 +75,6 @@ class TestTrainMwa:
                      "tag_given_topic"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
 
-    def test_workers_run_and_are_deterministic(self, toy_corpus):
-        first, log1 = train_mwa(toy_corpus, cfg(seed=5, workers=2, max_iters=12))
-        second, log2 = train_mwa(toy_corpus, cfg(seed=5, workers=2, max_iters=12))
-        assert np.array_equal(first.tag_given_topic, second.tag_given_topic)
-        assert log1.log_likelihoods == log2.log_likelihoods
-        first.validate()
-
     def test_warns_when_topics_exceed_tags(self, tiny_corpus):
         with pytest.warns(UserWarning):
             train_mwa(tiny_corpus, cfg(topics=6, max_iters=3))

@@ -75,13 +75,6 @@ class TestTrainPlsa:
         assert np.array_equal(first.tag_given_topic, second.tag_given_topic)
         assert np.array_equal(first.topic_given_resource, second.topic_given_resource)
 
-    def test_workers_run_and_are_deterministic(self, toy_corpus):
-        first, log1 = train_plsa(toy_corpus, cfg(seed=5, workers=3, max_iters=15))
-        second, log2 = train_plsa(toy_corpus, cfg(seed=5, workers=3, max_iters=15))
-        assert np.array_equal(first.tag_given_topic, second.tag_given_topic)
-        assert log1.log_likelihoods == log2.log_likelihoods
-        first.validate()
-
     def test_warns_when_topics_exceed_tags(self, tiny_corpus):
         with pytest.warns(UserWarning, match="exceeds the tag vocabulary"):
             train_plsa(tiny_corpus, cfg(topics=5, max_iters=3))

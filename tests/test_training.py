@@ -1,10 +1,16 @@
+import contextlib
+import functools
+import operator
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from tagtopics import train_itm, train_mwa, train_plsa
 from tagtopics.errors import ConfigError
-from tagtopics.training import (TrainConfig, em_fit, noisy_uniform_rows,
-                                slice_bounds)
+from tagtopics.training import (_SLICES, TrainConfig, em_fit, mapreduce_slices,
+                                noisy_uniform_rows, slice_bounds)
 
 
 class TestTrainConfig:
@@ -52,6 +58,28 @@ def test_slice_bounds_cover_range():
     assert slice_bounds(10, 3) == [(0, 3), (3, 6), (6, 10)]
     assert slice_bounds(2, 5) == [(0, 1), (1, 2)]
     assert slice_bounds(0, 4) == []
+
+
+# One value per slice; their float sum depends on the order of addition.
+ORDER_SENSITIVE = [1.0, 1e16, 1.0, -1e16, 1.0, 1.0, 1e16, -1e16]
+
+
+@pytest.mark.parametrize("threads", [None, 2, 3, 9])
+def test_mapreduce_slices_adds_in_slice_order(threads):
+    values = ORDER_SENSITIVE
+    fold = functools.reduce(operator.add, values)
+    assert fold != functools.reduce(operator.add, values[::-1])  # 2.0 against 5.0
+
+    def pass_fn(lo, hi):
+        time.sleep(0.002 * (len(values) - lo))  # later slices finish first
+        return np.array([values[lo]]), np.array([-values[lo], 2.0 * values[lo]])
+
+    assert len(values) == _SLICES
+    with ThreadPoolExecutor(threads) if threads else contextlib.nullcontext() as pool:
+        sums = mapreduce_slices(pass_fn, len(values), _SLICES, pool)
+    assert sums[0].tolist() == [fold]
+    assert sums[1].tolist() == [functools.reduce(operator.add, [-v for v in values]),
+                                functools.reduce(operator.add, [2.0 * v for v in values])]
 
 
 def test_em_fit_stops_on_plateau():
