@@ -99,8 +99,7 @@ def cmd_eval(args) -> None:
 
 
 def cmd_sample(args) -> None:
-    spec = load_spec(args.spec)
-    corpus = sample_corpus(spec)
+    corpus = sample_corpus(load_spec(args.spec))
     save_corpus(corpus, args.output)
     _print_stats(corpus)
 

@@ -125,10 +125,8 @@ class Corpus:
         self.users = users
         self.tags = tags
 
-        r_ids = np.asarray(r_ids, dtype=np.int64)
-        u_ids = np.asarray(u_ids, dtype=np.int64)
-        t_ids = np.asarray(t_ids, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
+        r_ids, u_ids, t_ids, counts = (np.asarray(col, dtype=np.int64)
+                                       for col in (r_ids, u_ids, t_ids, counts))
         if not (len(r_ids) == len(u_ids) == len(t_ids) == len(counts)):
             raise DataError("triple arrays have mismatched lengths")
         if len(counts) == 0:
@@ -269,10 +267,8 @@ def filter_tags(corpus: Corpus, min_freq: int = DEFAULT_MIN_TAG_FREQ,
     if not mask.any():
         raise DataError("all triples filtered")
 
-    sub_r = corpus.r_ids[mask]
-    sub_u = corpus.u_ids[mask]
-    sub_t = corpus.t_ids[mask]
-    sub_n = corpus.counts[mask]
+    sub_r, sub_u, sub_t, sub_n = (
+        col[mask] for col in (corpus.r_ids, corpus.u_ids, corpus.t_ids, corpus.counts))
 
     def compact(old_vocab: Vocab, kept_ids: np.ndarray) -> tuple[Vocab, np.ndarray]:
         remap = np.full(len(old_vocab), -1, dtype=np.int64)

@@ -21,7 +21,10 @@ M-steps:
     p(z|r)   = sum_{u,t} n(r,u,t) sum_i p(i,z|u,r,t) / n(r)
 
 The trainer never materializes the posterior for all triples at once; M-step
-sums are accumulated streaming, chunk by chunk.
+sums are accumulated streaming, chunk by chunk.  p(t|i,z) and its statistic
+are tag-major: a trained ``tag_given_interest_topic`` is an [I, K, T] view of
+[T, I, K] memory, so the E-step moves one contiguous I*K row per tag.  A model
+read from a file is C-contiguous; both layouts give the same bits.
 """
 
 from __future__ import annotations
@@ -38,6 +41,11 @@ from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
 
 # Posterior scratch per chunk is bounded by roughly this many float64 values.
 _SCRATCH_ELEMS = 1 << 18
+
+
+def _tag_major(rows: np.ndarray, shape) -> np.ndarray:
+    """[I*K, T] ``rows`` as an [I, K, T] view of a [T, I, K] = ``shape`` copy."""
+    return np.moveaxis(np.ascontiguousarray(rows.T).reshape(shape), 0, 2)
 
 
 class ItmModel(_textio.Tables):
@@ -78,8 +86,8 @@ class ItmModel(_textio.Tables):
         # Draw order keeps the interests=1 case aligned with the pLSA trainer's
         # initialization for the same seed (the p(i|u) rows normalize to 1.0).
         return cls(
-            tag_given_interest_topic=noisy_uniform_rows(
-                rng, cfg.interests * cfg.topics, n_tags).reshape(cfg.interests, cfg.topics, n_tags),
+            tag_given_interest_topic=_tag_major(noisy_uniform_rows(
+                rng, cfg.interests * cfg.topics, n_tags), (n_tags, cfg.interests, cfg.topics)),
             topic_given_resource=noisy_uniform_rows(rng, len(corpus.resources), cfg.topics),
             interest_given_user=noisy_uniform_rows(rng, len(corpus.users), cfg.interests),
             user_probs=corpus.n_u / corpus.total,
@@ -96,7 +104,7 @@ class ItmModel(_textio.Tables):
     def mixture(self, rr, uu, tt) -> np.ndarray:
         """Unnormalised joint p(t|i,z) p(i|u) p(z|r) of the triples
         ``(rr[n], uu[n], tt[n])``, as [n, I, K]."""
-        joint = np.moveaxis(self.tag_given_interest_topic[:, :, tt], 2, 0).copy()
+        joint = np.moveaxis(self.tag_given_interest_topic, 2, 0)[tt]
         joint *= self.interest_given_user[uu][:, :, None]
         joint *= self.topic_given_resource[rr][:, None, :]
         return joint
@@ -106,19 +114,19 @@ class ItmModel(_textio.Tables):
         return training.posterior(self, r=resource, u=user, t=tag)
 
     def zero_stats(self):
-        return (np.zeros_like(self.tag_given_interest_topic),
+        return (np.zeros((self.n_tags, self.n_interests, self.n_topics)),
                 np.zeros((self.n_users, self.n_interests)),
                 np.zeros((self.n_resources, self.n_topics)))
 
     def scatter(self, stats, ids, post) -> None:
-        np.add.at(stats[0].transpose(2, 0, 1), ids["t"], post)
+        training.scatter_add(stats[0], ids["t"], post)
         np.add.at(stats[1], ids["u"], post.sum(axis=2))
         np.add.at(stats[2], ids["r"], post.sum(axis=1))
 
     def m_step(self, stats) -> None:
         expected_t, expected_ui, expected_rz = stats
-        self.tag_given_interest_topic = normalize_rows(
-            expected_t.reshape(-1, self.n_tags)).reshape(expected_t.shape)
+        self.tag_given_interest_topic = _tag_major(normalize_rows(np.ascontiguousarray(
+            expected_t.reshape(self.n_tags, -1).T)), expected_t.shape)
         self.interest_given_user = normalize_rows(expected_ui)
         self.topic_given_resource = normalize_rows(expected_rz)
 

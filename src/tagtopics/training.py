@@ -38,6 +38,7 @@ logger = logging.getLogger(__name__)
 
 MODEL_KINDS = ("plsa", "mwa", "itm")
 _ROW_NAMES = {2: "pair", 3: "triple"}
+_ID_NAMES = {"r": "resource", "u": "user", "t": "tag"}
 
 # Relative amplitude of the seeded init noise; large enough to break topic
 # symmetry, small enough that every table starts close to uniform.
@@ -136,6 +137,17 @@ def mapreduce_slices(pass_fn, n: int, slices: int, executor):
     return acc
 
 
+def scatter_add(table: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(table, idx, values)``, same bits: round k adds each id's k-th
+    row, so rows still add in row order; fast while ids repeat only a few times."""
+    order = np.argsort(idx, kind="stable")
+    starts = np.flatnonzero(np.r_[True, np.diff(idx[order]) != 0])
+    rank = np.arange(len(idx)) - np.repeat(starts, np.diff(np.r_[starts, len(idx)]))
+    for k in range(rank.max(initial=-1) + 1):
+        rows = order[rank == k]
+        table[idx[rows]] += values[rows]
+
+
 def em_fit(
     step_fn: Callable[[], None],
     ll_fn: Callable[[], float],
@@ -182,7 +194,12 @@ def _supported_mixture(model, ids: dict):
 
 
 def posterior(model, **ids) -> np.ndarray:
-    """E-step posterior of one observed row, e.g. ``posterior(model, r=0, t=2)``."""
+    """E-step posterior of one observed row, e.g. ``posterior(model, r=0, t=2)``;
+    raises :class:`DataError` for an id outside its vocabulary."""
+    for name, i in ids.items():
+        n = getattr(model, f"n_{_ID_NAMES[name]}s")
+        if not 0 <= i < n:
+            raise DataError(f"unknown {_ID_NAMES[name]} id {i}; expected 0 to {n - 1}")
     mix, totals = _supported_mixture(model, {name: [i] for name, i in ids.items()})
     return mix[0] / totals[0]
 

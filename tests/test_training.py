@@ -6,11 +6,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tagtopics import train_itm, train_mwa, train_plsa
-from tagtopics.errors import ConfigError
+from tagtopics.errors import ConfigError, DataError
 from tagtopics.training import (_SLICES, TrainConfig, em_fit, mapreduce_slices,
-                                noisy_uniform_rows, slice_bounds)
+                                noisy_uniform_rows, scatter_add, slice_bounds)
 
 
 class TestTrainConfig:
@@ -80,6 +83,83 @@ def test_mapreduce_slices_adds_in_slice_order(threads):
     assert sums[0].tolist() == [fold]
     assert sums[1].tolist() == [functools.reduce(operator.add, [-v for v in values]),
                                 functools.reduce(operator.add, [2.0 * v for v in values])]
+
+
+def add_at(table, idx, values):
+    """``np.add.at`` on a copy of ``table`` and ``scatter_add`` on another."""
+    expected, got = table.copy(), table.copy()
+    np.add.at(expected, idx, values)
+    scatter_add(got, idx, values)
+    return expected, got
+
+
+@st.composite
+def scatter_cases(draw):
+    """A table, ids with repeats and values, 1-D to 3-D, whose sums depend
+    on the order of addition."""
+    tail = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    n_ids = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 80))
+    idx = draw(arrays(np.int64, n, elements=st.integers(0, n_ids - 1)))
+    magnitudes = st.sampled_from(ORDER_SENSITIVE + [-1.0, 0.5, 3.0])
+    values = draw(arrays(np.float64, (n, *tail), elements=magnitudes))
+    table = draw(arrays(np.float64, (n_ids, *tail), elements=magnitudes))
+    return table, idx, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(scatter_cases())
+def test_scatter_add_matches_add_at_bit_for_bit(case):
+    expected, got = add_at(*case)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("tail", [(), (3,), (2, 3)])
+def test_scatter_add_adds_each_ids_rows_in_row_order(tail):
+    values = np.array(ORDER_SENSITIVE * 4).reshape(-1, *(1,) * len(tail)) * np.ones(tail)
+    idx = np.repeat([2, 0, 1, 0], 8)
+    rng = np.random.default_rng(5)
+    rng.shuffle(idx)
+    table = np.zeros((3, *tail))
+    expected, got = add_at(table, idx, values)
+    assert got.tobytes() == expected.tobytes()
+    # The sums do depend on the order: a reversed walk gives other bits.
+    reversed_ = table.copy()
+    np.add.at(reversed_, idx[::-1], values[::-1])
+    assert reversed_.tobytes() != expected.tobytes()
+
+
+def test_scatter_add_long_index_with_few_ids():
+    rng = np.random.default_rng(7)
+    idx = rng.integers(0, 10, size=5000)
+    values = rng.choice(ORDER_SENSITIVE, size=(5000, 4))
+    expected, got = add_at(rng.random((10, 4)), idx, values)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_scatter_add_empty_index_leaves_table():
+    table = np.arange(6.0).reshape(3, 2)
+    expected, got = add_at(table, np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+    assert got.tobytes() == expected.tobytes() == table.tobytes()
+
+
+POSTERIOR_IDS = {"hand_plsa_model": ("resource", "tag"),
+                 "hand_mwa_model": ("resource", "user", "tag"),
+                 "hand_itm_model": ("resource", "user", "tag")}
+
+
+@pytest.mark.parametrize("fixture", POSTERIOR_IDS)
+def test_posterior_rejects_ids_outside_the_vocabulary(fixture, request):
+    model = request.getfixturevalue(fixture)
+    names = POSTERIOR_IDS[fixture]
+    assert model.posterior(*[0] * len(names)).sum() == pytest.approx(1.0)
+    for position, name in enumerate(names):
+        n = getattr(model, f"n_{name}s")
+        for bad in (-1, n):
+            ids = [0] * len(names)
+            ids[position] = bad
+            with pytest.raises(DataError, match=rf"unknown {name} id {bad}; expected 0 to {n - 1}$"):
+                model.posterior(*ids)
 
 
 def test_em_fit_stops_on_plateau():
