@@ -16,7 +16,8 @@ Model file format v1::
 A table of shape ``(a, ..., b)`` is written as its ``a * ...`` rows of ``b``
 values in C order; a vector is one row.  Probabilities are written with
 ``repr`` (shortest round-trip form), so a write/read cycle reproduces the
-exact float64 values.  Blank lines and ``#`` comments are skipped on read.
+exact float64 values.  Blank lines and ``#`` comments are skipped on read;
+any other line after the last table is an error.
 """
 
 from __future__ import annotations
@@ -110,6 +111,8 @@ def read_tables(cls, header: list[str], stream):
             raise DataError(f"{label}: dimension must be positive, got {shape}")
         rows = parse_matrix(stream, math.prod(shape[:-1]), shape[-1], label)
         tables[attr] = rows.reshape(shape)
+    if any(line.strip()[:1] not in ("", "#") for line in stream):
+        raise DataError(f"{cls.kind} model: data after the last table")
     model = cls(**tables, seed=seed)
     model.validate()
     return model

@@ -125,12 +125,14 @@ class Corpus:
         self.users = users
         self.tags = tags
 
-        r_ids, u_ids, t_ids, counts = (np.asarray(col, dtype=np.int64)
-                                       for col in (r_ids, u_ids, t_ids, counts))
-        if not (len(r_ids) == len(u_ids) == len(t_ids) == len(counts)):
+        columns = [np.asarray(col) for col in (r_ids, u_ids, t_ids, counts)]
+        if len({len(col) for col in columns}) > 1:
             raise DataError("triple arrays have mismatched lengths")
         if len(counts) == 0:
             raise DataError("empty corpus")
+        if any(col.dtype.kind not in "iu" for col in columns):
+            raise DataError("triple ids and counts must be integers")
+        r_ids, u_ids, t_ids, counts = (col.astype(np.int64, copy=False) for col in columns)
         if (counts < 1).any():
             raise DataError("triple counts must be positive")
 
@@ -213,6 +215,8 @@ def ingest_triples(lines: Iterable[str]) -> Corpus:
                 raise DataError(f"line {lineno}: count {fields[3]!r} is not an integer") from None
             if count < 1:
                 raise DataError(f"line {lineno}: count must be positive, got {count}")
+            if not (fields[3].isascii() and fields[3].isdigit()):
+                raise DataError(f"line {lineno}: count {fields[3]!r} is not ASCII digits")
         ids += (resources.add(fields[0]), users.add(fields[1]), tags.add(fields[2]))
         counts.append(count)
     if not counts:

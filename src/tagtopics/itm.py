@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _textio, training
 from .corpus import Corpus
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .similarity import TopicDistribution
 # perfbench/tracing.py patches em_fit and mapreduce_slices by model module.
 from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
@@ -138,8 +138,7 @@ class ItmModel(_textio.Tables):
         return training.log_likelihood(self, corpus)
 
     def topic_distribution(self, resource: int) -> TopicDistribution:
-        if not 0 <= resource < self.n_resources:
-            raise DataError(f"unknown resource id {resource}")
+        training.check_ids(self, r=resource)
         return TopicDistribution(self.topic_given_resource[resource].copy())
 
     def save(self, path) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _textio, training
 from .corpus import Corpus
-from .errors import DataError, DegeneracyError
+from .errors import DegeneracyError
 from .similarity import TopicDistribution
 # perfbench/tracing.py patches em_fit and mapreduce_slices by model module.
 from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
@@ -91,8 +91,7 @@ class MwaModel(_textio.Tables):
 
     def topic_distribution(self, resource: int) -> TopicDistribution:
         """p(z|r) by Bayes inversion of p(r|z) against the aspect prior."""
-        if not 0 <= resource < self.n_resources:
-            raise DataError(f"unknown resource id {resource}")
+        training.check_ids(self, r=resource)
         weights = self.topic_probs * self.resource_given_topic[:, resource]
         total = weights.sum()
         if total <= 0.0:

@@ -52,11 +52,6 @@ class PlantedSpec:
             raise ConfigError("n_users must be >= 1 for plsa sampling")
 
 
-def _draw_flat(rng: np.random.Generator, probs: np.ndarray, n: int) -> np.ndarray:
-    cum = np.cumsum(np.asarray(probs, dtype=float))
-    return np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(cum) - 1)
-
-
 def _draw_rows(rng: np.random.Generator, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """One draw from row ``rows[n]`` of ``table`` per n; a binary search per
     distinct row instead of an n-by-columns comparison."""
@@ -81,20 +76,21 @@ def sample_corpus(spec: PlantedSpec) -> Corpus:
     rng = np.random.default_rng(spec.seed)
     model = spec.model
     n = spec.n_samples
+    zeros = np.zeros(n, dtype=np.int64)  # row 0 of a one-row table: a flat draw
 
     if isinstance(model, PlsaModel):
-        r = _draw_flat(rng, model.resource_probs, n)
+        r = _draw_rows(rng, model.resource_probs[None], zeros)
         z = _draw_rows(rng, model.topic_given_resource, r)
         t = _draw_rows(rng, model.tag_given_topic, z)
         u = rng.integers(0, spec.n_users, size=n)
     elif isinstance(model, MwaModel):
-        z = _draw_flat(rng, model.topic_probs, n)
+        z = _draw_rows(rng, model.topic_probs[None], zeros)
         r = _draw_rows(rng, model.resource_given_topic, z)
         u = _draw_rows(rng, model.user_given_topic, z)
         t = _draw_rows(rng, model.tag_given_topic, z)
     else:
-        u = _draw_flat(rng, model.user_probs, n)
-        r = _draw_flat(rng, model.resource_probs, n)
+        u = _draw_rows(rng, model.user_probs[None], zeros)
+        r = _draw_rows(rng, model.resource_probs[None], zeros)
         i = _draw_rows(rng, model.interest_given_user, u)
         z = _draw_rows(rng, model.topic_given_resource, r)
         t = _draw_rows(rng, model.tag_given_interest_topic.reshape(-1, model.n_tags),

@@ -15,9 +15,9 @@ see ``_textio.Tables``); ``initial(corpus, cfg, rng)``, the seeded start;
 sufficient statistics from weighted posteriors and the in-place update; and
 ``log_terms(mix, ids)``, log p(row) from the mixture summed per row.
 
-Both passes sum each of ``_SLICES`` fixed row slices from zero in
-``chunk_rows`` chunks and add the slice sums in slice order, so any worker
-count gives the same bits.
+Both passes walk the rows only through :func:`mapreduce_slices`, which holds
+their summation order (``_SLICES`` fixed slices summed from zero in
+``chunk_rows`` chunks, then in slice order): any worker count, same bits.
 """
 
 from __future__ import annotations
@@ -119,16 +119,21 @@ def normalize_rows(counts: np.ndarray) -> np.ndarray:
     return counts / sums
 
 
-def slice_bounds(n: int, parts: int) -> list[tuple[int, int]]:
-    edges = [n * i // parts for i in range(parts + 1)]
-    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+def mapreduce_slices(ids: dict, counts, chunk_rows: int, add_chunk, zero, executor=None):
+    """Sum the data rows: each of ``_SLICES`` fixed slices starts from ``zero()``, a
+    sequence of arrays, and calls ``add_chunk(sums, {name: col[a:b]}, counts[a:b])`` per
+    ``chunk_rows`` chunk in row order, on ``executor``'s threads (in turn if it is
+    ``None``); the slice sums are added in slice order into the first one, in place."""
+    edges = sorted({len(counts) * i // _SLICES for i in range(_SLICES + 1)})  # no empty slice
 
+    def walk(lo: int, hi: int):
+        sums = zero()
+        for a in range(lo, hi, chunk_rows):
+            b = min(a + chunk_rows, hi)
+            add_chunk(sums, {name: col[a:b] for name, col in ids.items()}, counts[a:b])
+        return sums
 
-def mapreduce_slices(pass_fn, n: int, slices: int, executor):
-    """Run ``pass_fn(lo, hi)`` over ``slices`` contiguous slices of ``range(n)``
-    on ``executor``'s threads (in turn if it is ``None``) and add the partials,
-    tuples of arrays, in slice order into the first one, in place."""
-    parts = (executor.map if executor else map)(lambda b: pass_fn(*b), slice_bounds(n, slices))
+    parts = (executor.map if executor else map)(walk, edges[:-1], edges[1:])
     acc = next(parts)
     for part in parts:
         for total, value in zip(acc, part):
@@ -193,13 +198,17 @@ def _supported_mixture(model, ids: dict):
     return mix, totals
 
 
-def posterior(model, **ids) -> np.ndarray:
-    """E-step posterior of one observed row, e.g. ``posterior(model, r=0, t=2)``;
-    raises :class:`DataError` for an id outside its vocabulary."""
+def check_ids(model, **ids) -> None:
+    """Raise :class:`DataError` for an id outside its vocabulary, e.g. ``r=7``."""
     for name, i in ids.items():
         n = getattr(model, f"n_{_ID_NAMES[name]}s")
         if not 0 <= i < n:
             raise DataError(f"unknown {_ID_NAMES[name]} id {i}; expected 0 to {n - 1}")
+
+
+def posterior(model, **ids) -> np.ndarray:
+    """E-step posterior of one observed row, e.g. ``posterior(model, r=0, t=2)``."""
+    check_ids(model, **ids)
     mix, totals = _supported_mixture(model, {name: [i] for name, i in ids.items()})
     return mix[0] / totals[0]
 
@@ -216,27 +225,20 @@ def check_corpus(model, corpus) -> None:
                         f"({', '.join(dims)})")
 
 
-def _chunks(model, ids: dict, lo: int, hi: int):
-    """``(a, b, {name: col[a:b]})`` for each ``chunk_rows`` chunk of rows lo..hi."""
-    for a in range(lo, hi, model.chunk_rows):
-        b = min(a + model.chunk_rows, hi)
-        yield a, b, {name: col[a:b] for name, col in ids.items()}
-
-
 def log_likelihood(model, corpus) -> float:
     """sum over data rows of n log p(row), in the E-step's slices and chunks;
     -inf (with a warning) if an observed row has zero probability."""
     model.check_corpus(corpus)
     ids, counts = model.rows(corpus)
-    total = 0.0
-    for lo, hi in slice_bounds(len(counts), _SLICES):
-        part = 0.0
-        for a, b, chunk in _chunks(model, ids, lo, hi):
-            mix = model.mixture(*chunk.values())
-            mix = mix.sum(axis=tuple(range(1, mix.ndim)))
-            with np.errstate(divide="ignore"):
-                part += float((counts[a:b] * model.log_terms(mix, chunk)).sum())
-        total += part
+
+    def add_chunk(sums, chunk, n) -> None:
+        mix = model.mixture(*chunk.values())
+        mix = mix.sum(axis=tuple(range(1, mix.ndim)))
+        with np.errstate(divide="ignore"):
+            sums[0] += (n * model.log_terms(mix, chunk)).sum()
+
+    total = float(mapreduce_slices(ids, counts, model.chunk_rows, add_chunk,
+                                   lambda: [np.zeros(())])[0])
     if not math.isfinite(total):
         logger.warning(f"observed {_ROW_NAMES[len(ids)]} has zero probability; "
                        "log-likelihood is degenerate (-inf)")
@@ -257,16 +259,14 @@ def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
     ids, counts = model.rows(corpus)
     executor = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
 
-    def accumulate(lo: int, hi: int):
-        stats = model.zero_stats()
-        for a, b, chunk in _chunks(model, ids, lo, hi):
-            post, totals = _supported_mixture(model, chunk)
-            post *= (counts[a:b] / totals).reshape((-1,) + (1,) * (post.ndim - 1))
-            model.scatter(stats, chunk, post)
-        return stats
+    def add_chunk(stats, chunk, n) -> None:
+        post, totals = _supported_mixture(model, chunk)
+        post *= (n / totals).reshape((-1,) + (1,) * (post.ndim - 1))
+        model.scatter(stats, chunk, post)
 
     def step() -> None:
-        model.m_step(mapreduce_slices(accumulate, len(counts), _SLICES, executor))
+        model.m_step(mapreduce_slices(ids, counts, model.chunk_rows, add_chunk,
+                                      model.zero_stats, executor))
 
     hook = None if iteration_hook is None else (
         lambda iteration, ll: iteration_hook(model, iteration, ll))

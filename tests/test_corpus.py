@@ -63,6 +63,10 @@ class TestIngest:
         ("a\tu1\tx\t0", "positive"),
         ("a\tu1\tx\t-2", "positive"),
         ("a\tu1\tx\tmany", "not an integer"),
+        ("a\tu1\tx\t1_000", "not ASCII digits"),
+        ("a\tu1\tx\t+3", "not ASCII digits"),
+        ("a\tu1\tx\t 7", "not ASCII digits"),
+        ("a\tu1\tx\t\u0663", "not ASCII digits"),  # ARABIC-INDIC DIGIT THREE
     ])
     def test_malformed_lines(self, line, fragment):
         with pytest.raises(DataError, match=fragment):
@@ -214,6 +218,19 @@ class SizedVocab:
 
     def __len__(self):
         return len(self.entries)
+
+
+class TestCorpusColumns:
+    @pytest.mark.parametrize("r_ids, counts", [([0, 1.9], [1, 1]), ([0, 1], [2.7, 1.2])])
+    def test_non_integer_column_rejected(self, r_ids, counts):
+        vocab = Vocab(["a", "b"])
+        with pytest.raises(DataError, match="must be integers"):
+            Corpus(vocab, vocab, vocab, r_ids, [0, 1], [1, 0], counts)
+
+    def test_empty_columns_report_empty_corpus(self):
+        vocab = Vocab(["a"])
+        with pytest.raises(DataError, match="empty corpus"):
+            Corpus(vocab, vocab, vocab, [], [], [], [])
 
 
 class TestDuplicateKeys:

@@ -96,6 +96,17 @@ def test_golden_file_rewrites_byte_for_byte(kind, tmp_path):
     assert (tmp_path / "again").read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["plsa", "mwa", "itm"])
+def test_data_after_the_last_table_rejected(kind, tmp_path):
+    path = tmp_path / f"model.{kind}"
+    text = (DATA / f"golden.{kind}").read_text() + "\n# blank lines and comments may follow\n"
+    path.write_text(text)
+    assert load_model(path).kind == kind
+    path.write_text(text + "0.5 0.5\n")
+    with pytest.raises(DataError, match=f"^{kind} model: data after the last table$"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("text", [
     "plsa 1 2 2 0\nnan nan\n0.5 0.5\n1.0\n1.0\n",
     "mwa 1 1 1 1 0\nnan\n1.0\n1.0\n1.0\n",

@@ -12,7 +12,7 @@ from tagtopics.errors import ConfigError, DataError
 from tagtopics.itm import ItmModel
 from tagtopics.mwa import MwaModel
 from tagtopics.plsa import PlsaModel
-from tagtopics.sampling import (PlantedSpec, _draw_flat, _draw_rows,
+from tagtopics.sampling import (PlantedSpec, _draw_rows, load_spec,
                                 planted_two_topic_spec, read_spec, sample_corpus,
                                 write_spec)
 
@@ -126,7 +126,8 @@ class TestDraws:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_flat_draws_match_comparison_oracle(self, seed):
         probs = self.sparse_table(np.random.default_rng(seed), 1, 15)[0]
-        got = _draw_flat(np.random.default_rng(seed + 50), probs, 600)
+        got = _draw_rows(np.random.default_rng(seed + 50), probs[None],
+                         np.zeros(600, dtype=np.int64))
         uniforms = np.random.default_rng(seed + 50).random(600)
         assert got.tolist() == oracles.draw_by_comparison(
             [probs.tolist()], [0] * 600, uniforms.tolist())
@@ -153,6 +154,14 @@ class TestSpecIo:
         buffer.seek(0)
         again = read_spec(buffer)
         assert named_triples(sample_corpus(spec)) == named_triples(sample_corpus(again))
+
+    def test_data_after_the_spec_rejected(self, tmp_path):
+        import pathlib
+        fixture = pathlib.Path(__file__).parent / "data" / "planted_itm_2x2.spec"
+        path = tmp_path / "extra.spec"
+        path.write_text(fixture.read_text() + "0.5 0.5\n")
+        with pytest.raises(DataError, match="^itm model: data after the last table$"):
+            load_spec(path)
 
     def test_bad_header_rejected(self):
         with pytest.raises(DataError):

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tagtopics import train_itm, train_mwa, train_plsa
+from tagtopics.corpus import Corpus, Vocab
 from tagtopics.errors import ConfigError, DataError
+from tagtopics.itm import ItmModel
 from tagtopics.training import (_SLICES, TrainConfig, em_fit, mapreduce_slices,
-                                noisy_uniform_rows, scatter_add, slice_bounds)
+                                noisy_uniform_rows, scatter_add)
 
 
 class TestTrainConfig:
@@ -57,10 +59,32 @@ def test_noisy_uniform_rows_are_distributions():
     assert np.array_equal(rows, again)
 
 
-def test_slice_bounds_cover_range():
-    assert slice_bounds(10, 3) == [(0, 3), (3, 6), (6, 10)]
-    assert slice_bounds(2, 5) == [(0, 1), (1, 2)]
-    assert slice_bounds(0, 4) == []
+@pytest.mark.parametrize("n, chunk_rows, edges", [
+    # Every slice spans several chunks; 2 divides none of the 5- and 6-row slices.
+    (43, 2, [0, 5, 10, 16, 21, 26, 32, 37, 43]),
+    # n < _SLICES: the empty slices are dropped, not walked.
+    (5, 3, [0, 1, 2, 3, 4, 5]),
+], ids=["several_chunks_per_slice", "fewer_rows_than_slices"])
+def test_mapreduce_slices_walks_each_slice_in_chunks(n, chunk_rows, edges):
+    assert _SLICES == 8
+    rows = np.arange(n)
+    chunks, zeros = [], []
+
+    def zero():
+        zeros.append(np.zeros(1))
+        return [zeros[-1]]
+
+    def add_chunk(sums, chunk, counts):
+        assert chunk.keys() == {"r", "t"}
+        assert chunk["r"].tolist() == chunk["t"].tolist() == counts.tolist()
+        chunks.append((int(counts[0]), int(counts[-1]) + 1))
+        sums[0] += counts.sum()
+
+    sums = mapreduce_slices({"r": rows, "t": rows.copy()}, rows, chunk_rows, add_chunk, zero)
+    assert chunks == [(a, min(a + chunk_rows, hi))
+                      for lo, hi in zip(edges, edges[1:]) for a in range(lo, hi, chunk_rows)]
+    assert len(zeros) == len(edges) - 1  # one zero() per slice walked
+    assert sums[0] is zeros[0] and sums[0].tolist() == [rows.sum()]  # added into the first
 
 
 # One value per slice; their float sum depends on the order of addition.
@@ -73,16 +97,56 @@ def test_mapreduce_slices_adds_in_slice_order(threads):
     fold = functools.reduce(operator.add, values)
     assert fold != functools.reduce(operator.add, values[::-1])  # 2.0 against 5.0
 
-    def pass_fn(lo, hi):
+    def add_chunk(sums, chunk, counts):
+        lo = int(chunk["i"][0])
         time.sleep(0.002 * (len(values) - lo))  # later slices finish first
-        return np.array([values[lo]]), np.array([-values[lo], 2.0 * values[lo]])
+        sums[0] += values[lo]
+        sums[1] += [-values[lo], 2.0 * values[lo]]
 
     assert len(values) == _SLICES
+    rows = np.arange(len(values))
     with ThreadPoolExecutor(threads) if threads else contextlib.nullcontext() as pool:
-        sums = mapreduce_slices(pass_fn, len(values), _SLICES, pool)
+        sums = mapreduce_slices({"i": rows}, rows, 1, add_chunk,
+                                lambda: [np.zeros(1), np.zeros(2)], pool)
     assert sums[0].tolist() == [fold]
     assert sums[1].tolist() == [functools.reduce(operator.add, [-v for v in values]),
                                 functools.reduce(operator.add, [2.0 * v for v in values])]
+
+
+def walked_log_likelihood(model, corpus, chunk_rows, slices=_SLICES):
+    """sum of n log p(row) by plain loops: ``slices`` slices, each summed from
+    zero in ``chunk_rows`` chunks, the slice sums added in slice order."""
+    ids, counts = model.rows(corpus)
+    edges = [len(counts) * i // slices for i in range(slices + 1)]
+    total = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        part = 0.0
+        for a in range(lo, hi, chunk_rows):
+            b = min(a + chunk_rows, hi)
+            chunk = {name: col[a:b] for name, col in ids.items()}
+            mix = model.mixture(*chunk.values()).sum(axis=(1, 2))
+            part += float((counts[a:b] * model.log_terms(mix, chunk)).sum())
+        total += part
+    return total
+
+
+def test_log_likelihood_sums_the_e_steps_chunks_and_slices():
+    # A seed whose sums depend on the order: the last two asserts check that.
+    rng = np.random.default_rng(2)
+    r, u, t = np.unravel_index(rng.choice(20 * 10 * 5, size=600, replace=False), (20, 10, 5))
+    vocab = [Vocab(map(str, range(n))) for n in (20, 10, 5)]
+    corpus = Corpus(*vocab, r, u, t, rng.integers(1, 1000, size=600))
+    model = ItmModel(user_probs=corpus.n_u / corpus.total,
+                     resource_probs=corpus.n_r / corpus.total,
+                     interest_given_user=rng.dirichlet(np.ones(128), size=10),
+                     topic_given_resource=rng.dirichlet(np.ones(128), size=20),
+                     tag_given_interest_topic=rng.dirichlet(np.ones(5), size=(128, 128)))
+    assert model.chunk_rows == 16  # about 5 chunks per 75-row slice
+    got = model.log_likelihood(corpus)
+    assert got.hex() == walked_log_likelihood(model, corpus, 16).hex()
+    # The order matters: one chunk per slice, or chunks without slices, differ.
+    assert got.hex() != walked_log_likelihood(model, corpus, 600).hex()
+    assert got.hex() != walked_log_likelihood(model, corpus, 16, slices=1).hex()
 
 
 def add_at(table, idx, values):
@@ -160,6 +224,11 @@ def test_posterior_rejects_ids_outside_the_vocabulary(fixture, request):
             ids[position] = bad
             with pytest.raises(DataError, match=rf"unknown {name} id {bad}; expected 0 to {n - 1}$"):
                 model.posterior(*ids)
+    n = model.n_resources
+    assert model.topic_distribution(n - 1).probs.sum() == pytest.approx(1.0)
+    for bad in (-1, n):
+        with pytest.raises(DataError, match=rf"^unknown resource id {bad}; expected 0 to {n - 1}$"):
+            model.topic_distribution(bad)
 
 
 def test_em_fit_stops_on_plateau():
