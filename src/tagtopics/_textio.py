@@ -22,7 +22,9 @@ any other line after the last table is an error.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 
 import numpy as np
 
@@ -92,8 +94,21 @@ def write_model(model, stream) -> None:
             stream.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Text stream to a new file beside ``path`` that replaces it when the block ends."""
+    temp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(temp, "x", encoding="utf-8") as stream:
+            yield stream
+        os.replace(temp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+
+
 def save(model, path) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
+    with atomic_write(path) as stream:
         write_model(model, stream)
 
 

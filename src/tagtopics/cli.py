@@ -12,6 +12,7 @@ import difflib
 import sys
 from dataclasses import fields
 
+from ._textio import atomic_write
 from .corpus import filter_tags, ingest_triples, read_corpus, save_corpus
 from .errors import ConfigError, DataError, DegeneracyError
 from .itm import train_itm
@@ -74,12 +75,11 @@ def cmd_rank(args) -> None:
         hint = ", ".join(close) if close else "none"
         raise DataError(f"unknown seed resource {args.seed_resource!r}; "
                         f"close vocabulary matches: {hint}") from None
-    dists = {rid: model.topic_distribution(rid) for rid in range(len(corpus.resources))}
-    ranked = rank_by_seed(dists, seed_id)
+    ranked = rank_by_seed(dict(enumerate(model.topic_distributions())), seed_id)
     meta = {"model": model.kind, "K": model.n_topics, "base": "e",
             "seed": corpus.resources.name_of(seed_id)}
     with (contextlib.nullcontext(sys.stdout) if args.output is None
-          else open(args.output, "w", encoding="utf-8")) as stream:
+          else atomic_write(args.output)) as stream:
         write_ranking(ranked, stream, limit=args.top,
                       name_of=corpus.resources.name_of, meta=meta)
 

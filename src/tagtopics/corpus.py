@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._textio import atomic_write
 from .errors import ConfigError, DataError
 
 COMMENT_CHAR = "#"
@@ -246,7 +247,7 @@ def write_corpus_tsv(corpus: Corpus, stream) -> None:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
+    with atomic_write(path) as stream:
         write_corpus_tsv(corpus, stream)
 
 

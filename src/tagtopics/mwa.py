@@ -92,11 +92,18 @@ class MwaModel(_textio.Tables):
     def topic_distribution(self, resource: int) -> TopicDistribution:
         """p(z|r) by Bayes inversion of p(r|z) against the aspect prior."""
         training.check_ids(self, r=resource)
-        weights = self.topic_probs * self.resource_given_topic[:, resource]
-        total = weights.sum()
-        if total <= 0.0:
-            raise DegeneracyError(f"resource {resource} has no support")
-        return TopicDistribution(weights / total)
+        return TopicDistribution(self._inverted([resource])[0])
+
+    def topic_distributions(self) -> np.ndarray:
+        return self._inverted(np.arange(self.n_resources))  # each topic_distribution, as [R, K]
+
+    def _inverted(self, resources) -> np.ndarray:
+        # One contiguous row per resource, so each sums over z as a lone vector does.
+        weights = np.multiply(self.topic_probs, self.resource_given_topic[:, resources].T, order="C")
+        totals = weights.sum(axis=1, keepdims=True)
+        if (dead := np.flatnonzero(totals <= 0.0)).size:
+            raise DegeneracyError(f"resource {resources[dead[0]]} has no support")
+        return weights / totals
 
     def save(self, path) -> None:
         _textio.save(self, path)

@@ -89,6 +89,9 @@ class PlsaModel(_textio.Tables):
         training.check_ids(self, r=resource)
         return TopicDistribution(self.topic_given_resource[resource].copy())
 
+    def topic_distributions(self) -> np.ndarray:
+        return self.topic_given_resource  # p(z|r) as [R, K]: the model's own table
+
     def save(self, path) -> None:
         _textio.save(self, path)
 

@@ -130,7 +130,7 @@ def read_spec(stream) -> PlantedSpec:
 
 
 def save_spec(spec: PlantedSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
+    with _textio.atomic_write(path) as stream:
         write_spec(spec, stream)
 
 

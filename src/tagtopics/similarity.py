@@ -83,17 +83,19 @@ class RankedList:
 
 
 def rank_by_seed(dists: Mapping, seed) -> RankedList:
-    """Rank every non-seed resource by ascending JS divergence to the seed.
-
-    Ties are broken by ascending resource id, so the result is deterministic.
-    """
+    """Rank every non-seed resource by ascending JS divergence to the seed, in one
+    pass over the [R, K] stack of vectors in id order (each row summed as in
+    :func:`js_divergence`, so with its bits).  Ties go to the lower id."""
     if seed not in dists:
         raise DataError(f"seed {seed!r} has no topic distribution")
-    seed_dist = dists[seed]
-    scored = [(js_divergence(dist, seed_dist), rid)
-              for rid, dist in dists.items() if rid != seed]
-    scored.sort(key=lambda pair: (pair[0], pair[1]))
-    return RankedList(seed=seed, entries=[(rid, div) for div, rid in scored])
+    ids = sorted(dists)
+    seed_row = ids.index(seed)
+    probs = np.stack([_vector(dists[rid]) for rid in ids])
+    m = 0.5 * (probs + probs[seed_row])
+    div = 0.5 * (rel_entr(probs, m).sum(axis=1) + rel_entr(probs[seed_row], m).sum(axis=1))
+    order = np.argsort(np.maximum(div, 0.0, out=div), kind="stable")
+    order = order[order != seed_row]
+    return RankedList(seed, list(zip([ids[i] for i in order.tolist()], div[order].tolist())))
 
 
 _RANKING_COLUMNS = "rank\tresource\tdivergence"

@@ -199,9 +199,11 @@ def _supported_mixture(model, ids: dict):
 
 
 def check_ids(model, **ids) -> None:
-    """Raise :class:`DataError` for an id outside its vocabulary, e.g. ``r=7``."""
+    """Raise :class:`DataError` for a non-integer id or one outside its vocabulary."""
     for name, i in ids.items():
         n = getattr(model, f"n_{_ID_NAMES[name]}s")
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise DataError(f"{_ID_NAMES[name]} id must be an integer, got {i!r}")
         if not 0 <= i < n:
             raise DataError(f"unknown {_ID_NAMES[name]} id {i}; expected 0 to {n - 1}")
 

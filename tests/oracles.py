@@ -2,10 +2,14 @@
 
 Everything here is written as plain Python loops over the dense tables so
 the math shares no code with the package internals.  Oracles stay slow and
-obvious on purpose.
+obvious on purpose.  The one exception is :func:`rank_by_seed`, the scalar
+ranking: it calls the package's ``js_divergence`` once per resource, so the
+vectorised ranking can be held to its bits.
 """
 
 import math
+
+from tagtopics.similarity import js_divergence as scalar_js_divergence
 
 
 def plsa_joint(model, r, t):
@@ -143,3 +147,11 @@ def js_divergence(p, q):
         return total
 
     return 0.5 * (kl(p, mid) + kl(q, mid))
+
+
+def rank_by_seed(dists, seed):
+    """Ranking entries ``[(id, divergence)]``: one scalar ``js_divergence``
+    per non-seed resource, sorted on ``(divergence, id)``."""
+    scored = sorted((scalar_js_divergence(dist, dists[seed]), rid)
+                    for rid, dist in dists.items() if rid != seed)
+    return [(rid, div) for div, rid in scored]

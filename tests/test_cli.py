@@ -11,7 +11,7 @@ from tagtopics.itm import train_itm
 from tagtopics.modelio import load_model
 from tagtopics.mwa import MwaModel
 from tagtopics.sampling import planted_two_topic_spec, save_spec
-from tagtopics.similarity import rank_by_seed, write_ranking
+from tagtopics.similarity import TopicDistribution, rank_by_seed, write_ranking
 from tagtopics.training import MODEL_KINDS, TrainConfig
 
 
@@ -143,6 +143,19 @@ class TestRank:
         write_ranking(ranked, expected, limit=100, name_of=corpus.resources.name_of,
                       meta={"model": "plsa", "K": 2, "base": "e", "seed": "a"})
         assert out.read_text() == expected.getvalue()
+
+    def test_builds_no_topic_distribution(self, trained, tmp_path, monkeypatch):
+        corpus_path, model_path = trained
+        out = tmp_path / "ranking.tsv"
+        assert run("rank", model_path, corpus_path, "a", "--output", out) == 0
+        expected = out.read_bytes()
+
+        def built(self):
+            raise AssertionError("cmd_rank built a TopicDistribution")
+
+        monkeypatch.setattr(TopicDistribution, "__post_init__", built)
+        assert run("rank", model_path, corpus_path, "a", "--output", out) == 0
+        assert out.read_bytes() == expected
 
     def test_unknown_seed_suggests_matches(self, trained, capsys):
         corpus_path, model_path = trained

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import jensenshannon
 
 import oracles
+from tagtopics import similarity
 from tagtopics.errors import DataError
 from tagtopics.similarity import (LN2, RankedList, TopicDistribution,
                                   js_divergence, rank_by_seed, read_ranking,
@@ -138,6 +139,60 @@ class TestRankBySeed:
         d = TopicDistribution(np.array([1.0]))
         with pytest.raises(DataError, match="seed"):
             rank_by_seed({1: d}, 0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_scalar_oracle_bit_for_bit(self, data):
+        """Rows with zeros, duplicate rows (exact ties), ids unsorted ints or
+        strings, values wrapped or plain arrays, sizes on both sides of the
+        8-wide unrolled pairwise sum."""
+        k = data.draw(st.sampled_from([1, 2, 3, 7, 8, 9, 17, 40]), label="topics")
+        n = data.draw(st.integers(1, 12), label="resources")
+        entry = st.one_of(st.just(0.0), st.floats(0.0, 1.0, allow_subnormal=False))
+        rows = []
+        for _ in range(n):
+            if rows and data.draw(st.booleans(), label="duplicate"):
+                rows.append(rows[data.draw(st.integers(0, len(rows) - 1))])
+                continue
+            raw = np.array(data.draw(st.lists(entry, min_size=k, max_size=k)))
+            if raw.sum() == 0.0:
+                raw[data.draw(st.integers(0, k - 1))] = 1.0
+            rows.append(raw / raw.sum())
+        ids = data.draw(st.one_of(
+            st.lists(st.integers(-50, 10**6), min_size=n, max_size=n, unique=True),
+            st.lists(st.text(max_size=3), min_size=n, max_size=n, unique=True)), label="ids")
+        wrap = TopicDistribution if data.draw(st.booleans(), label="wrapped") else np.asarray
+        dists = {rid: wrap(row) for rid, row in zip(ids, rows)}
+        seed = data.draw(st.sampled_from(ids), label="seed")
+        got = rank_by_seed(dists, seed).entries
+        assert all(type(div) is float for _, div in got)
+        want = oracles.rank_by_seed(dists, seed)
+        assert [(rid, div.hex()) for rid, div in got] == [(rid, div.hex()) for rid, div in want]
+
+    def test_rounding_below_zero_is_clamped(self):
+        # Rows one ulp apart: unclamped, their divergence rounds to -5.7e-17.
+        p = [0.6652300066862088, 0.021254131078561812, 0.31351586223522954]
+        q = [0.6652300066862089, 0.02125413107856181, 0.31351586223522954]
+        dists = {0: np.array(p), 1: np.array(q), 2: np.array([0.2, 0.3, 0.5])}
+        assert rank_by_seed(dists, 0).entries[0] == (1, 0.0)
+        assert rank_by_seed(dists, 1).entries == oracles.rank_by_seed(dists, 1)
+
+    def test_unequal_lengths_rejected(self):
+        dists = {0: TopicDistribution(np.array([0.5, 0.5])),
+                 1: TopicDistribution(np.array([0.2, 0.3, 0.5]))}
+        with pytest.raises(ValueError):
+            rank_by_seed(dists, 0)
+        with pytest.raises(ValueError):
+            rank_by_seed(dists, 1)
+
+    def test_never_calls_the_scalar_divergence(self, monkeypatch):
+        def scalar(p, q):
+            raise AssertionError("rank_by_seed called js_divergence")
+
+        monkeypatch.setattr(similarity, "js_divergence", scalar)
+        d = TopicDistribution(np.array([0.3, 0.7]))
+        dists = {2: d, 1: TopicDistribution(np.array([1.0, 0.0])), 0: d}
+        assert [rid for rid, _ in rank_by_seed(dists, 2).entries] == [0, 1]
 
 
 class TestRankedList:

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import random_corpus
 from tagtopics import train_itm, train_mwa, train_plsa
 from tagtopics.corpus import Corpus, Vocab
-from tagtopics.errors import ConfigError, DataError
+from tagtopics.errors import ConfigError, DataError, DegeneracyError
 from tagtopics.itm import ItmModel
+from tagtopics.mwa import MwaModel
 from tagtopics.training import (_SLICES, TrainConfig, em_fit, mapreduce_slices,
                                 noisy_uniform_rows, scatter_add)
 
@@ -229,6 +231,58 @@ def test_posterior_rejects_ids_outside_the_vocabulary(fixture, request):
     for bad in (-1, n):
         with pytest.raises(DataError, match=rf"^unknown resource id {bad}; expected 0 to {n - 1}$"):
             model.topic_distribution(bad)
+    # Ids must be integers: a float, a bool or a digit string is no id.
+    for bad in (1.5, True, "1"):
+        for position, name in enumerate(names):
+            ids = [0] * len(names)
+            ids[position] = bad
+            with pytest.raises(DataError, match=rf"^{name} id must be an integer, got {bad!r}$"):
+                model.posterior(*ids)
+        with pytest.raises(DataError, match=rf"^resource id must be an integer, got {bad!r}$"):
+            model.topic_distribution(bad)
+    # numpy integers are ids.
+    assert model.posterior(*[np.int64(0)] * len(names)).tobytes() == \
+        model.posterior(*[0] * len(names)).tobytes()
+    assert model.topic_distribution(np.int32(n - 1)).probs.tobytes() == \
+        model.topic_distribution(n - 1).probs.tobytes()
+
+
+TRAINERS = {"plsa": train_plsa, "mwa": train_mwa, "itm": train_itm}
+
+
+@pytest.mark.parametrize("kind", TRAINERS)
+def test_topic_distributions_rows_are_topic_distribution_bytes(kind):
+    """K=17 sums past the 8-wide unrolled pairwise block, as at ranking scale."""
+    corpus = random_corpus(5, n_resources=12, n_tags=20)
+    model, _ = TRAINERS[kind](corpus, TrainConfig(model=kind, topics=17, interests=2,
+                                                  max_iters=3, seed=2))
+    matrix = model.topic_distributions()
+    assert matrix.shape == (model.n_resources, model.n_topics)
+    assert matrix.flags.c_contiguous
+    for r in range(model.n_resources):
+        assert matrix[r].tobytes() == model.topic_distribution(r).probs.tobytes()
+
+
+def test_mwa_inversion_keeps_the_bits_of_one_vector_at_a_time():
+    rng = np.random.default_rng(8)
+    topic_probs, resource_given_topic = rng.dirichlet(np.ones(40)), rng.dirichlet(np.ones(30), 40)
+    model = MwaModel(topic_probs=topic_probs, resource_given_topic=resource_given_topic,
+                     user_given_topic=np.ones((40, 1)), tag_given_topic=np.ones((40, 1)))
+    matrix = model.topic_distributions()
+    for r in range(30):
+        weights = topic_probs * resource_given_topic[:, r]
+        assert matrix[r].tobytes() == (weights / weights.sum()).tobytes()
+
+
+def test_mwa_topic_distributions_name_the_first_resource_without_support():
+    model = MwaModel(topic_probs=np.array([1.0]),
+                     resource_given_topic=np.array([[1.0, 0.0, 0.0]]),
+                     user_given_topic=np.array([[1.0]]), tag_given_topic=np.array([[1.0]]))
+    with pytest.raises(DegeneracyError, match="^resource 1 has no support$"):
+        model.topic_distributions()
+    with pytest.raises(DegeneracyError, match="^resource 2 has no support$"):
+        model.topic_distribution(2)
+    assert model.topic_distribution(0).probs.tolist() == [1.0]
 
 
 def test_em_fit_stops_on_plateau():
