@@ -1,23 +1,24 @@
 """One EM trainer for the three models.
 
-:func:`train` fits any model class by the same protocol: seeded
-near-uniform initialization, alternating E/M passes over the data, and a
-log-likelihood history recorded after every parameter update; it stops when
-the relative log-likelihood improvement drops below ``tol``.  The trainer
-owns the config checks, the worker pool, the chunked E-step, the map-reduce
-of the statistics and the log-likelihood pass.  A model class supplies only
-its own math: ``kind``/``DIMS``/``TABLES`` (its tables and file schema,
-see ``_textio.Tables``); ``initial(corpus, cfg, rng)``, the seeded start;
-``rows(corpus)``, the data rows as ``({id name: ids}, counts)``;
+:func:`train` fits any model class by the same protocol: seeded near-uniform
+initialization, then EM until the relative log-likelihood improvement drops
+below ``tol``.  One data pass at θₖ gives both L(θₖ) and the statistics for
+θₖ₊₁; a log-likelihood-only pass runs only after the last update ``max_iters``
+allows.  The trainer owns the config checks, the worker pool, the chunked
+fused pass, the map-reduce of its sums and the log-likelihood pass.  A model
+class supplies only its own math: ``kind``/``DIMS``/``TABLES`` (its tables and
+file schema, see ``_textio.Tables``); ``initial(corpus, cfg, rng)``, the seeded
+start; ``rows(corpus)``, the data rows as ``({id name: ids}, counts)``;
 ``chunk_rows``, rows per chunk, which fixes the summation order;
 ``mixture(*ids)``, the unnormalised joint per row as [n, latent...];
 ``zero_stats()``, ``scatter(stats, ids, post)`` and ``m_step(stats)``, the
 sufficient statistics from weighted posteriors and the in-place update; and
 ``log_terms(mix, ids)``, log p(row) from the mixture summed per row.
 
-Both passes walk the rows only through :func:`mapreduce_slices`, which holds
-their summation order (``_SLICES`` fixed slices summed from zero in
-``chunk_rows`` chunks, then in slice order): any worker count, same bits.
+Every pass walks the rows only through :func:`mapreduce_slices`, which holds
+its summation order (``_SLICES`` fixed slices summed from zero in
+``chunk_rows`` chunks, then in slice order): any worker count, same bits, and
+a fused pass's L has the bits of :func:`log_likelihood`.
 """
 
 from __future__ import annotations
@@ -154,30 +155,35 @@ def scatter_add(table: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
 
 
 def em_fit(
-    step_fn: Callable[[], None],
+    pass_fn: Callable[[], tuple],
+    update_fn: Callable[[object], None],
     ll_fn: Callable[[], float],
     cfg: TrainConfig,
     hook: Callable[[int, float], None] | None = None,
 ) -> TrainLog:
-    """Drive EM updates until the log-likelihood stops improving.
+    """Drive EM until the log-likelihood stops improving.
 
-    ``step_fn`` performs one in-place E/M update; ``ll_fn`` evaluates the
-    log-likelihood of the current parameters.  ``hook`` (if given) is called
-    after every update with ``(iteration, log_likelihood)``.
+    ``pass_fn()`` walks the data at the current parameters θₖ and returns
+    ``(stats, L(θₖ))``.  L(θₖ) is recorded, ``hook(k, L(θₖ))`` sees θₖ (k >= 1),
+    and ``update_fn(stats)``, the M-step, runs only if the run goes on.  After
+    the last update ``max_iters`` allows, ``ll_fn()`` alone gives L.  A
+    non-finite L raises :class:`DegeneracyError`.
     """
-    history = [float(ll_fn())]
-    converged = False
-    for iteration in range(1, cfg.max_iters + 1):
-        step_fn()
-        ll = float(ll_fn())
-        previous = history[-1]
+    history: list[float] = []
+    for iteration in range(cfg.max_iters + 1):
+        stats, ll = pass_fn() if iteration < cfg.max_iters else (None, ll_fn())
+        ll = float(ll)
+        if not math.isfinite(ll):
+            raise DegeneracyError(f"log-likelihood is {ll} after iteration {iteration}")
         history.append(ll)
-        if hook is not None:
+        if hook is not None and iteration:
             hook(iteration, ll)
-        if math.isfinite(ll) and abs(ll - previous) <= cfg.tol * abs(previous):
-            converged = True
-            break
-    return TrainLog(history, converged)
+        if iteration and abs(ll - history[-2]) <= cfg.tol * abs(history[-2]):
+            return TrainLog(history, True)
+        if iteration < cfg.max_iters:
+            update_fn(stats)
+        del stats  # hold no statistics while the next pass sums its own
+    return TrainLog(history, False)
 
 
 def triples(corpus):
@@ -196,6 +202,12 @@ def _supported_mixture(model, ids: dict):
         where = ", ".join(f"{name}={col[bad]}" for name, col in ids.items())
         raise DegeneracyError(f"degenerate posterior for {_ROW_NAMES[len(ids)]} ({where})")
     return mix, totals
+
+
+def _log_terms_sum(model, totals, chunk: dict, n):
+    """sum of n log p(row) over a chunk, from its mixture ``totals``."""
+    with np.errstate(divide="ignore"):
+        return (n * model.log_terms(totals, chunk)).sum()
 
 
 def check_ids(model, **ids) -> None:
@@ -235,9 +247,7 @@ def log_likelihood(model, corpus) -> float:
 
     def add_chunk(sums, chunk, n) -> None:
         mix = model.mixture(*chunk.values())
-        mix = mix.sum(axis=tuple(range(1, mix.ndim)))
-        with np.errstate(divide="ignore"):
-            sums[0] += (n * model.log_terms(mix, chunk)).sum()
+        sums[0] += _log_terms_sum(model, mix.sum(axis=tuple(range(1, mix.ndim))), chunk, n)
 
     total = float(mapreduce_slices(ids, counts, model.chunk_rows, add_chunk,
                                    lambda: [np.zeros(())])[0])
@@ -250,8 +260,8 @@ def log_likelihood(model, corpus) -> float:
 def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
     """Fit model class ``cls`` to ``corpus`` by EM; returns ``(model, TrainLog)``.
 
-    The result depends on ``cfg.seed`` only, not on ``cfg.workers``.  The
-    optional ``iteration_hook(model, iteration, ll)`` is called after every update."""
+    The result depends on ``cfg.seed`` only, not on ``cfg.workers``.  The optional
+    ``iteration_hook(model, k, ll)`` gets L(θₖ) for k >= 1 while the model holds θₖ."""
     cfg.validate()
     if cfg.model != cls.kind:
         raise ConfigError(f"config is for model {cfg.model!r}, but this trainer fits {cls.kind!r}")
@@ -261,17 +271,19 @@ def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
     ids, counts = model.rows(corpus)
     executor = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
 
-    def add_chunk(stats, chunk, n) -> None:
+    def add_chunk(sums, chunk, n) -> None:
         post, totals = _supported_mixture(model, chunk)
+        sums[0] += _log_terms_sum(model, totals, chunk, n)
         post *= (n / totals).reshape((-1,) + (1,) * (post.ndim - 1))
-        model.scatter(stats, chunk, post)
+        model.scatter(sums[1:], chunk, post)
 
-    def step() -> None:
-        model.m_step(mapreduce_slices(ids, counts, model.chunk_rows, add_chunk,
-                                      model.zero_stats, executor))
+    def fused_pass():
+        ll, *stats = mapreduce_slices(ids, counts, model.chunk_rows, add_chunk,
+                                      lambda: [np.zeros(()), *model.zero_stats()], executor)
+        return stats, ll
 
     hook = None if iteration_hook is None else (
         lambda iteration, ll: iteration_hook(model, iteration, ll))
     with executor or contextlib.nullcontext():
-        log = em_fit(step, lambda: model.log_likelihood(corpus), cfg, hook=hook)
+        log = em_fit(fused_pass, model.m_step, lambda: model.log_likelihood(corpus), cfg, hook)
     return model, log

@@ -10,6 +10,7 @@ from tagtopics.corpus import read_corpus
 from tagtopics.itm import train_itm
 from tagtopics.modelio import load_model
 from tagtopics.mwa import MwaModel
+from tagtopics.plsa import PlsaModel
 from tagtopics.sampling import planted_two_topic_spec, save_spec
 from tagtopics.similarity import TopicDistribution, rank_by_seed, write_ranking
 from tagtopics.training import MODEL_KINDS, TrainConfig
@@ -94,6 +95,18 @@ class TestTrain:
 
     def test_unknown_flag_is_usage_error(self, triple_file, tmp_path):
         assert run("train", triple_file, tmp_path / "m", "--model", "nope") == 1
+
+    def test_non_finite_log_likelihood_is_degeneracy_error(self, triple_file, tmp_path,
+                                                           monkeypatch, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        run("ingest", triple_file, corpus)
+        # Only the log-likelihood pass after the last update calls the method.
+        monkeypatch.setattr(PlsaModel, "log_likelihood", lambda self, corpus: float("-inf"))
+        model_path = tmp_path / "model.plsa"
+        assert run("train", corpus, model_path, "--model", "plsa", "--topics", 2,
+                   "--tol", 1e-300, "--max-iters", 2) == 3
+        assert "log-likelihood is -inf after iteration 2" in capsys.readouterr().err
+        assert not model_path.exists()
 
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)

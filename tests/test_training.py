@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import random_corpus
-from tagtopics import train_itm, train_mwa, train_plsa
+from tagtopics import train_itm, train_mwa, train_plsa, training
 from tagtopics.corpus import Corpus, Vocab
 from tagtopics.errors import ConfigError, DataError, DegeneracyError
 from tagtopics.itm import ItmModel
@@ -285,12 +285,34 @@ def test_mwa_topic_distributions_name_the_first_resource_without_support():
     assert model.topic_distribution(0).probs.tolist() == [1.0]
 
 
+class ScriptedEM:
+    """``em_fit`` callbacks that replay a list of log-likelihoods: ``passes``
+    holds each pass's statistics (a fresh object), ``updates`` what the
+    M-step received, and ``ll_calls`` counts the log-likelihood-only passes."""
+
+    def __init__(self, lls):
+        self.lls = iter(lls)
+        self.passes, self.updates, self.ll_calls = [], [], 0
+
+    def pass_fn(self):
+        self.passes.append(object())
+        return self.passes[-1], next(self.lls)
+
+    def update_fn(self, stats):
+        self.updates.append(stats)
+
+    def ll_fn(self):
+        self.ll_calls += 1
+        return next(self.lls)
+
+    def fit(self, hook=None, **cfg):
+        return em_fit(self.pass_fn, self.update_fn, self.ll_fn, TrainConfig(**cfg), hook)
+
+
 def test_em_fit_stops_on_plateau():
-    values = iter([-10.0, -5.0, -5.0])
+    em = ScriptedEM([-10.0, -5.0, -5.0])
     seen = []
-    log = em_fit(step_fn=lambda: None, ll_fn=lambda: next(values),
-                 cfg=TrainConfig(tol=1e-6, max_iters=50),
-                 hook=lambda i, ll: seen.append((i, ll)))
+    log = em.fit(hook=lambda i, ll: seen.append((i, ll)), tol=1e-6, max_iters=50)
     assert log.log_likelihoods == [-10.0, -5.0, -5.0]
     assert log.converged
     assert log.iterations == 2
@@ -298,8 +320,87 @@ def test_em_fit_stops_on_plateau():
 
 
 def test_em_fit_respects_max_iters():
-    counter = iter(range(100))
-    log = em_fit(step_fn=lambda: None, ll_fn=lambda: -100.0 + next(counter),
-                 cfg=TrainConfig(tol=1e-12, max_iters=5))
+    em = ScriptedEM([-100.0 + i for i in range(100)])
+    seen = []
+    log = em.fit(hook=lambda i, ll: seen.append((i, ll)), tol=1e-12, max_iters=5)
     assert not log.converged
     assert log.iterations == 5
+    assert log.log_likelihoods == [-100.0, -99.0, -98.0, -97.0, -96.0, -95.0]
+    assert seen == [(i, -100.0 + i) for i in range(1, 6)]
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 5])
+def test_em_fit_to_max_iters_makes_k_passes_and_one_ll_pass(max_iters):
+    em = ScriptedEM([-100.0 + i for i in range(100)])
+    em.fit(tol=1e-12, max_iters=max_iters)
+    assert len(em.passes) == max_iters
+    assert em.ll_calls == 1
+    assert len(em.updates) == max_iters
+
+
+@pytest.mark.parametrize("converge_at", [1, 2, 4])
+def test_em_fit_converging_at_j_makes_j_plus_one_passes_and_no_ll_pass(converge_at):
+    lls = [-100.0 + i for i in range(converge_at)] + [-100.0 + converge_at - 1]
+    em = ScriptedEM(lls)
+    log = em.fit(tol=1e-6, max_iters=50)
+    assert log.converged and log.iterations == converge_at
+    assert len(em.passes) == converge_at + 1
+    assert em.ll_calls == 0
+    assert len(em.updates) == converge_at  # the last pass's statistics are dropped
+
+
+def test_em_fit_updates_with_the_statistics_of_the_pass_before():
+    em = ScriptedEM([-100.0 + i for i in range(100)])
+    em.fit(tol=1e-12, max_iters=4)
+    assert len(em.updates) == len(em.passes) == 4
+    assert all(got is made for got, made in zip(em.updates, em.passes))
+
+
+@pytest.mark.parametrize("lls, max_iters, message", [
+    ([float("nan")], 5, "log-likelihood is nan after iteration 0"),
+    ([float("-inf")], 5, "log-likelihood is -inf after iteration 0"),
+    ([-10.0, -9.0, -8.0, float("-inf")], 3, "log-likelihood is -inf after iteration 3"),
+], ids=["nan_first", "minus_inf_first", "minus_inf_last"])
+def test_em_fit_rejects_a_non_finite_log_likelihood(lls, max_iters, message):
+    em = ScriptedEM(lls)
+    with pytest.raises(DegeneracyError, match=f"^{message}$"):
+        em.fit(tol=1e-12, max_iters=max_iters)
+    assert len(em.updates) == len(lls) - 1  # no update from a non-finite pass
+
+
+TRAINERS = {"plsa": train_plsa, "mwa": train_mwa, "itm": train_itm}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", sorted(TRAINERS))
+def test_em_run_to_max_iters_walks_the_data_max_iters_plus_one_times(
+        kind, workers, toy_corpus, monkeypatch):
+    fused = []  # per data pass: does it sum statistics besides the log-likelihood?
+
+    def counting(ids, counts, chunk_rows, add_chunk, zero, executor=None):
+        fused.append(len(zero()) > 1)
+        return mapreduce_slices(ids, counts, chunk_rows, add_chunk, zero, executor)
+
+    monkeypatch.setattr(training, "mapreduce_slices", counting)
+    cfg = TrainConfig(model=kind, topics=2, interests=2, tol=1e-12, max_iters=4,
+                      workers=workers)
+    _, log = TRAINERS[kind](toy_corpus, cfg)
+    assert log.iterations == 4 and not log.converged
+    assert fused == [True] * cfg.max_iters + [False]  # k fused passes, one LL-only pass
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", sorted(TRAINERS))
+def test_iteration_hook_sees_the_parameters_its_log_likelihood_belongs_to(
+        kind, workers, toy_corpus):
+    seen = []
+
+    def hook(model, iteration, ll):
+        seen.append(iteration)
+        assert model.log_likelihood(toy_corpus).hex() == ll.hex()
+
+    cfg = TrainConfig(model=kind, topics=2, interests=2, tol=1e-12, max_iters=4,
+                      workers=workers)
+    _, log = TRAINERS[kind](toy_corpus, cfg, iteration_hook=hook)
+    assert seen == [1, 2, 3, 4]
+    assert log.iterations == 4
