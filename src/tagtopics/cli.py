@@ -21,7 +21,8 @@ from .modelio import load_model
 from .mwa import train_mwa
 from .plsa import train_plsa
 from .sampling import load_spec, sample_corpus
-from .similarity import rank_by_seed, read_ranking, write_ranking
+# perfbench/tracing.py patches rank_by_seed here.
+from .similarity import rank_by_seed, rank_rows, read_ranking, write_ranking  # noqa: F401
 from .training import MODEL_KINDS, TrainConfig
 
 _TRAINERS = {"plsa": train_plsa, "mwa": train_mwa, "itm": train_itm}
@@ -75,7 +76,7 @@ def cmd_rank(args) -> None:
         hint = ", ".join(close) if close else "none"
         raise DataError(f"unknown seed resource {args.seed_resource!r}; "
                         f"close vocabulary matches: {hint}") from None
-    ranked = rank_by_seed(dict(enumerate(model.topic_distributions())), seed_id)
+    ranked = rank_rows(model.topic_distributions(), seed_id)
     meta = {"model": model.kind, "K": model.n_topics, "base": "e",
             "seed": corpus.resources.name_of(seed_id)}
     with (contextlib.nullcontext(sys.stdout) if args.output is None

@@ -20,11 +20,16 @@ M-steps:
     p(i|u)   = sum_{r,t} n(r,u,t) sum_z p(i,z|u,r,t) / n(u)
     p(z|r)   = sum_{u,t} n(r,u,t) sum_i p(i,z|u,r,t) / n(r)
 
-The trainer never materializes the posterior for all triples at once; M-step
-sums are accumulated streaming, chunk by chunk.  p(t|i,z) and its statistic
-are tag-major: a trained ``tag_given_interest_topic`` is an [I, K, T] view of
-[T, I, K] memory, so the E-step moves one contiguous I*K row per tag.  A model
-read from a file is C-contiguous; both layouts give the same bits.
+The E-step forms no posterior.  A triple's is A_t ⊙ (a_u ⊗ b_r) / total, with
+A_t = p(t|.,.) as [I, K], a_u = p(i|u) and b_r = p(z|r).  Stack the rows of
+one tag as a [n, I] and b [n, K]: M = b A_tᵀ gives the totals rowsum(a ⊙ M),
+and with w = n / total the p(i|u) and p(z|r) statistic rows are (w a) ⊙ M and
+b ⊙ ((w a) A_t), the tag's statistic A_t ⊙ ((w a)ᵀ b): the KL-NMF update of
+Lee & Seung (2001) in tensor form.  So ``rows`` sorts the (r, u, t)-sorted
+triples stably by tag, and ``e_step`` walks a chunk one tag run at a time.
+p(t|i,z) and its statistic are tag-major: a trained model's table is an
+[I, K, T] view of [T, I, K] memory.  A loaded one is C-contiguous; ``e_step``
+copies each run's A_t, so both layouts give the same bits.
 """
 
 from __future__ import annotations
@@ -37,9 +42,9 @@ from .errors import ConfigError
 from .similarity import TopicDistribution
 # perfbench/tracing.py patches em_fit and mapreduce_slices by model module.
 from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
-                       mapreduce_slices, noisy_uniform_rows, normalize_rows, triples)
+                       mapreduce_slices, noisy_uniform_rows, normalize_rows)
 
-# Posterior scratch per chunk is bounded by roughly this many float64 values.
+# Rows per chunk: as many as an [n, I, K] posterior of this many float64 values.
 _SCRATCH_ELEMS = 1 << 18
 
 
@@ -95,7 +100,12 @@ class ItmModel(_textio.Tables):
             seed=cfg.seed,
         )
 
-    rows = staticmethod(triples)
+    @staticmethod
+    def rows(corpus: Corpus):
+        """The triples in (t, r, u) order: a stable sort by tag of the (r, u, t)-sorted corpus."""
+        order = np.argsort(corpus.t_ids, kind="stable")
+        return ({"r": corpus.r_ids[order], "u": corpus.u_ids[order], "t": corpus.t_ids[order]},
+                corpus.counts[order])
 
     @property
     def chunk_rows(self) -> int:
@@ -113,15 +123,30 @@ class ItmModel(_textio.Tables):
         """Joint posterior p(i, z | u, r, t) for one triple, as an [I, K] table."""
         return training.posterior(self, r=resource, u=user, t=tag)
 
+    def e_step(self, chunk: dict, n, stats) -> np.ndarray:
+        """Mixture totals of the chunk's rows, one tag run at a time; given
+        ``stats``, the posterior statistics are added in (see the module doc)."""
+        tt = chunk["t"]
+        a, b = self.interest_given_user[chunk["u"]], self.topic_given_resource[chunk["r"]]
+        starts = np.flatnonzero(np.r_[True, tt[1:] != tt[:-1]])
+        # One contiguous A_t per run, whatever the table's layout.
+        tags = np.ascontiguousarray(np.moveaxis(self.tag_given_interest_topic, 2, 0)[tt[starts]])
+        runs = [slice(lo, hi) for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(tt)])]
+        m = np.concatenate([b[run] @ tag.T for run, tag in zip(runs, tags)])
+        totals = (a * m).sum(axis=1)
+        if stats is not None:
+            training.check_support(totals, chunk)
+            wa = a * (n / totals)[:, None]
+            stats[0][tt[starts]] += tags * np.stack([wa[run].T @ b[run] for run in runs])
+            np.add.at(stats[1], chunk["u"], wa * m)
+            np.add.at(stats[2], chunk["r"],
+                      b * np.concatenate([wa[run] @ tag for run, tag in zip(runs, tags)]))
+        return totals
+
     def zero_stats(self):
         return (np.zeros((self.n_tags, self.n_interests, self.n_topics)),
                 np.zeros((self.n_users, self.n_interests)),
                 np.zeros((self.n_resources, self.n_topics)))
-
-    def scatter(self, stats, ids, post) -> None:
-        training.scatter_add(stats[0], ids["t"], post)
-        np.add.at(stats[1], ids["u"], post.sum(axis=2))
-        np.add.at(stats[2], ids["r"], post.sum(axis=1))
 
     def m_step(self, stats) -> None:
         expected_t, expected_ui, expected_rz = stats

@@ -82,20 +82,24 @@ class RankedList:
         return len(self.entries)
 
 
-def rank_by_seed(dists: Mapping, seed) -> RankedList:
-    """Rank every non-seed resource by ascending JS divergence to the seed, in one
-    pass over the [R, K] stack of vectors in id order (each row summed as in
-    :func:`js_divergence`, so with its bits).  Ties go to the lower id."""
-    if seed not in dists:
-        raise DataError(f"seed {seed!r} has no topic distribution")
-    ids = sorted(dists)
-    seed_row = ids.index(seed)
-    probs = np.stack([_vector(dists[rid]) for rid in ids])
+def rank_rows(probs: np.ndarray, seed_row: int) -> RankedList:
+    """Rank every row of the [R, K] matrix ``probs`` but ``seed_row`` by ascending
+    JS divergence to it, as ``(row, divergence)`` entries, in one pass (each row
+    summed as in :func:`js_divergence`, so with its bits).  Ties go to the lower row."""
     m = 0.5 * (probs + probs[seed_row])
     div = 0.5 * (rel_entr(probs, m).sum(axis=1) + rel_entr(probs[seed_row], m).sum(axis=1))
     order = np.argsort(np.maximum(div, 0.0, out=div), kind="stable")
     order = order[order != seed_row]
-    return RankedList(seed, list(zip([ids[i] for i in order.tolist()], div[order].tolist())))
+    return RankedList(seed_row, list(zip(order.tolist(), div[order].tolist())))
+
+
+def rank_by_seed(dists: Mapping, seed) -> RankedList:
+    """:func:`rank_rows` over the stack of the vectors in id order, keyed by id."""
+    if seed not in dists:
+        raise DataError(f"seed {seed!r} has no topic distribution")
+    ids = sorted(dists)
+    ranked = rank_rows(np.stack([_vector(dists[rid]) for rid in ids]), ids.index(seed))
+    return RankedList(seed, [(ids[row], div) for row, div in ranked.entries])
 
 
 _RANKING_COLUMNS = "rank\tresource\tdivergence"

@@ -11,9 +11,13 @@ file schema, see ``_textio.Tables``); ``initial(corpus, cfg, rng)``, the seeded
 start; ``rows(corpus)``, the data rows as ``({id name: ids}, counts)``;
 ``chunk_rows``, rows per chunk, which fixes the summation order;
 ``mixture(*ids)``, the unnormalised joint per row as [n, latent...];
-``zero_stats()``, ``scatter(stats, ids, post)`` and ``m_step(stats)``, the
-sufficient statistics from weighted posteriors and the in-place update; and
-``log_terms(mix, ids)``, log p(row) from the mixture summed per row.
+``zero_stats()`` and ``m_step(stats)``, the sufficient statistics and the
+in-place update; and ``log_terms(mix, ids)``, log p(row) from the mixture
+summed per row.  A pass hands each chunk to one per-chunk step,
+``e_step(chunk, n, stats)``: it returns the rows' mixture totals and, given
+``stats``, adds the statistics of the n-weighted posteriors.  A model may
+supply its own (itm's never forms a posterior); the default sums ``mixture``
+and hands the posteriors to the model's ``scatter(stats, ids, post)``.
 
 Every pass walks the rows only through :func:`mapreduce_slices`, which holds
 its summation order (``_SLICES`` fixed slices summed from zero in
@@ -143,17 +147,6 @@ def mapreduce_slices(ids: dict, counts, chunk_rows: int, add_chunk, zero, execut
     return acc
 
 
-def scatter_add(table: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    """``np.add.at(table, idx, values)``, same bits: round k adds each id's k-th
-    row, so rows still add in row order; fast while ids repeat only a few times."""
-    order = np.argsort(idx, kind="stable")
-    starts = np.flatnonzero(np.r_[True, np.diff(idx[order]) != 0])
-    rank = np.arange(len(idx)) - np.repeat(starts, np.diff(np.r_[starts, len(idx)]))
-    for k in range(rank.max(initial=-1) + 1):
-        rows = order[rank == k]
-        table[idx[rows]] += values[rows]
-
-
 def em_fit(
     pass_fn: Callable[[], tuple],
     update_fn: Callable[[object], None],
@@ -191,23 +184,41 @@ def triples(corpus):
     return {"r": corpus.r_ids, "u": corpus.u_ids, "t": corpus.t_ids}, corpus.counts
 
 
-def _supported_mixture(model, ids: dict):
-    """``model.mixture`` of the data rows ``ids`` and its totals over the
-    latent axes; raises :class:`DegeneracyError` naming a row without support."""
-    mix = model.mixture(*ids.values())
-    totals = mix.sum(axis=tuple(range(1, mix.ndim)))
-    dead = totals <= 0.0
-    if dead.any():
+def check_support(totals, ids: dict) -> None:
+    """Raise :class:`DegeneracyError` naming the first data row of ``ids``
+    whose mixture total is not positive."""
+    if (dead := totals <= 0.0).any():
         bad = int(np.argmax(dead))
         where = ", ".join(f"{name}={col[bad]}" for name, col in ids.items())
         raise DegeneracyError(f"degenerate posterior for {_ROW_NAMES[len(ids)]} ({where})")
-    return mix, totals
 
 
-def _log_terms_sum(model, totals, chunk: dict, n):
-    """sum of n log p(row) over a chunk, from its mixture ``totals``."""
-    with np.errstate(divide="ignore"):
-        return (n * model.log_terms(totals, chunk)).sum()
+def _mixture_e_step(model, chunk: dict, n, stats) -> np.ndarray:
+    """The default per-chunk step: ``model.mixture`` of the rows summed over its
+    latent axes; with ``stats``, the n-weighted posteriors go to ``model.scatter``."""
+    post = model.mixture(*chunk.values())
+    totals = post.sum(axis=tuple(range(1, post.ndim)))
+    if stats is not None:
+        check_support(totals, chunk)
+        post *= (n / totals).reshape((-1,) + (1,) * (post.ndim - 1))
+        model.scatter(stats, chunk, post)
+    return totals
+
+
+def data_pass(model, ids: dict, counts, fused: bool, executor=None) -> tuple:
+    """One walk of the data rows at the current parameters: ``(stats, L)``, with
+    ``stats`` empty unless ``fused``.  Each chunk goes through the model's
+    ``e_step`` if it has one, else through :func:`_mixture_e_step`."""
+    e_step = getattr(type(model), "e_step", _mixture_e_step)
+
+    def add_chunk(sums, chunk, n) -> None:
+        totals = e_step(model, chunk, n, sums[1:] if fused else None)
+        with np.errstate(divide="ignore"):  # a zero total adds -inf
+            sums[0] += (n * model.log_terms(totals, chunk)).sum()
+
+    ll, *stats = mapreduce_slices(ids, counts, model.chunk_rows, add_chunk, lambda: [
+        np.zeros(()), *(model.zero_stats() if fused else ())], executor)
+    return stats, ll
 
 
 def check_ids(model, **ids) -> None:
@@ -223,7 +234,10 @@ def check_ids(model, **ids) -> None:
 def posterior(model, **ids) -> np.ndarray:
     """E-step posterior of one observed row, e.g. ``posterior(model, r=0, t=2)``."""
     check_ids(model, **ids)
-    mix, totals = _supported_mixture(model, {name: [i] for name, i in ids.items()})
+    row = {name: [i] for name, i in ids.items()}
+    mix = model.mixture(*row.values())
+    totals = mix.sum(axis=tuple(range(1, mix.ndim)))
+    check_support(totals, row)
     return mix[0] / totals[0]
 
 
@@ -244,13 +258,7 @@ def log_likelihood(model, corpus) -> float:
     -inf (with a warning) if an observed row has zero probability."""
     model.check_corpus(corpus)
     ids, counts = model.rows(corpus)
-
-    def add_chunk(sums, chunk, n) -> None:
-        mix = model.mixture(*chunk.values())
-        sums[0] += _log_terms_sum(model, mix.sum(axis=tuple(range(1, mix.ndim))), chunk, n)
-
-    total = float(mapreduce_slices(ids, counts, model.chunk_rows, add_chunk,
-                                   lambda: [np.zeros(())])[0])
+    total = float(data_pass(model, ids, counts, fused=False)[1])
     if not math.isfinite(total):
         logger.warning(f"observed {_ROW_NAMES[len(ids)]} has zero probability; "
                        "log-likelihood is degenerate (-inf)")
@@ -271,19 +279,9 @@ def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
     ids, counts = model.rows(corpus)
     executor = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
 
-    def add_chunk(sums, chunk, n) -> None:
-        post, totals = _supported_mixture(model, chunk)
-        sums[0] += _log_terms_sum(model, totals, chunk, n)
-        post *= (n / totals).reshape((-1,) + (1,) * (post.ndim - 1))
-        model.scatter(sums[1:], chunk, post)
-
-    def fused_pass():
-        ll, *stats = mapreduce_slices(ids, counts, model.chunk_rows, add_chunk,
-                                      lambda: [np.zeros(()), *model.zero_stats()], executor)
-        return stats, ll
-
     hook = None if iteration_hook is None else (
         lambda iteration, ll: iteration_hook(model, iteration, ll))
     with executor or contextlib.nullcontext():
-        log = em_fit(fused_pass, model.m_step, lambda: model.log_likelihood(corpus), cfg, hook)
+        log = em_fit(lambda: data_pass(model, ids, counts, True, executor), model.m_step,
+                     lambda: model.log_likelihood(corpus), cfg, hook)
     return model, log

@@ -2,12 +2,17 @@
 
 Everything here is written as plain Python loops over the dense tables so
 the math shares no code with the package internals.  Oracles stay slow and
-obvious on purpose.  The one exception is :func:`rank_by_seed`, the scalar
-ranking: it calls the package's ``js_divergence`` once per resource, so the
-vectorised ranking can be held to its bits.
+obvious on purpose.  Two exceptions reuse a package kernel on purpose:
+:func:`rank_by_seed`, the scalar ranking, calls the package's
+``js_divergence`` once per resource, so the vectorised ranking can be held
+to its bits; and :func:`itm_mixture_e_step` is the itm E-step as it was
+before the factored pass, through ``ItmModel.mixture``, so the factored
+pass can be held to it.
 """
 
 import math
+
+import numpy as np
 
 from tagtopics.similarity import js_divergence as scalar_js_divergence
 
@@ -121,6 +126,21 @@ def itm_m_step(corpus, posteriors):
     topic_table = [[v / corpus.n_r[r] for v in row] for r, row in enumerate(num_rz)]
 
     return tag_table, interest_table, topic_table
+
+
+def itm_mixture_e_step(model, ids, counts):
+    """The itm statistics ``(p(t|i,z) as [T, I, K], p(i|u), p(z|r))`` and L of
+    the data rows ``ids``, ``counts`` through the [n, I, K] posterior of
+    ``model.mixture``, added with ``np.add.at`` in row order."""
+    post = model.mixture(ids["r"], ids["u"], ids["t"])
+    totals = post.sum(axis=(1, 2))
+    ll = float((counts * model.log_terms(totals, ids)).sum())
+    post *= (counts / totals)[:, None, None]
+    stats = model.zero_stats()
+    np.add.at(stats[0], ids["t"], post)
+    np.add.at(stats[1], ids["u"], post.sum(axis=2))
+    np.add.at(stats[2], ids["r"], post.sum(axis=1))
+    return stats, ll
 
 
 def draw_by_comparison(table, rows, uniforms):

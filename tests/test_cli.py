@@ -12,7 +12,7 @@ from tagtopics.modelio import load_model
 from tagtopics.mwa import MwaModel
 from tagtopics.plsa import PlsaModel
 from tagtopics.sampling import planted_two_topic_spec, save_spec
-from tagtopics.similarity import TopicDistribution, rank_by_seed, write_ranking
+from tagtopics.similarity import TopicDistribution, rank_by_seed, rank_rows, write_ranking
 from tagtopics.training import MODEL_KINDS, TrainConfig
 
 
@@ -169,6 +169,20 @@ class TestRank:
         monkeypatch.setattr(TopicDistribution, "__post_init__", built)
         assert run("rank", model_path, corpus_path, "a", "--output", out) == 0
         assert out.read_bytes() == expected
+
+    def test_ranks_the_model_matrix_as_it_is(self, trained, tmp_path, monkeypatch):
+        corpus_path, model_path = trained
+        seen = []
+
+        def recorded(probs, seed_row):
+            seen.append(probs)
+            return rank_rows(probs, seed_row)
+
+        monkeypatch.setattr(cli, "rank_rows", recorded)
+        assert run("rank", model_path, corpus_path, "a", "--output", tmp_path / "out") == 0
+        model = load_model(model_path)
+        assert len(seen) == 1 and type(seen[0]) is np.ndarray
+        assert seen[0].tobytes() == model.topic_distributions().tobytes()
 
     def test_unknown_seed_suggests_matches(self, trained, capsys):
         corpus_path, model_path = trained

@@ -5,9 +5,9 @@
 that training on ``toy_corpus`` produced when they were written.
 ``tests/data/trained.sliced`` holds, per kind, the model file's SHA-256 and
 the ``float.hex`` history of training on ``sliced_corpus``, where every
-slice of the E-step spans several itm chunks.  Any change to the trainers'
-arithmetic or summation order shows up here, and so does any dependence of
-the result on the worker count.
+slice of the E-step spans several itm chunks and itm tag runs cross chunk
+and slice edges.  Any change to the trainers' arithmetic or summation order
+shows up here, and so does any dependence of the result on the worker count.
 
 Rewrite the files (only after a deliberate numeric change) with
 ``PYTHONPATH=src python tests/test_golden_training.py``; it writes nothing
@@ -31,13 +31,15 @@ TRAINERS = {"plsa": train_plsa, "mwa": train_mwa, "itm": train_itm}
 WORKERS = (1, 2, 3)
 CASES = [(kind, workers) for kind in TRAINERS for workers in WORKERS]
 TOY = {"topics": 2, "interests": 2, "tol": 1e-12, "max_iters": 25, "seed": 3}
-# I*K = 4096, so an itm chunk holds 64 rows.
+# I*K = 4096, so an itm chunk holds 64 rows (a few tag runs).
 SLICED = {"topics": 64, "interests": 64, "tol": 1e-12, "max_iters": 2, "seed": 4}
 
 
 def sliced_corpus():
-    """About 1.9k distinct triples sampled from a seeded random itm spec:
-    each of the trainer's 8 slices spans about four 64-row itm chunks."""
+    """1,936 distinct triples over 100 tags sampled from a seeded random itm
+    spec.  In itm's (t, r, u) row order each of the trainer's 8 slices of
+    242 rows spans four 64-row chunks; 23 tag runs cross a chunk edge and 7
+    cross a slice edge."""
     rng = np.random.default_rng(21)
     model = ItmModel(user_probs=rng.dirichlet(np.ones(30)),
                      resource_probs=rng.dirichlet(np.ones(40)),

@@ -1,8 +1,12 @@
 import io
+import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from helpers import make_corpus, random_corpus
@@ -12,7 +16,7 @@ from tagtopics.itm import ItmModel, train_itm
 from tagtopics.plsa import train_plsa
 from tagtopics.sampling import PlantedSpec, planted_two_topic_spec, sample_corpus
 from tagtopics.modelio import load_model, read_model
-from tagtopics.training import TrainConfig, noisy_uniform_rows
+from tagtopics.training import _SLICES, TrainConfig, data_pass, noisy_uniform_rows
 
 def cfg(**kwargs):
     kwargs.setdefault("model", "itm")
@@ -152,6 +156,77 @@ class TestTrainItm:
         assert np.array_equal(first.interest_given_user, second.interest_given_user)
         assert np.array_equal(first.topic_given_resource, second.topic_given_resource)
 
+
+
+@st.composite
+def tag_runs(draw, n_interests):
+    """A random itm model and data rows in (t, r, u) order: tag 0 has one row,
+    tag 1 none, and tag 2 a run over two slices of several chunks each;
+    counts go up to 9, with one above 1.  Returns ``(model, ids, counts,
+    chunk_rows)``."""
+    n_resources, n_users = draw(st.integers(7, 9)), draw(st.integers(7, 9))
+    chunk_rows = draw(st.integers(1, 3))
+    sizes = [1, 0, draw(st.integers(16 * chunk_rows + 1, n_resources * n_users))]
+    sizes += draw(st.lists(st.integers(1, n_resources * n_users), max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [np.sort(rng.choice(n_resources * n_users, size, replace=False)) for size in sizes]
+    r, u = np.divmod(np.concatenate(pairs), n_users)
+    t = np.repeat(np.arange(len(sizes)), sizes)
+    counts = rng.integers(1, 10, size=len(t))
+    counts[draw(st.integers(0, len(t) - 1))] = draw(st.integers(2, 9))
+    n_topics = draw(st.integers(1, 4))
+    model = ItmModel(
+        tag_given_interest_topic=rng.dirichlet(np.ones(len(sizes)), size=(n_interests, n_topics)),
+        interest_given_user=rng.dirichlet(np.ones(n_interests), size=n_users),
+        topic_given_resource=rng.dirichlet(np.ones(n_topics), size=n_resources),
+        user_probs=rng.dirichlet(np.ones(n_users)),
+        resource_probs=rng.dirichlet(np.ones(n_resources)))
+    return model, {"r": r, "u": u, "t": t}, counts, chunk_rows
+
+
+class TestFactoredEStep:
+    """The trainer's pass over tag runs against the mixture-based E-step."""
+
+    @pytest.mark.parametrize("n_interests", [1, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_statistics_and_log_likelihood_match_the_mixture_e_step(self, n_interests, data):
+        model, ids, counts, chunk_rows = data.draw(tag_runs(n_interests))
+        edges = [len(counts) * i // _SLICES for i in range(_SLICES + 1)]
+        cuts = [a for lo, hi in zip(edges, edges[1:])
+                for a in range(lo + chunk_rows, hi, chunk_rows)]
+        assert any(ids["t"][a - 1] == ids["t"][a] for a in cuts)  # a run cut inside a slice
+        with mock.patch.object(ItmModel, "chunk_rows", chunk_rows):
+            stats, ll = data_pass(model, ids, counts, fused=True)
+            assert data_pass(model, ids, counts, fused=False)[1] == ll
+        expected, expected_ll = oracles.itm_mixture_e_step(model, ids, counts)
+        for got, want in zip(stats, expected):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert not stats[0][1].any()  # the tag without rows gets no statistic
+        assert ll == pytest.approx(expected_ll, rel=1e-12, abs=0)
+
+    @staticmethod
+    def zero_tag_model():
+        return ItmModel(tag_given_interest_topic=np.array([[[1.0, 0.0]]]),
+                        interest_given_user=np.array([[1.0], [1.0]]),
+                        topic_given_resource=np.array([[1.0], [1.0]]),
+                        user_probs=np.array([0.5, 0.5]), resource_probs=np.array([0.5, 0.5]))
+
+    def test_a_zero_probability_row_raises_with_its_ids(self):
+        corpus = make_corpus(["a\tu\tx", "a\tv\ty", "b\tu\ty", "b\tv\tx"])
+        model = self.zero_tag_model()
+        ids, counts = model.rows(corpus)
+        assert list(zip(ids["r"], ids["u"], ids["t"])) == [(0, 0, 0), (1, 1, 0),
+                                                             (0, 1, 1), (1, 0, 1)]
+        with pytest.raises(DegeneracyError,
+                           match=r"^degenerate posterior for triple \(r=0, u=1, t=1\)$"):
+            data_pass(model, ids, counts, fused=True)
+
+    def test_a_zero_probability_row_gives_minus_inf_with_a_warning(self, caplog):
+        corpus = make_corpus(["a\tu\tx", "a\tv\ty", "b\tu\ty", "b\tv\tx"])
+        with caplog.at_level(logging.WARNING, logger="tagtopics.training"):
+            assert self.zero_tag_model().log_likelihood(corpus) == -math.inf
+        assert "observed triple has zero probability" in caplog.text
 
 
 class TestLogLikelihood:

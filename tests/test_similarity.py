@@ -11,8 +11,8 @@ import oracles
 from tagtopics import similarity
 from tagtopics.errors import DataError
 from tagtopics.similarity import (LN2, RankedList, TopicDistribution,
-                                  js_divergence, rank_by_seed, read_ranking,
-                                  write_ranking)
+                                  js_divergence, rank_by_seed, rank_rows,
+                                  read_ranking, write_ranking)
 
 
 def random_distribution(rng, size):
@@ -193,6 +193,33 @@ class TestRankBySeed:
         d = TopicDistribution(np.array([0.3, 0.7]))
         dists = {2: d, 1: TopicDistribution(np.array([1.0, 0.0])), 0: d}
         assert [rid for rid, _ in rank_by_seed(dists, 2).entries] == [0, 1]
+
+
+class TestRankRows:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_scalar_oracle_bit_for_bit(self, data):
+        """Rows of one matrix, with zeros and an exact tie, keyed by row."""
+        k = data.draw(st.sampled_from([1, 3, 8, 9, 40]), label="topics")
+        n = data.draw(st.integers(1, 12), label="resources")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="draw"))
+        probs = rng.dirichlet(np.ones(k), size=n)
+        probs[rng.random(probs.shape) < 0.25] = 0.0
+        probs[:, 0] += probs.sum(axis=1) == 0.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[n // 2] = probs[-1]
+        seed = data.draw(st.integers(0, n - 1), label="seed")
+        ranked = rank_rows(probs, seed)
+        assert ranked.seed == seed
+        want = oracles.rank_by_seed(dict(enumerate(probs)), seed)
+        assert [(row, div.hex()) for row, div in ranked.entries] == \
+            [(row, div.hex()) for row, div in want]
+
+    def test_rank_by_seed_ranks_the_stack_in_id_order(self):
+        rows = {9: [0.2, 0.8], -1: [0.5, 0.5], 4: [0.9, 0.1]}
+        by_row = rank_rows(np.array([rows[-1], rows[4], rows[9]]), 2)
+        assert rank_by_seed({rid: np.array(row) for rid, row in rows.items()}, 9).entries == \
+            [([-1, 4, 9][row], div) for row, div in by_row.entries]
 
 
 class TestRankedList:

@@ -6,9 +6,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from helpers import random_corpus
 from tagtopics import train_itm, train_mwa, train_plsa, training
@@ -17,7 +14,7 @@ from tagtopics.errors import ConfigError, DataError, DegeneracyError
 from tagtopics.itm import ItmModel
 from tagtopics.mwa import MwaModel
 from tagtopics.training import (_SLICES, TrainConfig, em_fit, mapreduce_slices,
-                                noisy_uniform_rows, scatter_add)
+                                noisy_uniform_rows)
 
 
 class TestTrainConfig:
@@ -115,9 +112,11 @@ def test_mapreduce_slices_adds_in_slice_order(threads):
                                 functools.reduce(operator.add, [2.0 * v for v in values])]
 
 
-def walked_log_likelihood(model, corpus, chunk_rows, slices=_SLICES):
+def walked_log_likelihood(model, corpus, chunk_rows, slices=_SLICES, chunk_totals=None):
     """sum of n log p(row) by plain loops: ``slices`` slices, each summed from
-    zero in ``chunk_rows`` chunks, the slice sums added in slice order."""
+    zero in ``chunk_rows`` chunks, the slice sums added in slice order.  A
+    chunk's mixture totals come from ``chunk_totals(chunk)``, by default the
+    sums of its ``mixture``."""
     ids, counts = model.rows(corpus)
     edges = [len(counts) * i // slices for i in range(slices + 1)]
     total = 0.0
@@ -126,23 +125,31 @@ def walked_log_likelihood(model, corpus, chunk_rows, slices=_SLICES):
         for a in range(lo, hi, chunk_rows):
             b = min(a + chunk_rows, hi)
             chunk = {name: col[a:b] for name, col in ids.items()}
-            mix = model.mixture(*chunk.values()).sum(axis=(1, 2))
+            mix = (chunk_totals(chunk) if chunk_totals else
+                   model.mixture(*chunk.values()).sum(axis=1))
             part += float((counts[a:b] * model.log_terms(mix, chunk)).sum())
         total += part
     return total
 
 
-def test_log_likelihood_sums_the_e_steps_chunks_and_slices():
-    # A seed whose sums depend on the order: the last two asserts check that.
-    rng = np.random.default_rng(2)
+def order_sensitive_corpus(rng):
     r, u, t = np.unravel_index(rng.choice(20 * 10 * 5, size=600, replace=False), (20, 10, 5))
     vocab = [Vocab(map(str, range(n))) for n in (20, 10, 5)]
-    corpus = Corpus(*vocab, r, u, t, rng.integers(1, 1000, size=600))
-    model = ItmModel(user_probs=corpus.n_u / corpus.total,
-                     resource_probs=corpus.n_r / corpus.total,
-                     interest_given_user=rng.dirichlet(np.ones(128), size=10),
-                     topic_given_resource=rng.dirichlet(np.ones(128), size=20),
-                     tag_given_interest_topic=rng.dirichlet(np.ones(5), size=(128, 128)))
+    return Corpus(*vocab, r, u, t, rng.integers(1, 1000, size=600))
+
+
+class SmallChunkMwa(MwaModel):
+    chunk_rows = 16
+
+
+def test_log_likelihood_sums_the_e_steps_chunks_and_slices():
+    # A seed whose sums depend on the order: the last two asserts check that.
+    rng = np.random.default_rng(3)
+    corpus = order_sensitive_corpus(rng)
+    model = SmallChunkMwa(topic_probs=rng.dirichlet(np.ones(128)),
+                          resource_given_topic=rng.dirichlet(np.ones(20), size=128),
+                          user_given_topic=rng.dirichlet(np.ones(10), size=128),
+                          tag_given_topic=rng.dirichlet(np.ones(5), size=128))
     assert model.chunk_rows == 16  # about 5 chunks per 75-row slice
     got = model.log_likelihood(corpus)
     assert got.hex() == walked_log_likelihood(model, corpus, 16).hex()
@@ -151,62 +158,43 @@ def test_log_likelihood_sums_the_e_steps_chunks_and_slices():
     assert got.hex() != walked_log_likelihood(model, corpus, 16, slices=1).hex()
 
 
-def add_at(table, idx, values):
-    """``np.add.at`` on a copy of ``table`` and ``scatter_add`` on another."""
-    expected, got = table.copy(), table.copy()
-    np.add.at(expected, idx, values)
-    scatter_add(got, idx, values)
-    return expected, got
+def tag_run_totals(model):
+    """A chunk's itm mixture totals by a plain loop over its runs of equal
+    tags: per run, rows p(i|u) (p(z|r) p(t|i,z)^T) summed over i."""
+    tag_rows = np.moveaxis(model.tag_given_interest_topic, 2, 0)
+
+    def totals(chunk):
+        parts = []
+        tt = chunk["t"].tolist()
+        lo = 0
+        for hi in range(1, len(tt) + 1):
+            if hi == len(tt) or tt[hi] != tt[lo]:
+                a = model.interest_given_user[chunk["u"][lo:hi]]
+                b = model.topic_given_resource[chunk["r"][lo:hi]]
+                parts.append((a * (b @ np.ascontiguousarray(tag_rows[tt[lo]]).T)).sum(axis=1))
+                lo = hi
+        return np.concatenate(parts)
+    return totals
 
 
-@st.composite
-def scatter_cases(draw):
-    """A table, ids with repeats and values, 1-D to 3-D, whose sums depend
-    on the order of addition."""
-    tail = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
-    n_ids = draw(st.integers(1, 6))
-    n = draw(st.integers(0, 80))
-    idx = draw(arrays(np.int64, n, elements=st.integers(0, n_ids - 1)))
-    magnitudes = st.sampled_from(ORDER_SENSITIVE + [-1.0, 0.5, 3.0])
-    values = draw(arrays(np.float64, (n, *tail), elements=magnitudes))
-    table = draw(arrays(np.float64, (n_ids, *tail), elements=magnitudes))
-    return table, idx, values
-
-
-@settings(max_examples=300, deadline=None)
-@given(scatter_cases())
-def test_scatter_add_matches_add_at_bit_for_bit(case):
-    expected, got = add_at(*case)
-    assert got.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("tail", [(), (3,), (2, 3)])
-def test_scatter_add_adds_each_ids_rows_in_row_order(tail):
-    values = np.array(ORDER_SENSITIVE * 4).reshape(-1, *(1,) * len(tail)) * np.ones(tail)
-    idx = np.repeat([2, 0, 1, 0], 8)
-    rng = np.random.default_rng(5)
-    rng.shuffle(idx)
-    table = np.zeros((3, *tail))
-    expected, got = add_at(table, idx, values)
-    assert got.tobytes() == expected.tobytes()
-    # The sums do depend on the order: a reversed walk gives other bits.
-    reversed_ = table.copy()
-    np.add.at(reversed_, idx[::-1], values[::-1])
-    assert reversed_.tobytes() != expected.tobytes()
-
-
-def test_scatter_add_long_index_with_few_ids():
-    rng = np.random.default_rng(7)
-    idx = rng.integers(0, 10, size=5000)
-    values = rng.choice(ORDER_SENSITIVE, size=(5000, 4))
-    expected, got = add_at(rng.random((10, 4)), idx, values)
-    assert got.tobytes() == expected.tobytes()
-
-
-def test_scatter_add_empty_index_leaves_table():
-    table = np.arange(6.0).reshape(3, 2)
-    expected, got = add_at(table, np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
-    assert got.tobytes() == expected.tobytes() == table.tobytes()
+def test_itm_log_likelihood_sums_tag_runs_in_chunks_and_slices():
+    rng = np.random.default_rng(2)
+    corpus = order_sensitive_corpus(rng)
+    model = ItmModel(user_probs=corpus.n_u / corpus.total,
+                     resource_probs=corpus.n_r / corpus.total,
+                     interest_given_user=rng.dirichlet(np.ones(128), size=10),
+                     topic_given_resource=rng.dirichlet(np.ones(128), size=20),
+                     tag_given_interest_topic=rng.dirichlet(np.ones(5), size=(128, 128)))
+    assert model.chunk_rows == 16  # about 5 chunks per 75-row slice
+    ids, _ = model.rows(corpus)
+    assert np.lexsort((ids["u"], ids["r"], ids["t"])).tolist() == list(range(600))
+    totals = tag_run_totals(model)
+    got = model.log_likelihood(corpus)
+    assert got.hex() == walked_log_likelihood(model, corpus, 16, chunk_totals=totals).hex()
+    # The order matters: one chunk per slice, or chunks without slices, differ.
+    assert got.hex() != walked_log_likelihood(model, corpus, 600, chunk_totals=totals).hex()
+    assert got.hex() != walked_log_likelihood(model, corpus, 16, slices=1,
+                                              chunk_totals=totals).hex()
 
 
 POSTERIOR_IDS = {"hand_plsa_model": ("resource", "tag"),
