@@ -7,7 +7,7 @@ interests from resource topics -- and ranks resources against a seed by the
 Jensen-Shannon divergence of their topic distributions.
 """
 
-from .corpus import (Corpus, Triple, Vocab, filter_tags, ingest_triples,
+from .corpus import (Corpus, Vocab, filter_tags, ingest_triples,
                      read_corpus, save_corpus, write_corpus_tsv)
 from .errors import ConfigError, DataError, DegeneracyError, TagTopicsError
 from .itm import ItmModel, train_itm
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "Corpus", "DataError", "DegeneracyError", "ItmModel",
     "LabelSet", "MwaModel", "PlantedSpec", "PlsaModel", "RankedList",
-    "TagTopicsError", "TopicDistribution", "TrainConfig", "TrainLog", "Triple",
+    "TagTopicsError", "TopicDistribution", "TrainConfig", "TrainLog",
     "Vocab", "count_relevant_topk", "effort_to_n", "filter_tags",
     "ingest_triples", "js_divergence", "load_model", "load_spec",
     "planted_two_topic_spec", "rank_by_seed", "read_corpus", "read_model",

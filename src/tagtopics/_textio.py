@@ -54,6 +54,16 @@ class Tables:
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
+def tsv_records(lines):
+    """``(lineno, fields)`` for each line that is neither blank nor a ``#``
+    comment: the line less its trailing CR and LF characters, split on tabs.
+    Lines are numbered from 1, the skipped ones included."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if line and line[0] != "#" and not line.isspace():
+            yield lineno, line.split("\t")
+
+
 def next_fields(stream, what: str = "data") -> list[str]:
     """Whitespace-split fields of the next non-blank, non-comment line."""
     for raw in stream:

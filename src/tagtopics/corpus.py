@@ -12,27 +12,17 @@ user-aggregated resource-tag counts ``n(r, t)``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from typing import NamedTuple
+from collections.abc import Iterable
 
 import numpy as np
 
-from ._textio import atomic_write
+from ._textio import atomic_write, tsv_records
 from .errors import ConfigError, DataError
-
-COMMENT_CHAR = "#"
 
 # Default frequency window for the tag reduction: drop tags seen fewer than
 # ten or more than ten thousand times, and every triple carrying them.
 DEFAULT_MIN_TAG_FREQ = 10
 DEFAULT_MAX_TAG_FREQ = 10_000
-
-
-class Triple(NamedTuple):
-    resource: int
-    user: int
-    tag: int
-    count: int
 
 
 class Vocab:
@@ -72,15 +62,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.entries)
-
-    def __contains__(self, entry: str) -> bool:
-        return entry in self.index
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vocab) and self.entries == other.entries
-
     def __repr__(self) -> str:
         return f"Vocab({len(self.entries)} entries)"
 
@@ -102,6 +83,15 @@ def _sort_rows(columns):
     for col in columns:
         first[1:] |= col[1:] != col[:-1]
     return order, columns, first
+
+
+def renumber(kept: np.ndarray, ids: np.ndarray, name) -> tuple[Vocab, np.ndarray]:
+    """Number the old ids ``kept`` 0, 1, ... in their order.  Returns the
+    vocabulary of their ``name(old id)`` entries and ``ids``, each of which
+    must be in ``kept``, in the new numbers."""
+    remap = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
+    remap[kept] = np.arange(len(kept))
+    return Vocab(name(i) for i in kept), remap[ids]
 
 
 def merge_rows(columns, counts: np.ndarray):
@@ -163,10 +153,6 @@ class Corpus:
         """Number of distinct (resource, user, tag) keys."""
         return len(self.counts)
 
-    def iter_triples(self) -> Iterator[Triple]:
-        for r, u, t, n in zip(self.r_ids, self.u_ids, self.t_ids, self.counts):
-            yield Triple(int(r), int(u), int(t), int(n))
-
     def rt_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """User-aggregated pairs as parallel arrays ``(r, t, n(r, t))``, sorted by (r, t)."""
         if self._rt_cache is None:
@@ -199,11 +185,7 @@ def ingest_triples(lines: Iterable[str]) -> Corpus:
     resources, users, tags = Vocab(), Vocab(), Vocab()
     ids: list[int] = []
     counts: list[int] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.startswith(COMMENT_CHAR):
-            continue
-        fields = line.split("\t")
+    for lineno, fields in tsv_records(lines):
         if len(fields) not in (3, 4):
             raise DataError(f"line {lineno}: expected 3 or 4 tab-separated fields, got {len(fields)}")
         if not all(fields[:3]):
@@ -272,17 +254,9 @@ def filter_tags(corpus: Corpus, min_freq: int = DEFAULT_MIN_TAG_FREQ,
     if not mask.any():
         raise DataError("all triples filtered")
 
-    sub_r, sub_u, sub_t, sub_n = (
-        col[mask] for col in (corpus.r_ids, corpus.u_ids, corpus.t_ids, corpus.counts))
-
-    def compact(old_vocab: Vocab, kept_ids: np.ndarray) -> tuple[Vocab, np.ndarray]:
-        remap = np.full(len(old_vocab), -1, dtype=np.int64)
-        remap[kept_ids] = np.arange(len(kept_ids))
-        return Vocab(old_vocab.entries[i] for i in kept_ids), remap
-
-    new_resources, remap_r = compact(corpus.resources, np.unique(sub_r))
-    new_users, remap_u = compact(corpus.users, np.unique(sub_u))
-    new_tags, remap_t = compact(corpus.tags, np.unique(sub_t))
-    return Corpus(new_resources, new_users, new_tags,
-                  remap_r[sub_r], remap_u[sub_u], remap_t[sub_t], sub_n)
+    kept = [col[mask] for col in (corpus.r_ids, corpus.u_ids, corpus.t_ids)]
+    (resources, r), (users, u), (tags, t) = (
+        renumber(np.unique(ids), ids, vocab.entries.__getitem__)
+        for vocab, ids in zip((corpus.resources, corpus.users, corpus.tags), kept))
+    return Corpus(resources, users, tags, r, u, t, corpus.counts[mask])
 

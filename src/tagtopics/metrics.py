@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from ._textio import tsv_records
 from .errors import DataError
 from .similarity import RankedList
 
@@ -43,11 +44,7 @@ class LabelSet:
     def from_tsv(cls, lines: Iterable[str]) -> "LabelSet":
         """Parse ``resource<TAB>label`` lines; ``#`` comments and blanks skipped."""
         labels: dict = {}
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
+        for lineno, fields in tsv_records(lines):
             if len(fields) != 2 or not fields[0]:
                 raise DataError(f"line {lineno}: expected resource<TAB>label")
             if fields[0] in labels and labels[fields[0]] != fields[1]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _textio
-from .corpus import Corpus, Vocab, merge_rows
+from .corpus import Corpus, merge_rows, renumber
 from .errors import ConfigError, DataError
 from .itm import ItmModel
 from .modelio import read_model
@@ -96,18 +96,11 @@ def sample_corpus(spec: PlantedSpec) -> Corpus:
         t = _draw_rows(rng, model.tag_given_interest_topic.reshape(-1, model.n_tags),
                        i * model.n_topics + z)
 
-    def compact(ids: np.ndarray, prefix: str) -> tuple[Vocab, np.ndarray]:
-        planted, first_pos = np.unique(ids, return_index=True)
-        appearance = planted[np.argsort(first_pos)]
-        remap = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
-        remap[appearance] = np.arange(len(appearance))
-        return Vocab(f"{prefix}{pid}" for pid in appearance), remap[ids]
-
-    resources, r_new = compact(r, "r")
-    users, u_new = compact(u, "u")
-    tags, t_new = compact(t, "t")
-
-    (r, u, t), counts = merge_rows((r_new, u_new, t_new), np.ones(n, dtype=np.int64))
+    # Renumber each column's planted ids in order of first appearance.
+    (resources, r), (users, u), (tags, t) = (
+        renumber(ids[np.sort(np.unique(ids, return_index=True)[1])], ids, name)
+        for ids, name in ((r, "r{}".format), (u, "u{}".format), (t, "t{}".format)))
+    (r, u, t), counts = merge_rows((r, u, t), np.ones(n, dtype=np.int64))
     return Corpus(resources, users, tags, r, u, t, counts)
 
 

@@ -67,7 +67,9 @@ class RankedList:
 
     def __post_init__(self):
         divergences = [d for _, d in self.entries]
-        if any(b < a for a, b in zip(divergences, divergences[1:])):
+        if not np.isfinite(divergences).all():  # first, as nan defeats every order check
+            raise DataError("ranking divergences must be finite")
+        if divergences != sorted(divergences):
             raise DataError("ranking divergences must be non-decreasing")
         keys = [rid for rid, _ in self.entries]
         if len(set(keys)) != len(keys):

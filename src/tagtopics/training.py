@@ -73,6 +73,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {MODEL_KINDS}")
+        for name in ("topics", "interests", "max_iters", "seed", "workers", "max_table_bytes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.topics < 1:
             raise ConfigError("topics must be >= 1")
         if self.model == "itm" and self.interests < 1:
@@ -81,6 +85,8 @@ class TrainConfig:
             raise ConfigError("tol must be > 0")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.max_table_bytes < 1:

@@ -19,10 +19,8 @@ def rt_counts(corpus):
 def named_triples(corpus):
     """Counts keyed by entity names, independent of id assignment."""
     return {
-        (corpus.resources.name_of(tr.resource),
-         corpus.users.name_of(tr.user),
-         corpus.tags.name_of(tr.tag)): tr.count
-        for tr in corpus.iter_triples()
+        (corpus.resources.name_of(r), corpus.users.name_of(u), corpus.tags.name_of(t)): int(n)
+        for r, u, t, n in zip(corpus.r_ids, corpus.u_ids, corpus.t_ids, corpus.counts)
     }
 
 

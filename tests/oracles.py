@@ -50,8 +50,8 @@ def mwa_joint(model, r, u, t):
 
 def mwa_log_likelihood(model, corpus):
     ll = 0.0
-    for tr in corpus.iter_triples():
-        ll += tr.count * math.log(mwa_joint(model, tr.resource, tr.user, tr.tag))
+    for r, u, t, n in zip(corpus.r_ids, corpus.u_ids, corpus.t_ids, corpus.counts):
+        ll += n * math.log(mwa_joint(model, r, u, t))
     return ll
 
 
@@ -81,8 +81,8 @@ def itm_joint(model, r, u, t):
 
 def itm_log_likelihood(model, corpus):
     ll = 0.0
-    for tr in corpus.iter_triples():
-        ll += tr.count * math.log(itm_joint(model, tr.resource, tr.user, tr.tag))
+    for r, u, t, n in zip(corpus.r_ids, corpus.u_ids, corpus.t_ids, corpus.counts):
+        ll += n * math.log(itm_joint(model, r, u, t))
     return ll
 
 
@@ -99,30 +99,30 @@ def itm_posterior(model, r, u, t):
 def itm_m_step(corpus, posteriors):
     """Posterior-weighted re-estimation, with the explicit n(u) and n(r)
     denominators; returns plain nested lists."""
-    triples = list(corpus.iter_triples())
+    triples = list(zip(corpus.r_ids, corpus.u_ids, corpus.t_ids, corpus.counts))
     n_interests = len(posteriors[0])
     n_topics = len(posteriors[0][0])
     n_tags = len(corpus.tags)
 
     num_tag = [[[0.0] * n_tags for _ in range(n_topics)] for _ in range(n_interests)]
-    for idx, tr in enumerate(triples):
+    for idx, (_, _, t, n) in enumerate(triples):
         for i in range(n_interests):
             for z in range(n_topics):
-                num_tag[i][z][tr.tag] += tr.count * posteriors[idx][i][z]
+                num_tag[i][z][t] += n * posteriors[idx][i][z]
     tag_table = [[[v / sum(row) for v in row] for row in plane] for plane in num_tag]
 
     num_ui = [[0.0] * n_interests for _ in range(len(corpus.users))]
-    for idx, tr in enumerate(triples):
+    for idx, (_, u, _, n) in enumerate(triples):
         for i in range(n_interests):
             marginal = sum(posteriors[idx][i][z] for z in range(n_topics))
-            num_ui[tr.user][i] += tr.count * marginal
+            num_ui[u][i] += n * marginal
     interest_table = [[v / corpus.n_u[u] for v in row] for u, row in enumerate(num_ui)]
 
     num_rz = [[0.0] * n_topics for _ in range(len(corpus.resources))]
-    for idx, tr in enumerate(triples):
+    for idx, (r, _, _, n) in enumerate(triples):
         for z in range(n_topics):
             marginal = sum(posteriors[idx][i][z] for i in range(n_interests))
-            num_rz[tr.resource][z] += tr.count * marginal
+            num_rz[r][z] += n * marginal
     topic_table = [[v / corpus.n_r[r] for v in row] for r, row in enumerate(num_rz)]
 
     return tag_table, interest_table, topic_table

@@ -93,6 +93,11 @@ class TestTrain:
         assert run("train", corpus, tmp_path / "m", "--model", "plsa", "--topics", 0) == 1
         assert run("train", corpus, tmp_path / "m", "--model", "plsa", "--tol", 0) == 1
 
+    def test_negative_seed_is_usage_error(self, triple_file, tmp_path, capsys):
+        assert run("train", triple_file, tmp_path / "m", "--model", "plsa", "--seed", -1) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     def test_unknown_flag_is_usage_error(self, triple_file, tmp_path):
         assert run("train", triple_file, tmp_path / "m", "--model", "nope") == 1
 
@@ -234,6 +239,15 @@ class TestEval:
         labels = tmp_path / "labels.tsv"
         labels.write_text("a\tsimilar\n")
         assert run("eval", ranking, labels) == 2
+
+    def test_nan_divergence_is_data_error(self, tmp_path, capsys):
+        ranking = tmp_path / "ranking.tsv"
+        ranking.write_text("# model=plsa\nrank\tresource\tdivergence\n"
+                           "1\ta\t0.5\n2\tb\tnan\n3\tc\t0.1\n")
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("a\tsame\n")
+        assert run("eval", ranking, labels) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_invalid_k_is_usage_error(self, tmp_path):
         ranking = tmp_path / "ranking.tsv"

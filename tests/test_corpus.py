@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_corpus, named_triples, rt_counts
-from tagtopics.corpus import (Corpus, Triple, Vocab, filter_tags, ingest_triples,
-                              merge_rows, write_corpus_tsv)
+from tagtopics.corpus import (Corpus, Vocab, filter_tags, ingest_triples, merge_rows,
+                              write_corpus_tsv)
 from tagtopics.errors import ConfigError, DataError
 
 
@@ -37,7 +37,8 @@ class TestVocab:
 class TestIngest:
     def test_duplicate_lines_merge(self):
         corpus = make_corpus(["a\tu1\tx", "a\tu1\tx"])
-        assert list(corpus.iter_triples()) == [Triple(0, 0, 0, 2)]
+        assert [corpus.r_ids.tolist(), corpus.u_ids.tolist(), corpus.t_ids.tolist(),
+                corpus.counts.tolist()] == [[0], [0], [0], [2]]
         assert corpus.total == 2
 
     def test_marginals(self, tiny_corpus):
@@ -129,9 +130,9 @@ class TestCorpusProperties:
         again = ingest_triples(io.StringIO(buffer.getvalue()))
         assert named_triples(again) == named_triples(corpus)
         assert again.stats() == corpus.stats()
-        assert set(again.resources) == set(corpus.resources)
-        assert set(again.users) == set(corpus.users)
-        assert set(again.tags) == set(corpus.tags)
+        assert set(again.resources.entries) == set(corpus.resources.entries)
+        assert set(again.users.entries) == set(corpus.users.entries)
+        assert set(again.tags.entries) == set(corpus.tags.entries)
         assert again.resources.entries[0] == corpus.resources.entries[0]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -154,7 +155,7 @@ class TestFilterTags:
         corpus = make_corpus(["a\tu\tx", "b\tu\ty", "c\tv\tz"])
         filtered = filter_tags(corpus, min_freq=1, max_freq=None)
         assert named_triples(filtered) == named_triples(corpus)
-        assert filtered.tags == corpus.tags
+        assert filtered.tags.entries == corpus.tags.entries
 
     def test_frequency_window(self):
         # tag frequencies: p -> 1, q -> 5, s -> 12
@@ -203,9 +204,9 @@ class TestAggregateRt:
 
     def test_matches_nested_loop(self, four_resource_corpus):
         expected = {}
-        for tr in four_resource_corpus.iter_triples():
-            key = (tr.resource, tr.tag)
-            expected[key] = expected.get(key, 0) + tr.count
+        corpus = four_resource_corpus
+        for r, t, n in zip(corpus.r_ids.tolist(), corpus.t_ids.tolist(), corpus.counts.tolist()):
+            expected[(r, t)] = expected.get((r, t), 0) + n
         assert rt_counts(four_resource_corpus) == expected
         assert all(n > 0 for n in four_resource_corpus.rt_arrays()[2])
 

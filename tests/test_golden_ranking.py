@@ -64,7 +64,7 @@ def cli_rankings(corpus, kind: str, scratch: Path) -> bytes:
     corpus_path, out = scratch / "corpus.tsv", scratch / "ranking.tsv"
     save_corpus(corpus, corpus_path)
     chunks = []
-    for name in corpus.resources:
+    for name in corpus.resources.entries:
         code = cli.main(["rank", str(DATA / f"trained.{kind}"), str(corpus_path), name,
                          "--top", str(len(corpus.resources)), "--output", str(out)])
         assert code == 0

@@ -95,8 +95,8 @@ class TestTrainItm:
             user_probs=corpus.n_u / corpus.total,
             resource_probs=corpus.n_r / corpus.total,
         )
-        posts = np.stack([start.posterior(tr.resource, tr.user, tr.tag)
-                          for tr in corpus.iter_triples()])
+        posts = np.stack([start.posterior(r, u, t)
+                          for r, u, t in zip(corpus.r_ids, corpus.u_ids, corpus.t_ids)])
         tag_table, interest_table, topic_table = oracles.itm_m_step(corpus, posts)
         np.testing.assert_allclose(trained.tag_given_interest_topic, tag_table, atol=1e-10)
         np.testing.assert_allclose(trained.interest_given_user, interest_table, atol=1e-10)
@@ -358,8 +358,8 @@ class TestLayout:
                         for m in (model, flat))
         for attr in ("r_ids", "u_ids", "t_ids", "counts"):
             assert np.array_equal(getattr(drawn, attr), getattr(again, attr))
-        assert (drawn.resources, drawn.users, drawn.tags) == (again.resources, again.users,
-                                                              again.tags)
+        for attr in ("resources", "users", "tags"):
+            assert getattr(drawn, attr).entries == getattr(again, attr).entries
 
     def test_saved_and_loaded_model_keeps_the_log_likelihood(self, trained, tmp_path):
         corpus, model, log = trained

@@ -46,8 +46,8 @@ class TestTrainMwa:
         trained = model.log_likelihood(corpus)
         assert trained <= bound + 1e-9
         assert trained == pytest.approx(bound, abs=1e-5)
-        for triple in corpus.iter_triples():
-            post = model.posterior(triple.resource, triple.user, triple.tag)
+        for r, u, t in zip(corpus.r_ids, corpus.u_ids, corpus.t_ids):
+            post = model.posterior(r, u, t)
             assert post.max() >= 0.99
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
@@ -122,11 +122,11 @@ class TestLogLikelihood:
 class TestPosterior:
     def test_rows_sum_to_one(self, toy_corpus):
         model, _ = train_mwa(toy_corpus, cfg(max_iters=4))
-        for tr in toy_corpus.iter_triples():
-            post = model.posterior(tr.resource, tr.user, tr.tag)
+        for r, u, t in zip(toy_corpus.r_ids, toy_corpus.u_ids, toy_corpus.t_ids):
+            post = model.posterior(r, u, t)
             assert post.sum() == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(
-                post, oracles.mwa_posterior(model, tr.resource, tr.user, tr.tag),
+                post, oracles.mwa_posterior(model, r, u, t),
                 atol=1e-13)
 
     def test_hand_model_matches_oracle(self, hand_mwa_model):

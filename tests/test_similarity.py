@@ -231,6 +231,15 @@ class TestRankedList:
         with pytest.raises(DataError):
             RankedList(seed=1, entries=[(1, 0.1)])
 
+    @pytest.mark.parametrize("entries", [
+        [("a", 0.5), ("b", float("nan")), ("c", 0.1)],  # every comparison with nan is false
+        [("a", float("nan"))],
+        [("a", 0.1), ("b", float("inf"))],
+    ])
+    def test_non_finite_divergences_rejected(self, entries):
+        with pytest.raises(DataError, match="must be finite"):
+            RankedList(seed="s", entries=entries)
+
     def test_top_slices(self):
         ranked = RankedList(seed=0, entries=[(1, 0.1), (2, 0.2), (3, 0.3)])
         assert ranked.top(2) == [(1, 0.1), (2, 0.2)]

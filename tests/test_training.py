@@ -36,6 +36,23 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs).validate()
 
+    @pytest.mark.parametrize("name", ["topics", "interests", "max_iters", "seed", "workers",
+                                      "max_table_bytes"])
+    @pytest.mark.parametrize("value", [2.5, 1.0, True, "3", None])
+    def test_non_integer_counts_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            TrainConfig(model="itm", **{name: value}).validate()
+
+    @pytest.mark.parametrize("name", ["topics", "interests", "max_iters", "seed", "workers",
+                                      "max_table_bytes"])
+    def test_numpy_integers_accepted(self, name):
+        TrainConfig(model="itm", **{name: np.int64(3)}).validate()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            TrainConfig(seed=-1).validate()
+        TrainConfig(seed=0).validate()
+
     def test_interests_ignored_for_non_itm(self):
         TrainConfig(model="plsa", interests=0).validate()
 
