@@ -88,7 +88,7 @@ def parse_matrix(stream, n_rows: int, n_cols: int, what: str) -> np.ndarray:
         if len(fields) != n_cols:
             raise DataError(f"{what} row {i}: expected {n_cols} values, got {len(fields)}")
         try:
-            rows.append(np.array([float(tok) for tok in fields]))
+            rows.append(np.array(fields, dtype=np.float64))
         except ValueError:
             raise DataError(f"{what} row {i}: non-numeric value") from None
     return np.array(rows)

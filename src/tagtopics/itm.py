@@ -138,9 +138,9 @@ class ItmModel(_textio.Tables):
             training.check_support(totals, chunk)
             wa = a * (n / totals)[:, None]
             stats[0][tt[starts]] += tags * np.stack([wa[run].T @ b[run] for run in runs])
-            np.add.at(stats[1], chunk["u"], wa * m)
-            np.add.at(stats[2], chunk["r"],
-                      b * np.concatenate([wa[run] @ tag for run, tag in zip(runs, tags)]))
+            training.add_rows(stats[1], chunk["u"], wa * m)
+            training.add_rows(stats[2], chunk["r"],
+                              b * np.concatenate([wa[run] @ tag for run, tag in zip(runs, tags)]))
         return totals
 
     def zero_stats(self):

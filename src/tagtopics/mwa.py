@@ -74,7 +74,7 @@ class MwaModel(_textio.Tables):
         expected_z, *expected = stats
         expected_z += post.sum(axis=0)
         for table, name in zip(expected, "rut"):
-            np.add.at(table, ids[name], post)
+            training.add_rows(table, ids[name], post)
 
     def m_step(self, stats) -> None:
         expected_z, expected_rz, expected_uz, expected_tz = stats

@@ -69,14 +69,14 @@ class PlsaModel(_textio.Tables):
         return training.posterior(self, r=resource, t=tag)
 
     def zero_stats(self):
-        return np.zeros_like(self.tag_given_topic), np.zeros_like(self.topic_given_resource)
+        return np.zeros((self.n_tags, self.n_topics)), np.zeros_like(self.topic_given_resource)
 
     def scatter(self, stats, ids, post) -> None:
-        np.add.at(stats[0].T, ids["t"], post)
-        np.add.at(stats[1], ids["r"], post)
+        training.add_rows(stats[0], ids["t"], post)
+        training.add_rows(stats[1], ids["r"], post)
 
     def m_step(self, stats) -> None:
-        self.tag_given_topic = normalize_rows(stats[0])
+        self.tag_given_topic = normalize_rows(np.ascontiguousarray(stats[0].T))
         self.topic_given_resource = normalize_rows(stats[1])
 
     def log_terms(self, mix, ids) -> np.ndarray:

@@ -93,6 +93,12 @@ class TestTrain:
         assert run("train", corpus, tmp_path / "m", "--model", "plsa", "--topics", 0) == 1
         assert run("train", corpus, tmp_path / "m", "--model", "plsa", "--tol", 0) == 1
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_is_usage_error(self, triple_file, tmp_path, capsys, tol):
+        assert run("train", triple_file, tmp_path / "m", "--model", "plsa", "--tol", tol) == 1
+        assert "tol must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     def test_negative_seed_is_usage_error(self, triple_file, tmp_path, capsys):
         assert run("train", triple_file, tmp_path / "m", "--model", "plsa", "--seed", -1) == 1
         assert "seed must be >= 0" in capsys.readouterr().err

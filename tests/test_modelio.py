@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tagtopics._textio import write_model
+from tagtopics._textio import parse_matrix, write_model
 from tagtopics.errors import DataError
 from tagtopics.itm import train_itm
 from tagtopics.modelio import load_model, read_model
@@ -74,6 +74,33 @@ def test_non_numeric_value_rejected():
     text = "plsa 1 1 2 0\n1.0\n0.5 oops\n1.0\n"
     with pytest.raises(DataError, match="non-numeric"):
         read_model(io.StringIO(text))
+
+
+def float_bits(tokens) -> np.ndarray:
+    """Each token through Python's ``float``, the reference parse, as int64 bits."""
+    return np.array([float(tok) for tok in tokens]).view(np.int64)
+
+
+def test_row_parse_has_the_bits_of_float_on_odd_tokens():
+    tokens = ["1_0", "-0", "1e-400", "+.5", "5.", "\uff11"]  # the last is a fullwidth 1
+    rows = parse_matrix(io.StringIO(" ".join(tokens) + "\n"), 1, len(tokens), "t")
+    assert np.array_equal(rows[0].view(np.int64), float_bits(tokens))
+
+
+def test_row_parse_has_the_bits_of_float_on_a_trained_model(toy_corpus):
+    for model in trained_models(toy_corpus):
+        for attr, _, _ in model.TABLES:
+            table = getattr(model, attr)
+            tokens = list(map(repr, table.ravel().tolist()))
+            rows = parse_matrix(io.StringIO(" ".join(tokens) + "\n"), 1, len(tokens), attr)
+            assert np.array_equal(rows[0].view(np.int64), float_bits(tokens))
+            assert np.array_equal(rows[0], table.ravel())
+
+
+@pytest.mark.parametrize("token", ["0x1", "abc"])
+def test_row_parse_rejects_what_float_rejects(token):
+    with pytest.raises(DataError, match="p row 0: non-numeric value"):
+        parse_matrix(io.StringIO(f"0.5 {token}\n"), 1, 2, "p")
 
 
 def test_denormalized_table_rejected():

@@ -53,6 +53,15 @@ class TestTrainConfig:
             TrainConfig(seed=-1).validate()
         TrainConfig(seed=0).validate()
 
+    @pytest.mark.parametrize("tol", ["1e-6", True, float("inf"), float("nan"), None, 1j])
+    def test_tol_must_be_a_finite_positive_real(self, tol):
+        with pytest.raises(ConfigError, match="tol must be"):
+            TrainConfig(tol=tol).validate()
+
+    @pytest.mark.parametrize("tol", [1e-6, 1, np.float32(1e-3), np.float64(1e-8), np.int64(2)])
+    def test_real_tol_accepted(self, tol):
+        TrainConfig(tol=tol).validate()
+
     def test_interests_ignored_for_non_itm(self):
         TrainConfig(model="plsa", interests=0).validate()
 
@@ -127,6 +136,27 @@ def test_mapreduce_slices_adds_in_slice_order(threads):
     assert sums[0].tolist() == [fold]
     assert sums[1].tolist() == [functools.reduce(operator.add, [-v for v in values]),
                                 functools.reduce(operator.add, [2.0 * v for v in values])]
+
+
+class TestAddRows:
+    @pytest.mark.parametrize("width", [1, 40])
+    @pytest.mark.parametrize("n", [0, 1, 700])
+    def test_has_the_bits_of_np_add_at(self, width, n):
+        rng = np.random.default_rng(1000 * width + n)
+        # A non-zero start, as a slice's later chunks see it; repeated, unsorted ids;
+        # values over 16 decades, so any other summation order changes the bits.
+        start = rng.standard_normal((50, width)) * 1e3
+        ids = rng.integers(0, 50, n)
+        values = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-8, 8, (n, width))
+        expected, table = start.copy(), start.copy()
+        np.add.at(expected, ids, values)
+        training.add_rows(table, ids, values)
+        assert np.array_equal(table.view(np.int64), expected.view(np.int64))
+
+    def test_non_contiguous_table_raises(self):
+        table = np.zeros((40, 7)).T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            training.add_rows(table, np.array([0, 3, 0]), np.ones((3, 40)))
 
 
 def walked_log_likelihood(model, corpus, chunk_rows, slices=_SLICES, chunk_totals=None):
