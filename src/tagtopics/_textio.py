@@ -16,8 +16,9 @@ Model file format v1::
 A table of shape ``(a, ..., b)`` is written as its ``a * ...`` rows of ``b``
 values in C order; a vector is one row.  Probabilities are written with
 ``repr`` (shortest round-trip form), so a write/read cycle reproduces the
-exact float64 values.  Blank lines and ``#`` comments are skipped on read;
-any other line after the last table is an error.
+exact float64 values.  Blank lines and ``#`` comments (``#`` as the first
+character, see :func:`skipped`) are skipped on read; any other line after the
+last table is an error.
 """
 
 from __future__ import annotations
@@ -54,23 +55,27 @@ class Tables:
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
+def skipped(line: str) -> bool:
+    """Whether every text reader skips ``line``: a comment, whose first character
+    is ``#``, or a blank or whitespace-only line.  An indented ``#`` is data."""
+    return not line or line[0] == "#" or line.isspace()
+
+
 def tsv_records(lines):
-    """``(lineno, fields)`` for each line that is neither blank nor a ``#``
-    comment: the line less its trailing CR and LF characters, split on tabs.
-    Lines are numbered from 1, the skipped ones included."""
+    """``(lineno, fields)`` for each line that is not :func:`skipped`: the line
+    less its trailing CR and LF characters, split on tabs.  Lines are numbered
+    from 1, the skipped ones included."""
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
-        if line and line[0] != "#" and not line.isspace():
+        if not skipped(line):
             yield lineno, line.split("\t")
 
 
 def next_fields(stream, what: str = "data") -> list[str]:
-    """Whitespace-split fields of the next non-blank, non-comment line."""
-    for raw in stream:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        return line.split()
+    """Whitespace-split fields of the next line that is not :func:`skipped`."""
+    for line in stream:
+        if not skipped(line):
+            return line.split()
     raise DataError(f"unexpected end of file while reading {what}")
 
 
@@ -136,7 +141,7 @@ def read_tables(cls, header: list[str], stream):
             raise DataError(f"{label}: dimension must be positive, got {shape}")
         rows = parse_matrix(stream, math.prod(shape[:-1]), shape[-1], label)
         tables[attr] = rows.reshape(shape)
-    if any(line.strip()[:1] not in ("", "#") for line in stream):
+    if not all(map(skipped, stream)):
         raise DataError(f"{cls.kind} model: data after the last table")
     model = cls(**tables, seed=seed)
     model.validate()

@@ -26,7 +26,9 @@ one tag as a [n, I] and b [n, K]: M = b A_tᵀ gives the totals rowsum(a ⊙ M),
 and with w = n / total the p(i|u) and p(z|r) statistic rows are (w a) ⊙ M and
 b ⊙ ((w a) A_t), the tag's statistic A_t ⊙ ((w a)ᵀ b): the KL-NMF update of
 Lee & Seung (2001) in tensor form.  So ``rows`` sorts the (r, u, t)-sorted
-triples stably by tag, and ``e_step`` walks a chunk one tag run at a time.
+triples stably by tag, and ``e_step`` walks a chunk one tag run at a time (a
+chunk out of tag order is walked sorted).  The tag statistic is the model's
+``band``: a slice of rows sums it for its own tags alone.
 p(t|i,z) and its statistic are tag-major: a trained model's table is an
 [I, K, T] view of [T, I, K] memory.  A loaded one is C-contiguous; ``e_step``
 copies each run's A_t, so both layouts give the same bits.
@@ -71,6 +73,8 @@ class ItmModel(_textio.Tables):
         ("topic_given_resource", "p(z|r)", ("n_resources", "n_topics")),
         ("tag_given_interest_topic", "p(t|i,z)", ("n_interests", "n_topics", "n_tags")),
     )
+
+    band = ("t", 0)  # zero_stats()[0] is keyed by t, the column ``rows`` sorts on
 
     def validate(self, atol: float = 1e-10) -> None:
         _textio.validate(self, atol)
@@ -123,28 +127,36 @@ class ItmModel(_textio.Tables):
         """Joint posterior p(i, z | u, r, t) for one triple, as an [I, K] table."""
         return training.posterior(self, r=resource, u=user, t=tag)
 
-    def e_step(self, chunk: dict, n, stats) -> np.ndarray:
-        """Mixture totals of the chunk's rows, one tag run at a time; given
-        ``stats``, the posterior statistics are added in (see the module doc)."""
+    def e_step(self, chunk: dict, n, stats, lo: int) -> np.ndarray:
+        """Mixture totals of the chunk's rows, one tag run at a time; given ``stats``,
+        the posterior statistics are added in, the tag statistic into its band of tags
+        lo.. (see the module doc)."""
         tt = chunk["t"]
+        if (tt[1:] < tt[:-1]).any():  # rows out of tag order: walk them sorted, one run per tag
+            order = np.argsort(tt, kind="stable")
+            totals = np.empty(len(tt))
+            totals[order] = self.e_step({k: col[order] for k, col in chunk.items()}, n[order],
+                                        stats, lo)
+            return totals
         a, b = self.interest_given_user[chunk["u"]], self.topic_given_resource[chunk["r"]]
         starts = np.flatnonzero(np.r_[True, tt[1:] != tt[:-1]])
         # One contiguous A_t per run, whatever the table's layout.
         tags = np.ascontiguousarray(np.moveaxis(self.tag_given_interest_topic, 2, 0)[tt[starts]])
-        runs = [slice(lo, hi) for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), len(tt)])]
+        runs = [slice(i, j) for i, j in zip(starts.tolist(), [*starts[1:].tolist(), len(tt)])]
         m = np.concatenate([b[run] @ tag.T for run, tag in zip(runs, tags)])
         totals = (a * m).sum(axis=1)
         if stats is not None:
             training.check_support(totals, chunk)
             wa = a * (n / totals)[:, None]
-            stats[0][tt[starts]] += tags * np.stack([wa[run].T @ b[run] for run in runs])
+            stats[0][tt[starts] - lo] += tags * np.stack([wa[run].T @ b[run] for run in runs])
             training.add_rows(stats[1], chunk["u"], wa * m)
             training.add_rows(stats[2], chunk["r"],
                               b * np.concatenate([wa[run] @ tag for run, tag in zip(runs, tags)]))
         return totals
 
-    def zero_stats(self):
-        return (np.zeros((self.n_tags, self.n_interests, self.n_topics)),
+    def zero_stats(self, lo: int, hi: int):
+        """Zero statistics, p(t|i,z)'s for the tags lo..hi-1 alone (see ``band``)."""
+        return (np.zeros((hi - lo, self.n_interests, self.n_topics)),
                 np.zeros((self.n_users, self.n_interests)),
                 np.zeros((self.n_resources, self.n_topics)))
 

@@ -37,6 +37,7 @@ class MwaModel(_textio.Tables):
         ("tag_given_topic", "p(t|z)", ("n_topics", "n_tags")),
     )
     chunk_rows = 1 << 15
+    band = ("r", 1)  # zero_stats()[1] is keyed by r, the column ``rows`` sorts on
 
     def validate(self, atol: float = 1e-10) -> None:
         _textio.validate(self, atol)
@@ -66,15 +67,16 @@ class MwaModel(_textio.Tables):
         """E-step posterior p(z | r, u, t) for one observed triple."""
         return training.posterior(self, r=resource, u=user, t=tag)
 
-    def zero_stats(self):
-        return (np.zeros(self.n_topics), np.zeros((self.n_resources, self.n_topics)),
+    def zero_stats(self, lo: int, hi: int):
+        """Zero statistics, p(r|z)'s for the resources lo..hi-1 alone (see ``band``)."""
+        return (np.zeros(self.n_topics), np.zeros((hi - lo, self.n_topics)),
                 np.zeros((self.n_users, self.n_topics)), np.zeros((self.n_tags, self.n_topics)))
 
-    def scatter(self, stats, ids, post) -> None:
+    def scatter(self, stats, ids, post, lo: int) -> None:
         expected_z, *expected = stats
         expected_z += post.sum(axis=0)
-        for table, name in zip(expected, "rut"):
-            training.add_rows(table, ids[name], post)
+        for table, rows in zip(expected, (ids["r"] - lo, ids["u"], ids["t"])):
+            training.add_rows(table, rows, post)
 
     def m_step(self, stats) -> None:
         expected_z, expected_rz, expected_uz, expected_tz = stats

@@ -42,6 +42,7 @@ class PlsaModel(_textio.Tables):
         ("topic_given_resource", "p(z|r)", ("n_resources", "n_topics")),
     )
     chunk_rows = 1 << 15
+    band = ("r", 1)  # zero_stats()[1] is keyed by r, the column ``rows`` sorts on
 
     def validate(self, atol: float = 1e-10) -> None:
         _textio.validate(self, atol)
@@ -68,12 +69,13 @@ class PlsaModel(_textio.Tables):
         """E-step posterior p(z | r, t) for one observed pair."""
         return training.posterior(self, r=resource, t=tag)
 
-    def zero_stats(self):
-        return np.zeros((self.n_tags, self.n_topics)), np.zeros_like(self.topic_given_resource)
+    def zero_stats(self, lo: int, hi: int):
+        """Zero statistics, p(z|r)'s for the resources lo..hi-1 alone (see ``band``)."""
+        return np.zeros((self.n_tags, self.n_topics)), np.zeros((hi - lo, self.n_topics))
 
-    def scatter(self, stats, ids, post) -> None:
+    def scatter(self, stats, ids, post, lo: int) -> None:
         training.add_rows(stats[0], ids["t"], post)
-        training.add_rows(stats[1], ids["r"], post)
+        training.add_rows(stats[1], ids["r"] - lo, post)
 
     def m_step(self, stats) -> None:
         self.tag_given_topic = normalize_rows(np.ascontiguousarray(stats[0].T))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import rel_entr
 
+from . import _textio
 from .errors import DataError
 
 LN2 = float(np.log(2.0))
@@ -126,10 +127,8 @@ def read_ranking(stream) -> tuple[dict, RankedList]:
     entries: list[tuple[str, float]] = []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            if not saw_columns and not meta:
+        if _textio.skipped(line):
+            if line[:1] == "#" and not saw_columns and not meta:
                 for token in line[1:].split():
                     if "=" in token:
                         key, value = token.split("=", 1)

@@ -8,22 +8,29 @@ allows.  The trainer owns the config checks, the worker pool, the chunked
 fused pass, the map-reduce of its sums and the log-likelihood pass.  A model
 class supplies only its own math: ``kind``/``DIMS``/``TABLES`` (its tables and
 file schema, see ``_textio.Tables``); ``initial(corpus, cfg, rng)``, the seeded
-start; ``rows(corpus)``, the data rows as ``({id name: ids}, counts)``;
-``chunk_rows``, rows per chunk, which fixes the summation order;
-``mixture(*ids)``, the unnormalised joint per row as [n, latent...];
-``zero_stats()`` and ``m_step(stats)``, the sufficient statistics and the
-in-place update; and ``log_terms(mix, ids)``, log p(row) from the mixture
-summed per row.  A pass hands each chunk to one per-chunk step,
-``e_step(chunk, n, stats)``: it returns the rows' mixture totals and, given
-``stats``, adds the statistics of the n-weighted posteriors.  A model may
-supply its own (itm's never forms a posterior); the default sums ``mixture``
-and hands the posteriors to the model's ``scatter(stats, ids, post)``.  Every
-scatter of statistic rows by repeating ids goes through :func:`add_rows`.
+start; ``rows(corpus)``, the data rows as ``({id name: ids}, counts)``, sorted
+by one id column; ``band = (name, k)``, that column and the index of the
+statistic keyed by it; ``chunk_rows``, rows per chunk, which fixes the
+summation order; ``mixture(*ids)``, the unnormalised joint per row as
+[n, latent...]; ``zero_stats(lo, hi)`` and ``m_step(stats)``, the sufficient
+statistics, the keyed one for its ids lo..hi-1 alone, and the in-place
+update; and ``log_terms(mix, ids)``, log p(row) from the mixture summed per
+row.  A pass hands each chunk to one per-chunk step, ``e_step(chunk, n,
+stats, lo)``: it returns the rows' mixture totals and, given ``stats``, adds
+the statistics of the n-weighted posteriors, the keyed one at row id - lo.  A
+model may supply its own (itm's never forms a posterior); the default sums
+``mixture`` and hands the posteriors to the model's ``scatter(stats, ids,
+post, lo)``.  Every scatter of statistic rows by repeating ids goes through
+:func:`add_rows`.
 
 Every pass walks the rows only through :func:`mapreduce_slices`, which holds
 its summation order (``_SLICES`` fixed slices summed from zero in
 ``chunk_rows`` chunks, then in slice order): any worker count, same bits, and
-a fused pass's L has the bits of :func:`log_likelihood`.
+a fused pass's L has the bits of :func:`log_likelihood`.  A slice sums the
+keyed statistic only over its band, the ids from the least to the greatest
+its rows reach; the rows are sorted by that id, so the ``_SLICES`` bands
+together are about one table, not ``_SLICES``.  Outside its band a slice's sum would be
++0.0, which leaves a sum's bits as they are, so the band changes no bit.
 """
 
 from __future__ import annotations
@@ -136,24 +143,37 @@ def add_rows(table: np.ndarray, ids: np.ndarray, values: np.ndarray) -> None:
     np.add.at(table.reshape(-1), (ids[:, None] * width + np.arange(width)).ravel(), values.ravel())
 
 
-def mapreduce_slices(ids: dict, counts, chunk_rows: int, add_chunk, zero, executor=None):
-    """Sum the data rows: each of ``_SLICES`` fixed slices starts from ``zero()``, a
-    sequence of arrays, and calls ``add_chunk(sums, {name: col[a:b]}, counts[a:b])`` per
-    ``chunk_rows`` chunk in row order, on ``executor``'s threads (in turn if it is
-    ``None``); the slice sums are added in slice order into the first one, in place."""
+def mapreduce_slices(ids: dict, counts, chunk_rows: int, add_chunk, zero, executor=None,
+                     band=None):
+    """Sum the data rows in ``_SLICES`` fixed slices: each starts from ``zero(lo, hi)``, a
+    list of arrays, and calls ``add_chunk(sums, {name: col[a:b]}, counts[a:b], lo)`` per
+    ``chunk_rows`` chunk in row order, on ``executor``'s threads (in turn if it is ``None``).
+    The slice sums are added in slice order into ``zero(0, size)``, which is returned.
+
+    ``band = (key, k, size)`` says that ``sums[k]`` is keyed by ``ids[key]``: a slice sums
+    it only over its band, the rows lo..hi-1 of a ``size``-row table, where lo and hi - 1
+    are the least and the greatest key of the slice's rows (so any row order will do), and
+    each band is added in at row lo, then freed.  Without ``band``, lo = hi = size = 0.
+    Outside its band a slice's sum would be +0.0, and adding +0.0 to a sum that starts at
+    +0.0 leaves its bits, so every cell gets the additions, and the bits, of whole tables."""
     edges = sorted({len(counts) * i // _SLICES for i in range(_SLICES + 1)})  # no empty slice
+    key, k, size = band or (None, None, 0)
 
-    def walk(lo: int, hi: int):
-        sums = zero()
-        for a in range(lo, hi, chunk_rows):
-            b = min(a + chunk_rows, hi)
-            add_chunk(sums, {name: col[a:b] for name, col in ids.items()}, counts[a:b])
-        return sums
+    def walk(first: int, end: int):
+        lo = hi = 0
+        if key:
+            keys = ids[key][first:end]
+            lo, hi = int(keys.min()), int(keys.max()) + 1
+        sums = zero(lo, hi)
+        for a in range(first, end, chunk_rows):
+            b = min(a + chunk_rows, end)
+            add_chunk(sums, {name: col[a:b] for name, col in ids.items()}, counts[a:b], lo)
+        return lo, sums
 
-    parts = (executor.map if executor else map)(walk, edges[:-1], edges[1:])
-    acc = next(parts)
-    for part in parts:
-        for total, value in zip(acc, part):
+    acc = zero(0, size)
+    for lo, part in (executor.map if executor else map)(walk, edges[:-1], edges[1:]):
+        for j, value in enumerate(part):
+            total = acc[j][lo:lo + len(value)] if j == k else acc[j]
             total += value
         del part, value  # hold only the sum while the next partial is computed
     return acc
@@ -205,7 +225,7 @@ def check_support(totals, ids: dict) -> None:
         raise DegeneracyError(f"degenerate posterior for {_ROW_NAMES[len(ids)]} ({where})")
 
 
-def _mixture_e_step(model, chunk: dict, n, stats) -> np.ndarray:
+def _mixture_e_step(model, chunk: dict, n, stats, lo) -> np.ndarray:
     """The default per-chunk step: ``model.mixture`` of the rows summed over its
     latent axes; with ``stats``, the n-weighted posteriors go to ``model.scatter``."""
     post = model.mixture(*chunk.values())
@@ -213,23 +233,28 @@ def _mixture_e_step(model, chunk: dict, n, stats) -> np.ndarray:
     if stats is not None:
         check_support(totals, chunk)
         post *= (n / totals).reshape((-1,) + (1,) * (post.ndim - 1))
-        model.scatter(stats, chunk, post)
+        model.scatter(stats, chunk, post, lo)
     return totals
 
 
 def data_pass(model, ids: dict, counts, fused: bool, executor=None) -> tuple:
     """One walk of the data rows at the current parameters: ``(stats, L)``, with
     ``stats`` empty unless ``fused``.  Each chunk goes through the model's
-    ``e_step`` if it has one, else through :func:`_mixture_e_step`."""
+    ``e_step`` if it has one, else through :func:`_mixture_e_step`.  A slice sums
+    the model's ``band`` statistic over the ids its rows reach (see
+    :func:`mapreduce_slices`)."""
     e_step = getattr(type(model), "e_step", _mixture_e_step)
+    name, k = model.band
 
-    def add_chunk(sums, chunk, n) -> None:
-        totals = e_step(model, chunk, n, sums[1:] if fused else None)
+    def add_chunk(sums, chunk, n, lo) -> None:
+        totals = e_step(model, chunk, n, sums[1:] if fused else None, lo)
         with np.errstate(divide="ignore"):  # a zero total adds -inf
             sums[0] += (n * model.log_terms(totals, chunk)).sum()
 
-    ll, *stats = mapreduce_slices(ids, counts, model.chunk_rows, add_chunk, lambda: [
-        np.zeros(()), *(model.zero_stats() if fused else ())], executor)
+    ll, *stats = mapreduce_slices(
+        ids, counts, model.chunk_rows, add_chunk,
+        lambda lo, hi: [np.zeros(()), *(model.zero_stats(lo, hi) if fused else ())], executor,
+        (name, k + 1, getattr(model, f"n_{_ID_NAMES[name]}s")) if fused else None)
     return stats, ll
 
 

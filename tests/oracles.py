@@ -136,7 +136,7 @@ def itm_mixture_e_step(model, ids, counts):
     totals = post.sum(axis=(1, 2))
     ll = float((counts * model.log_terms(totals, ids)).sum())
     post *= (counts / totals)[:, None, None]
-    stats = model.zero_stats()
+    stats = model.zero_stats(0, model.n_tags)  # the band of every tag
     np.add.at(stats[0], ids["t"], post)
     np.add.at(stats[1], ids["u"], post.sum(axis=2))
     np.add.at(stats[2], ids["r"], post.sum(axis=1))

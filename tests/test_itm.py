@@ -1,6 +1,9 @@
+import contextlib
+import functools
 import io
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -227,6 +230,104 @@ class TestFactoredEStep:
         with caplog.at_level(logging.WARNING, logger="tagtopics.training"):
             assert self.zero_tag_model().log_likelihood(corpus) == -math.inf
         assert "observed triple has zero probability" in caplog.text
+
+
+@st.composite
+def banded_rows(draw, order):
+    """A random itm model and data rows for the band test.  The first and the last
+    tag and one tag between have no rows; one tag's run is longer than all the other
+    rows together, so it spans three or more slices.  The rows are in (t, r, u) order
+    if ``order`` is "sorted", else in "descending" tag order or "shuffled".  Returns
+    ``(model, ids, counts, chunk_rows, empty_tags, long_tag)``."""
+    n_resources, n_users = draw(st.integers(6, 8)), draw(st.integers(6, 8))
+    n_tags = draw(st.integers(5, 9))
+    n_interests, n_topics = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    chunk_rows = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inner = list(range(1, n_tags - 1))
+    empty = draw(st.sampled_from(inner))
+    long_tag = draw(st.sampled_from([t for t in inner if t != empty]))
+    sizes = {t: draw(st.integers(1, 3)) for t in inner if t not in (empty, long_tag)}
+    sizes[long_tag] = sum(sizes.values()) + draw(st.integers(3, 10))
+    pairs = {t: np.sort(rng.choice(n_resources * n_users, size, replace=False))
+             for t, size in sorted(sizes.items())}
+    r, u = np.divmod(np.concatenate(list(pairs.values())), n_users)
+    t = np.repeat(list(pairs), [len(p) for p in pairs.values()])
+    rows = np.arange(len(t))
+    if order == "descending":
+        rows = np.argsort(-t, kind="stable")
+    elif order == "shuffled":
+        rows = rng.permutation(len(t))
+    model = ItmModel(
+        tag_given_interest_topic=rng.dirichlet(np.ones(n_tags), size=(n_interests, n_topics)),
+        interest_given_user=rng.dirichlet(np.ones(n_interests), size=n_users),
+        topic_given_resource=rng.dirichlet(np.ones(n_topics), size=n_resources),
+        user_probs=rng.dirichlet(np.ones(n_users)),
+        resource_probs=rng.dirichlet(np.ones(n_resources)))
+    ids, counts = {"r": r[rows], "u": u[rows], "t": t[rows]}, rng.integers(1, 10, size=len(t))
+    return model, ids, counts, chunk_rows, [0, empty, n_tags - 1], long_tag
+
+
+def dense_pass(model, ids, counts):
+    """A fused ``data_pass`` as it was before bands: each slice sums whole tables from
+    zero in ``chunk_rows`` chunks, and the slice sums are added in slice order."""
+    edges = sorted({len(counts) * i // _SLICES for i in range(_SLICES + 1)})
+    parts = []
+    for lo, hi in zip(edges, edges[1:]):
+        ll, stats = np.zeros(()), model.zero_stats(0, model.n_tags)
+        for a in range(lo, hi, model.chunk_rows):
+            b = min(a + model.chunk_rows, hi)
+            chunk = {name: col[a:b] for name, col in ids.items()}
+            ll += (counts[a:b] * model.log_terms(
+                model.e_step(chunk, counts[a:b], stats, 0), chunk)).sum()
+        parts.append([ll, *stats])
+    ll, *stats = functools.reduce(lambda acc, part: [x + y for x, y in zip(acc, part)], parts)
+    return stats, ll
+
+
+class TestTagBands:
+    """Each slice sums p(t|i,z)'s statistic over its own tags alone."""
+
+    @pytest.mark.parametrize("order", ["sorted", "descending", "shuffled"])
+    @pytest.mark.parametrize("threads", [None, 2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_data_pass_has_the_bits_of_whole_tables(self, threads, order, data):
+        model, ids, counts, chunk_rows, empty_tags, long_tag = data.draw(banded_rows(order))
+        edges = sorted({len(counts) * i // _SLICES for i in range(_SLICES + 1)})
+        assert sum(long_tag in ids["t"][lo:hi] for lo, hi in zip(edges, edges[1:])) >= 3
+        with (mock.patch.object(ItmModel, "chunk_rows", chunk_rows),
+              ThreadPoolExecutor(threads) if threads else contextlib.nullcontext() as pool):
+            stats, ll = data_pass(model, ids, counts, True, pool)
+            expected, expected_ll = dense_pass(model, ids, counts)
+        assert [(s.shape, s.tobytes()) for s in stats] == \
+            [(s.shape, s.tobytes()) for s in expected]
+        assert ll.tobytes() == expected_ll.tobytes()
+        assert not stats[0][empty_tags].any()
+        # Rows out of tag order are summed, not dropped: the mixture E-step agrees.
+        oracle, oracle_ll = oracles.itm_mixture_e_step(model, ids, counts)
+        for got, want in zip(stats, oracle):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert ll == pytest.approx(oracle_ll, rel=1e-12, abs=0)
+
+    def test_each_slice_gets_only_its_band(self):
+        corpus = random_corpus(5)
+        model = ItmModel.initial(corpus, cfg(), np.random.default_rng(0))
+        ids, counts = model.rows(corpus)
+        bands = []
+        zero_stats = model.zero_stats
+
+        def recording(lo, hi):
+            bands.append((lo, hi))
+            return zero_stats(lo, hi)
+
+        with mock.patch.object(model, "zero_stats", recording):
+            data_pass(model, ids, counts, fused=True)
+        edges = sorted({len(counts) * i // _SLICES for i in range(_SLICES + 1)})
+        assert bands == [(0, model.n_tags)] + [
+            (ids["t"][lo], ids["t"][hi - 1] + 1) for lo, hi in zip(edges, edges[1:])]
+        # Sorted rows: neighbouring slices share at most the tag at their edge.
+        assert sum(hi - lo for lo, hi in bands[1:]) <= model.n_tags + _SLICES - 1
 
 
 class TestLogLikelihood:

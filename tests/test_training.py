@@ -95,21 +95,23 @@ def test_mapreduce_slices_walks_each_slice_in_chunks(n, chunk_rows, edges):
     rows = np.arange(n)
     chunks, zeros = [], []
 
-    def zero():
+    def zero(lo, hi):
+        assert lo == hi == 0  # no band
         zeros.append(np.zeros(1))
         return [zeros[-1]]
 
-    def add_chunk(sums, chunk, counts):
+    def add_chunk(sums, chunk, counts, lo):
         assert chunk.keys() == {"r", "t"}
         assert chunk["r"].tolist() == chunk["t"].tolist() == counts.tolist()
+        assert lo == 0
         chunks.append((int(counts[0]), int(counts[-1]) + 1))
         sums[0] += counts.sum()
 
     sums = mapreduce_slices({"r": rows, "t": rows.copy()}, rows, chunk_rows, add_chunk, zero)
     assert chunks == [(a, min(a + chunk_rows, hi))
                       for lo, hi in zip(edges, edges[1:]) for a in range(lo, hi, chunk_rows)]
-    assert len(zeros) == len(edges) - 1  # one zero() per slice walked
-    assert sums[0] is zeros[0] and sums[0].tolist() == [rows.sum()]  # added into the first
+    assert len(zeros) == len(edges)  # one zero() per slice walked, and the total's
+    assert sums[0] is zeros[0] and sums[0].tolist() == [rows.sum()]  # added into the total
 
 
 # One value per slice; their float sum depends on the order of addition.
@@ -122,20 +124,61 @@ def test_mapreduce_slices_adds_in_slice_order(threads):
     fold = functools.reduce(operator.add, values)
     assert fold != functools.reduce(operator.add, values[::-1])  # 2.0 against 5.0
 
-    def add_chunk(sums, chunk, counts):
-        lo = int(chunk["i"][0])
-        time.sleep(0.002 * (len(values) - lo))  # later slices finish first
-        sums[0] += values[lo]
-        sums[1] += [-values[lo], 2.0 * values[lo]]
+    def add_chunk(sums, chunk, counts, lo):
+        row = int(chunk["i"][0])
+        time.sleep(0.002 * (len(values) - row))  # later slices finish first
+        sums[0] += values[row]
+        sums[1] += [-values[row], 2.0 * values[row]]
 
     assert len(values) == _SLICES
     rows = np.arange(len(values))
     with ThreadPoolExecutor(threads) if threads else contextlib.nullcontext() as pool:
         sums = mapreduce_slices({"i": rows}, rows, 1, add_chunk,
-                                lambda: [np.zeros(1), np.zeros(2)], pool)
+                                lambda lo, hi: [np.zeros(1), np.zeros(2)], pool)
     assert sums[0].tolist() == [fold]
     assert sums[1].tolist() == [functools.reduce(operator.add, [-v for v in values]),
                                 functools.reduce(operator.add, [2.0 * v for v in values])]
+
+
+@pytest.mark.parametrize("threads", [None, 2, 3])
+def test_mapreduce_slices_adds_each_band_at_its_offset(threads):
+    # 16 rows, two per slice; the keys are not sorted, so a slice's first and last
+    # keys are not its band.  Keys 3 and 5 recur across slices, so their bands
+    # overlap, and 11 (of a 12-row table) and 0 have no rows.
+    keys = np.array([4, 3, 3, 6, 5, 2, 3, 5, 9, 1, 5, 3, 8, 10, 7, 5])
+    values = np.array([1.0, 1e16, 1.0, 2.0, -1e16, 3.0, 1.0, 1.0, 4.0, 5.0, 1e16, -1e16,
+                       6.0, 7.0, -1e16, 8.0])
+    bands = []
+
+    def zero(lo, hi):
+        bands.append((lo, hi))
+        return [np.zeros(()), np.zeros((hi - lo, 2))]
+
+    def add_chunk(sums, chunk, counts, lo):
+        row = int(chunk["i"][0])
+        time.sleep(0.002 * (len(keys) - row))  # later slices finish first
+        sums[0] += values[row]
+        sums[1][keys[row] - lo] += [values[row], -values[row]]
+
+    rows = np.arange(len(keys))
+    with ThreadPoolExecutor(threads) if threads else contextlib.nullcontext() as pool:
+        ll, stat = mapreduce_slices({"i": rows, "k": keys}, rows, 1, add_chunk, zero, pool,
+                                    band=("k", 1, 12))
+    pairs = keys.reshape(_SLICES, 2)
+    assert bands[0] == (0, 12)  # the total
+    assert sorted(bands[1:]) == sorted((int(p.min()), int(p.max()) + 1) for p in pairs)
+    # Whole 12-row slice sums, added in slice order, as before bands.
+    whole = []
+    for pair, vals in zip(pairs, values.reshape(_SLICES, 2)):
+        part = np.zeros((12, 2))
+        for key, value in zip(pair, vals):
+            part[key] += [value, -value]
+        whole.append(part)
+    expected = functools.reduce(operator.add, whole)
+    assert stat.tobytes() == expected.tobytes()
+    assert not stat[[0, 11]].any()
+    assert ll.tobytes() == np.array(functools.reduce(
+        operator.add, [v0 + v1 for v0, v1 in values.reshape(_SLICES, 2)])).tobytes()
 
 
 class TestAddRows:
@@ -412,9 +455,10 @@ def test_em_run_to_max_iters_walks_the_data_max_iters_plus_one_times(
         kind, workers, toy_corpus, monkeypatch):
     fused = []  # per data pass: does it sum statistics besides the log-likelihood?
 
-    def counting(ids, counts, chunk_rows, add_chunk, zero, executor=None):
-        fused.append(len(zero()) > 1)
-        return mapreduce_slices(ids, counts, chunk_rows, add_chunk, zero, executor)
+    def counting(ids, counts, chunk_rows, add_chunk, zero, executor=None, band=None):
+        fused.append(len(zero(0, 0)) > 1)
+        assert (band is not None) == fused[-1]  # only a fused pass sums a band
+        return mapreduce_slices(ids, counts, chunk_rows, add_chunk, zero, executor, band)
 
     monkeypatch.setattr(training, "mapreduce_slices", counting)
     cfg = TrainConfig(model=kind, topics=2, interests=2, tol=1e-12, max_iters=4,
