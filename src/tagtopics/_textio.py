@@ -1,13 +1,8 @@
-"""Line-oriented text helpers, the model table base class and the
-schema-driven model file format.
+"""Line-oriented text helpers and the schema-driven model file format.
 
-Every model class subclasses :class:`Tables` and declares ``kind``,
-``DIMS`` (its size names in header order) and ``TABLES`` (``(attribute,
-label, dims)`` triples in file order).  ``Tables`` supplies the rest: a
-constructor taking one keyword per ``TABLES`` attribute plus ``seed``, and
-each size in ``DIMS`` (``n_topics``, ``n_tags``, ...) read off the first
-table that has that axis; a size the model lacks raises ``AttributeError``.
-Model file format v1::
+A model file is laid out by its class schema (see ``training.Model``):
+``kind``, ``DIMS`` (its size names in header order) and ``TABLES``
+(``(attribute, label, dims)`` triples in file order).  Model file format v1::
 
     # tagtopics model format v1
     <kind> <size for each name in DIMS> <seed>
@@ -30,29 +25,6 @@ import os
 import numpy as np
 
 from .errors import DataError
-
-
-class Tables:
-    """Base of the model classes: the tables named in ``TABLES``, a seed,
-    and the sizes named in ``DIMS``."""
-
-    kind: str
-    DIMS: tuple[str, ...]
-    TABLES: tuple[tuple[str, str, tuple[str, ...]], ...]
-
-    def __init__(self, *, seed: int = 0, **tables):
-        names = [attr for attr, _, _ in self.TABLES]
-        if sorted(tables) != sorted(names):
-            raise TypeError(f"{type(self).__name__} takes the tables {', '.join(names)} "
-                            f"and seed; got {', '.join(tables) or 'none'}")
-        self.__dict__.update(tables)
-        self.seed = seed
-
-    def __getattr__(self, name: str) -> int:
-        for attr, _, dims in self.TABLES:
-            if name in dims:
-                return getattr(self, attr).shape[dims.index(name)]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
 def skipped(line: str) -> bool:

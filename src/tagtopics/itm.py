@@ -40,7 +40,6 @@ import numpy as np
 
 from . import _textio, training
 from .corpus import Corpus
-from .errors import ConfigError
 from .similarity import TopicDistribution
 # perfbench/tracing.py patches em_fit and mapreduce_slices by model module.
 from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
@@ -55,7 +54,7 @@ def _tag_major(rows: np.ndarray, shape) -> np.ndarray:
     return np.moveaxis(np.ascontiguousarray(rows.T).reshape(shape), 0, 2)
 
 
-class ItmModel(_textio.Tables):
+class ItmModel(training.Model):
     """Interest-topic tables.
 
     ``tag_given_interest_topic[i, z, t]`` holds p(t|i,z);
@@ -74,7 +73,7 @@ class ItmModel(_textio.Tables):
         ("tag_given_interest_topic", "p(t|i,z)", ("n_interests", "n_topics", "n_tags")),
     )
 
-    band = ("t", 0)  # zero_stats()[0] is keyed by t, the column ``rows`` sorts on
+    band = "t"  # the id column ``rows`` sorts on
 
     def validate(self, atol: float = 1e-10) -> None:
         _textio.validate(self, atol)
@@ -84,14 +83,7 @@ class ItmModel(_textio.Tables):
 
     @classmethod
     def initial(cls, corpus: Corpus, cfg: TrainConfig, rng) -> "ItmModel":
-        """Raises :class:`ConfigError` before allocating anything if the dense
-        p(t|i,z) table would exceed ``cfg.max_table_bytes``."""
         n_tags = len(corpus.tags)
-        table_bytes = 8 * cfg.interests * cfg.topics * n_tags
-        if table_bytes > cfg.max_table_bytes:
-            raise ConfigError(
-                f"p(t|i,z) table needs {table_bytes} bytes, over the budget of "
-                f"{cfg.max_table_bytes}; lower interests/topics or raise max_table_bytes")
         # Draw order keeps the interests=1 case aligned with the pLSA trainer's
         # initialization for the same seed (the p(i|u) rows normalize to 1.0).
         return cls(
@@ -148,20 +140,14 @@ class ItmModel(_textio.Tables):
         if stats is not None:
             training.check_support(totals, chunk)
             wa = a * (n / totals)[:, None]
-            stats[0][tt[starts] - lo] += tags * np.stack([wa[run].T @ b[run] for run in runs])
-            training.add_rows(stats[1], chunk["u"], wa * m)
-            training.add_rows(stats[2], chunk["r"],
+            training.add_rows(stats[0], chunk["u"], wa * m)
+            training.add_rows(stats[1], chunk["r"],
                               b * np.concatenate([wa[run] @ tag for run, tag in zip(runs, tags)]))
+            stats[2][tt[starts] - lo] += tags * np.stack([wa[run].T @ b[run] for run in runs])
         return totals
 
-    def zero_stats(self, lo: int, hi: int):
-        """Zero statistics, p(t|i,z)'s for the tags lo..hi-1 alone (see ``band``)."""
-        return (np.zeros((hi - lo, self.n_interests, self.n_topics)),
-                np.zeros((self.n_users, self.n_interests)),
-                np.zeros((self.n_resources, self.n_topics)))
-
     def m_step(self, stats) -> None:
-        expected_t, expected_ui, expected_rz = stats
+        expected_ui, expected_rz, expected_t = stats
         self.tag_given_interest_topic = _tag_major(normalize_rows(np.ascontiguousarray(
             expected_t.reshape(self.n_tags, -1).T)), expected_t.shape)
         self.interest_given_user = normalize_rows(expected_ui)
@@ -177,9 +163,6 @@ class ItmModel(_textio.Tables):
     def topic_distribution(self, resource: int) -> TopicDistribution:
         training.check_ids(self, r=resource)
         return TopicDistribution(self.topic_given_resource[resource].copy())
-
-    def topic_distributions(self) -> np.ndarray:
-        return self.topic_given_resource  # p(z|r) as [R, K]: the model's own table
 
     def save(self, path) -> None:
         _textio.save(self, path)

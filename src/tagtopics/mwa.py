@@ -22,10 +22,10 @@ from .errors import DegeneracyError
 from .similarity import TopicDistribution
 # perfbench/tracing.py patches em_fit and mapreduce_slices by model module.
 from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
-                       mapreduce_slices, noisy_uniform_rows, normalize_rows, triples)
+                       mapreduce_slices, noisy_uniform_rows, normalize_rows)
 
 
-class MwaModel(_textio.Tables):
+class MwaModel(training.Model):
     """Aspect-model tables: p(z), p(r|z), p(u|z), p(t|z) (rows indexed by z)."""
 
     kind = "mwa"
@@ -36,8 +36,6 @@ class MwaModel(_textio.Tables):
         ("user_given_topic", "p(u|z)", ("n_topics", "n_users")),
         ("tag_given_topic", "p(t|z)", ("n_topics", "n_tags")),
     )
-    chunk_rows = 1 << 15
-    band = ("r", 1)  # zero_stats()[1] is keyed by r, the column ``rows`` sorts on
 
     def validate(self, atol: float = 1e-10) -> None:
         _textio.validate(self, atol)
@@ -53,8 +51,6 @@ class MwaModel(_textio.Tables):
                    tag_given_topic=noisy_uniform_rows(rng, cfg.topics, len(corpus.tags)),
                    seed=cfg.seed)
 
-    rows = staticmethod(triples)
-
     def mixture(self, rr, uu, tt) -> np.ndarray:
         """Unnormalised joint p(z) p(r|z) p(u|z) p(t|z) of the triples
         ``(rr[n], uu[n], tt[n])``, as [n, K]."""
@@ -66,17 +62,6 @@ class MwaModel(_textio.Tables):
     def posterior(self, resource: int, user: int, tag: int) -> np.ndarray:
         """E-step posterior p(z | r, u, t) for one observed triple."""
         return training.posterior(self, r=resource, u=user, t=tag)
-
-    def zero_stats(self, lo: int, hi: int):
-        """Zero statistics, p(r|z)'s for the resources lo..hi-1 alone (see ``band``)."""
-        return (np.zeros(self.n_topics), np.zeros((hi - lo, self.n_topics)),
-                np.zeros((self.n_users, self.n_topics)), np.zeros((self.n_tags, self.n_topics)))
-
-    def scatter(self, stats, ids, post, lo: int) -> None:
-        expected_z, *expected = stats
-        expected_z += post.sum(axis=0)
-        for table, rows in zip(expected, (ids["r"] - lo, ids["u"], ids["t"])):
-            training.add_rows(table, rows, post)
 
     def m_step(self, stats) -> None:
         expected_z, expected_rz, expected_uz, expected_tz = stats

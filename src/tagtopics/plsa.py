@@ -27,7 +27,7 @@ from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
                        mapreduce_slices, noisy_uniform_rows, normalize_rows)
 
 
-class PlsaModel(_textio.Tables):
+class PlsaModel(training.Model):
     """Parameter tables of a trained pLSA model.
 
     ``tag_given_topic[z, t]`` holds p(t|z); ``topic_given_resource[r, z]``
@@ -41,8 +41,6 @@ class PlsaModel(_textio.Tables):
         ("tag_given_topic", "p(t|z)", ("n_topics", "n_tags")),
         ("topic_given_resource", "p(z|r)", ("n_resources", "n_topics")),
     )
-    chunk_rows = 1 << 15
-    band = ("r", 1)  # zero_stats()[1] is keyed by r, the column ``rows`` sorts on
 
     def validate(self, atol: float = 1e-10) -> None:
         _textio.validate(self, atol)
@@ -69,14 +67,6 @@ class PlsaModel(_textio.Tables):
         """E-step posterior p(z | r, t) for one observed pair."""
         return training.posterior(self, r=resource, t=tag)
 
-    def zero_stats(self, lo: int, hi: int):
-        """Zero statistics, p(z|r)'s for the resources lo..hi-1 alone (see ``band``)."""
-        return np.zeros((self.n_tags, self.n_topics)), np.zeros((hi - lo, self.n_topics))
-
-    def scatter(self, stats, ids, post, lo: int) -> None:
-        training.add_rows(stats[0], ids["t"], post)
-        training.add_rows(stats[1], ids["r"] - lo, post)
-
     def m_step(self, stats) -> None:
         self.tag_given_topic = normalize_rows(np.ascontiguousarray(stats[0].T))
         self.topic_given_resource = normalize_rows(stats[1])
@@ -90,9 +80,6 @@ class PlsaModel(_textio.Tables):
     def topic_distribution(self, resource: int) -> TopicDistribution:
         training.check_ids(self, r=resource)
         return TopicDistribution(self.topic_given_resource[resource].copy())
-
-    def topic_distributions(self) -> np.ndarray:
-        return self.topic_given_resource  # p(z|r) as [R, K]: the model's own table
 
     def save(self, path) -> None:
         _textio.save(self, path)

@@ -4,33 +4,30 @@
 initialization, then EM until the relative log-likelihood improvement drops
 below ``tol``.  One data pass at θₖ gives both L(θₖ) and the statistics for
 θₖ₊₁; a log-likelihood-only pass runs only after the last update ``max_iters``
-allows.  The trainer owns the config checks, the worker pool, the chunked
-fused pass, the map-reduce of its sums and the log-likelihood pass.  A model
-class supplies only its own math: ``kind``/``DIMS``/``TABLES`` (its tables and
-file schema, see ``_textio.Tables``); ``initial(corpus, cfg, rng)``, the seeded
-start; ``rows(corpus)``, the data rows as ``({id name: ids}, counts)``, sorted
-by one id column; ``band = (name, k)``, that column and the index of the
-statistic keyed by it; ``chunk_rows``, rows per chunk, which fixes the
-summation order; ``mixture(*ids)``, the unnormalised joint per row as
-[n, latent...]; ``zero_stats(lo, hi)`` and ``m_step(stats)``, the sufficient
-statistics, the keyed one for its ids lo..hi-1 alone, and the in-place
-update; and ``log_terms(mix, ids)``, log p(row) from the mixture summed per
-row.  A pass hands each chunk to one per-chunk step, ``e_step(chunk, n,
-stats, lo)``: it returns the rows' mixture totals and, given ``stats``, adds
-the statistics of the n-weighted posteriors, the keyed one at row id - lo.  A
-model may supply its own (itm's never forms a posterior); the default sums
-``mixture`` and hands the posteriors to the model's ``scatter(stats, ids,
-post, lo)``.  Every scatter of statistic rows by repeating ids goes through
-:func:`add_rows`.
+allows.  The trainer owns the config checks (the table budget included), the
+worker pool, the chunked fused pass, the map-reduce of its sums and the
+log-likelihood pass.  A model class subclasses :class:`Model`, which derives
+the statistics from its tables, and supplies only its own math:
+``kind``/``DIMS``/``TABLES`` (its tables and file schema);
+``initial(corpus, cfg, rng)``, the seeded start; ``mixture(*ids)``, the
+unnormalised joint per row as [n, latent...]; ``m_step(stats)``, the in-place
+update from the statistics; and ``log_terms(mix, ids)``, log p(row) from the
+mixture summed per row.  It may replace the defaults of :class:`Model`:
+``rows``, the data rows sorted by the id column ``band``; ``chunk_rows``,
+which fixes the summation order; and the per-chunk step ``e_step(chunk, n,
+stats, lo)``, which returns the rows' mixture totals and, given ``stats``,
+adds the statistics of the n-weighted posteriors (itm's forms no posterior).
+Every scatter of statistic rows by repeating ids goes through :func:`add_rows`.
 
 Every pass walks the rows only through :func:`mapreduce_slices`, which holds
 its summation order (``_SLICES`` fixed slices summed from zero in
 ``chunk_rows`` chunks, then in slice order): any worker count, same bits, and
 a fused pass's L has the bits of :func:`log_likelihood`.  A slice sums the
-keyed statistic only over its band, the ids from the least to the greatest
-its rows reach; the rows are sorted by that id, so the ``_SLICES`` bands
-together are about one table, not ``_SLICES``.  Outside its band a slice's sum would be
-+0.0, which leaves a sum's bits as they are, so the band changes no bit.
+statistic keyed by ``band`` only over its band, the ids from the least to the
+greatest its rows reach, at row id - lo; the rows are sorted by that id, so
+the ``_SLICES`` bands together are about one table, not ``_SLICES``.  Outside
+its band a slice's sum would be +0.0, which leaves a sum's bits as they are,
+so the band changes no bit.
 """
 
 from __future__ import annotations
@@ -51,7 +48,10 @@ logger = logging.getLogger(__name__)
 
 MODEL_KINDS = ("plsa", "mwa", "itm")
 _ROW_NAMES = {2: "pair", 3: "triple"}
-_ID_NAMES = {"r": "resource", "u": "user", "t": "tag"}
+# Each id column of the data rows: its name in messages, DIMS size and Corpus vocabulary.
+_ID_COLUMNS = {"r": ("resource", "n_resources", "resources"), "u": ("user", "n_users", "users"),
+               "t": ("tag", "n_tags", "tags")}
+_LATENT = ("n_topics", "n_interests")  # the latent sizes in DIMS
 
 # Relative amplitude of the seeded init noise; large enough to break topic
 # symmetry, small enough that every table starts close to uniform.
@@ -66,7 +66,7 @@ class TrainConfig:
 
     ``interests`` only matters for the interest-topic model; ``workers``
     changes the speed, never the result.  ``max_table_bytes`` bounds the
-    size of the dense parameter tables a trainer may allocate.
+    size (8 bytes a value) of the parameter tables a trainer allocates.
     """
 
     model: str = "plsa"
@@ -211,11 +211,6 @@ def em_fit(
     return TrainLog(history, False)
 
 
-def triples(corpus):
-    """The corpus triples as data rows: ``({"r", "u", "t"} ids, counts)``."""
-    return {"r": corpus.r_ids, "u": corpus.u_ids, "t": corpus.t_ids}, corpus.counts
-
-
 def check_support(totals, ids: dict) -> None:
     """Raise :class:`DegeneracyError` naming the first data row of ``ids``
     whose mixture total is not positive."""
@@ -225,47 +220,107 @@ def check_support(totals, ids: dict) -> None:
         raise DegeneracyError(f"degenerate posterior for {_ROW_NAMES[len(ids)]} ({where})")
 
 
-def _mixture_e_step(model, chunk: dict, n, stats, lo) -> np.ndarray:
-    """The default per-chunk step: ``model.mixture`` of the rows summed over its
-    latent axes; with ``stats``, the n-weighted posteriors go to ``model.scatter``."""
-    post = model.mixture(*chunk.values())
-    totals = post.sum(axis=tuple(range(1, post.ndim)))
-    if stats is not None:
-        check_support(totals, chunk)
-        post *= (n / totals).reshape((-1,) + (1,) * (post.ndim - 1))
-        model.scatter(stats, chunk, post, lo)
-    return totals
+class Model:
+    """Base of the model classes: the tables named in ``TABLES``, a seed, the
+    sizes named in ``DIMS`` (each read off the first table with that axis), the
+    :meth:`statistics` those tables imply, and defaults that a subclass may
+    replace: the rest of the protocol of :func:`train`, and p(z|r).
+
+    Each subclass keeps its own one-line ``validate``, ``check_corpus``,
+    ``log_likelihood``, ``topic_distribution`` and ``save``, because
+    ``perfbench/tracing.py`` patches them from each class ``__dict__``.
+    """
+
+    kind: str
+    DIMS: tuple[str, ...]
+    TABLES: tuple[tuple[str, str, tuple[str, ...]], ...]
+    chunk_rows = 1 << 15
+    band = "r"  # the id column ``rows`` sorts on
+
+    def __init__(self, *, seed: int = 0, **tables):
+        names = [attr for attr, _, _ in self.TABLES]
+        if sorted(tables) != sorted(names):
+            raise TypeError(f"{type(self).__name__} takes the tables {', '.join(names)} "
+                            f"and seed; got {', '.join(tables) or 'none'}")
+        self.__dict__.update(tables)
+        self.seed = seed
+
+    def __getattr__(self, name: str) -> int:
+        for attr, _, dims in self.TABLES:
+            if name in dims:
+                return getattr(self, attr).shape[dims.index(name)]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    @staticmethod
+    def rows(corpus):
+        """The corpus triples as data rows: ``({"r", "u", "t"} ids, counts)``."""
+        return {"r": corpus.r_ids, "u": corpus.u_ids, "t": corpus.t_ids}, corpus.counts
+
+    def statistics(self) -> list:
+        """``(id column, latent sizes)`` of each statistic: one per table with a latent
+        axis, in ``TABLES`` order, shaped [ids of the table's id column, latent...], or
+        [latent...] for a table without one (p(z), whose column is ``None``)."""
+        cols = {dim: col for col, (_, dim, _) in _ID_COLUMNS.items()}
+        return [(next((cols[dim] for dim in dims if dim in cols), None), latent)
+                for _, _, dims in self.TABLES
+                if (latent := tuple(getattr(self, dim) for dim in dims if dim in _LATENT))]
+
+    def zero_stats(self, lo: int, hi: int) -> list:
+        """Zero statistics, the ``band`` one for its ids lo..hi-1 alone, and allocated first:
+        after the others, itm's raised the itm-em benchmark's peak RSS by 2.5 MB."""
+        stats = {j: np.zeros(latent if col is None else (
+            hi - lo if col == self.band else getattr(self, _ID_COLUMNS[col][1]),) + latent)
+            for j, (col, latent) in sorted(enumerate(self.statistics()),
+                                           key=lambda stat: stat[1][0] != self.band)}
+        return [stats[j] for j in sorted(stats)]
+
+    def e_step(self, chunk: dict, n, stats, lo: int) -> np.ndarray:
+        """The rows' totals of an [n, K] mixture; given ``stats``, the n-weighted posteriors
+        are added to each statistic by row id (id - lo for the ``band`` one), or over all rows."""
+        post = self.mixture(*chunk.values())
+        totals = post.sum(axis=1)
+        if stats is not None:
+            check_support(totals, chunk)
+            post *= (n / totals)[:, None]
+            for stat, (col, _) in zip(stats, self.statistics()):
+                if col is None:
+                    stat += post.sum(axis=0)
+                else:
+                    add_rows(stat, chunk[col] - lo if col == self.band else chunk[col], post)
+        return totals
+
+    def topic_distributions(self) -> np.ndarray:
+        return self.topic_given_resource  # p(z|r) as [R, K]: the model's own table
 
 
 def data_pass(model, ids: dict, counts, fused: bool, executor=None) -> tuple:
     """One walk of the data rows at the current parameters: ``(stats, L)``, with
-    ``stats`` empty unless ``fused``.  Each chunk goes through the model's
-    ``e_step`` if it has one, else through :func:`_mixture_e_step`.  A slice sums
-    the model's ``band`` statistic over the ids its rows reach (see
-    :func:`mapreduce_slices`)."""
-    e_step = getattr(type(model), "e_step", _mixture_e_step)
-    name, k = model.band
+    ``stats`` empty unless ``fused``.  Each chunk goes through ``model.e_step``.  A
+    slice sums the statistic keyed by the model's ``band`` over the ids its rows
+    reach (see :func:`mapreduce_slices`)."""
+    k = [col for col, _ in model.statistics()].index(model.band)
 
     def add_chunk(sums, chunk, n, lo) -> None:
-        totals = e_step(model, chunk, n, sums[1:] if fused else None, lo)
+        totals = model.e_step(chunk, n, sums[1:] if fused else None, lo)
         with np.errstate(divide="ignore"):  # a zero total adds -inf
             sums[0] += (n * model.log_terms(totals, chunk)).sum()
 
     ll, *stats = mapreduce_slices(
         ids, counts, model.chunk_rows, add_chunk,
         lambda lo, hi: [np.zeros(()), *(model.zero_stats(lo, hi) if fused else ())], executor,
-        (name, k + 1, getattr(model, f"n_{_ID_NAMES[name]}s")) if fused else None)
+        (model.band, k + 1, getattr(model, _ID_COLUMNS[model.band][1])) if fused else None)
     return stats, ll
 
 
 def check_ids(model, **ids) -> None:
     """Raise :class:`DataError` for a non-integer id or one outside its vocabulary."""
     for name, i in ids.items():
-        n = getattr(model, f"n_{_ID_NAMES[name]}s")
+        what, dim, _ = _ID_COLUMNS[name]
+        n = getattr(model, dim)
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-            raise DataError(f"{_ID_NAMES[name]} id must be an integer, got {i!r}")
+            raise DataError(f"{what} id must be an integer, got {i!r}")
         if not 0 <= i < n:
-            raise DataError(f"unknown {_ID_NAMES[name]} id {i}; expected 0 to {n - 1}")
+            raise DataError(f"unknown {what} id {i}; expected 0 to {n - 1}")
 
 
 def posterior(model, **ids) -> np.ndarray:
@@ -281,13 +336,12 @@ def posterior(model, **ids) -> np.ndarray:
 def check_corpus(model, corpus) -> None:
     """Raise :class:`DataError` unless the model's vocabulary sizes (those
     of its ``DIMS``) match the corpus."""
-    vocabs = {"n_resources": corpus.resources, "n_users": corpus.users, "n_tags": corpus.tags}
-    dims = [dim for dim in model.DIMS if dim in vocabs]
-    shape = tuple(getattr(model, dim) for dim in dims)
-    expected = tuple(len(vocabs[dim]) for dim in dims)
+    vocabs = [(dim, vocab) for _, dim, vocab in _ID_COLUMNS.values() if dim in model.DIMS]
+    shape = tuple(getattr(model, dim) for dim, _ in vocabs)
+    expected = tuple(len(getattr(corpus, vocab)) for _, vocab in vocabs)
     if shape != expected:
         raise DataError(f"model dimensions {shape} do not match corpus {expected} "
-                        f"({', '.join(dims)})")
+                        f"({', '.join(dim for dim, _ in vocabs)})")
 
 
 def log_likelihood(model, corpus) -> float:
@@ -312,6 +366,12 @@ def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
         raise ConfigError(f"config is for model {cfg.model!r}, but this trainer fits {cls.kind!r}")
     if cfg.topics > len(corpus.tags):
         warnings.warn(f"topics={cfg.topics} exceeds the tag vocabulary size {len(corpus.tags)}")
+    sizes = {"n_topics": cfg.topics, "n_interests": cfg.interests,
+             **{dim: len(getattr(corpus, vocab)) for _, dim, vocab in _ID_COLUMNS.values()}}
+    table_bytes = 8 * sum(math.prod(sizes[dim] for dim in dims) for _, _, dims in cls.TABLES)
+    if table_bytes > cfg.max_table_bytes:
+        raise ConfigError(f"{cls.kind} tables need {table_bytes} bytes, over the budget of "
+                          f"{cfg.max_table_bytes}; lower topics/interests or raise max_table_bytes")
     model = cls.initial(corpus, cfg, np.random.default_rng(cfg.seed))
     ids, counts = model.rows(corpus)
     executor = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None

@@ -129,7 +129,7 @@ def itm_m_step(corpus, posteriors):
 
 
 def itm_mixture_e_step(model, ids, counts):
-    """The itm statistics ``(p(t|i,z) as [T, I, K], p(i|u), p(z|r))`` and L of
+    """The itm statistics ``(p(i|u), p(z|r), p(t|i,z) as [T, I, K])`` and L of
     the data rows ``ids``, ``counts`` through the [n, I, K] posterior of
     ``model.mixture``, added with ``np.add.at`` in row order."""
     post = model.mixture(ids["r"], ids["u"], ids["t"])
@@ -137,9 +137,9 @@ def itm_mixture_e_step(model, ids, counts):
     ll = float((counts * model.log_terms(totals, ids)).sum())
     post *= (counts / totals)[:, None, None]
     stats = model.zero_stats(0, model.n_tags)  # the band of every tag
-    np.add.at(stats[0], ids["t"], post)
-    np.add.at(stats[1], ids["u"], post.sum(axis=2))
-    np.add.at(stats[2], ids["r"], post.sum(axis=1))
+    np.add.at(stats[0], ids["u"], post.sum(axis=2))
+    np.add.at(stats[1], ids["r"], post.sum(axis=1))
+    np.add.at(stats[2], ids["t"], post)
     return stats, ll
 
 

@@ -104,6 +104,14 @@ class TestTrain:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
+    def test_table_budget_is_usage_error(self, triple_file, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        run("ingest", triple_file, corpus)
+        assert run("train", corpus, tmp_path / "m", "--model", "plsa", "--topics", 2,
+                   "--max-table-bytes", 10) == 1
+        assert "plsa tables need" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.tsv", "triples.tsv"]
+
     def test_unknown_flag_is_usage_error(self, triple_file, tmp_path):
         assert run("train", triple_file, tmp_path / "m", "--model", "nope") == 1
 

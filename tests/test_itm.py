@@ -205,7 +205,7 @@ class TestFactoredEStep:
         expected, expected_ll = oracles.itm_mixture_e_step(model, ids, counts)
         for got, want in zip(stats, expected):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        assert not stats[0][1].any()  # the tag without rows gets no statistic
+        assert not stats[2][1].any()  # the tag without rows gets no statistic
         assert ll == pytest.approx(expected_ll, rel=1e-12, abs=0)
 
     @staticmethod
@@ -303,7 +303,7 @@ class TestTagBands:
         assert [(s.shape, s.tobytes()) for s in stats] == \
             [(s.shape, s.tobytes()) for s in expected]
         assert ll.tobytes() == expected_ll.tobytes()
-        assert not stats[0][empty_tags].any()
+        assert not stats[2][empty_tags].any()
         # Rows out of tag order are summed, not dropped: the mixture E-step agrees.
         oracle, oracle_ll = oracles.itm_mixture_e_step(model, ids, counts)
         for got, want in zip(stats, oracle):

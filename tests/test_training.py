@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import operator
 import time
@@ -12,8 +13,9 @@ from tagtopics import train_itm, train_mwa, train_plsa, training
 from tagtopics.corpus import Corpus, Vocab
 from tagtopics.errors import ConfigError, DataError, DegeneracyError
 from tagtopics.itm import ItmModel
+from tagtopics.modelio import MODEL_TYPES
 from tagtopics.mwa import MwaModel
-from tagtopics.training import (_SLICES, TrainConfig, em_fit, mapreduce_slices,
+from tagtopics.training import (_SLICES, MODEL_KINDS, TrainConfig, em_fit, mapreduce_slices,
                                 noisy_uniform_rows)
 
 
@@ -483,3 +485,47 @@ def test_iteration_hook_sees_the_parameters_its_log_likelihood_belongs_to(
     _, log = TRAINERS[kind](toy_corpus, cfg, iteration_hook=hook)
     assert seen == [1, 2, 3, 4]
     assert log.iterations == 4
+
+
+def initial_model(kind, corpus):
+    """The seeded start of ``kind`` at K=3 topics and I=2 interests."""
+    cfg = TrainConfig(model=kind, topics=3, interests=2)
+    return MODEL_TYPES[kind].initial(corpus, cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind, band, statistics", [
+    ("plsa", "r", [("t", (3,)), ("r", (3,))]),
+    ("mwa", "r", [(None, (3,)), ("r", (3,)), ("u", (3,)), ("t", (3,))]),
+    ("itm", "t", [("u", (2,)), ("r", (3,)), ("t", (2, 3))]),
+])
+def test_statistics_are_one_per_table_with_a_latent_axis(kind, band, statistics):
+    model = initial_model(kind, random_corpus(5))
+    assert model.band == band
+    assert model.statistics() == statistics
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_zero_stats_give_the_band_statistic_its_ids_alone(kind):
+    corpus = random_corpus(5)
+    n_r, n_u, n_t = len(corpus.resources), len(corpus.users), len(corpus.tags)
+    model = initial_model(kind, corpus)
+    lo, hi = 2, 5
+    stats = model.zero_stats(lo, hi)
+    assert [s.shape for s in stats] == {
+        "plsa": [(n_t, 3), (hi - lo, 3)],
+        "mwa": [(3,), (hi - lo, 3), (n_u, 3), (n_t, 3)],
+        "itm": [(n_u, 2), (n_r, 3), (hi - lo, 2, 3)]}[kind]
+    assert not any(s.any() for s in stats)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_memory_budget_guard(kind, toy_corpus):
+    """``max_table_bytes`` bounds every table of each model at 8 bytes a value."""
+    cfg = TrainConfig(model=kind, topics=2, interests=3, max_iters=1)
+    with pytest.raises(ConfigError, match=f"^{kind} tables need .* over the budget of 10;"):
+        TRAINERS[kind](toy_corpus, dataclasses.replace(cfg, max_table_bytes=10))
+    model, _ = TRAINERS[kind](toy_corpus, cfg)
+    need = 8 * sum(getattr(model, attr).size for attr, _, _ in model.TABLES)
+    TRAINERS[kind](toy_corpus, dataclasses.replace(cfg, max_table_bytes=need))
+    with pytest.raises(ConfigError, match=f" need {need} bytes, over the budget of {need - 1};"):
+        TRAINERS[kind](toy_corpus, dataclasses.replace(cfg, max_table_bytes=need - 1))
