@@ -13,7 +13,7 @@ import sys
 from dataclasses import fields
 
 from ._textio import atomic_write
-from .corpus import filter_tags, ingest_triples, read_corpus, save_corpus
+from .corpus import filter_tags, ingest_triples, read_corpus, read_vocabularies, save_corpus
 from .errors import ConfigError, DataError, DegeneracyError
 from .itm import train_itm
 from .metrics import LabelSet, count_relevant_topk, effort_to_n
@@ -67,22 +67,22 @@ def cmd_rank(args) -> None:
     if args.top < 0:
         raise ConfigError("--top must be >= 0")
     model = load_model(args.model_file)
-    corpus = read_corpus(args.corpus)
-    model.check_corpus(corpus)
+    vocabs = read_vocabularies(args.corpus)
+    model.check_corpus(vocabs)
+    resources = vocabs.resources
     try:
-        seed_id = corpus.resources.id_of(args.seed_resource)
+        seed_id = resources.id_of(args.seed_resource)
     except DataError:
-        close = difflib.get_close_matches(args.seed_resource, corpus.resources.entries, n=5)
+        close = difflib.get_close_matches(args.seed_resource, resources.entries, n=5)
         hint = ", ".join(close) if close else "none"
         raise DataError(f"unknown seed resource {args.seed_resource!r}; "
                         f"close vocabulary matches: {hint}") from None
     ranked = rank_rows(model.topic_distributions(), seed_id)
     meta = {"model": model.kind, "K": model.n_topics, "base": "e",
-            "seed": corpus.resources.name_of(seed_id)}
+            "seed": resources.name_of(seed_id)}
     with (contextlib.nullcontext(sys.stdout) if args.output is None
           else atomic_write(args.output)) as stream:
-        write_ranking(ranked, stream, limit=args.top,
-                      name_of=corpus.resources.name_of, meta=meta)
+        write_ranking(ranked, stream, limit=args.top, name_of=resources.name_of, meta=meta)
 
 
 def cmd_eval(args) -> None:

@@ -13,10 +13,12 @@ user-aggregated resource-tag counts ``n(r, t)``.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import filterfalse, islice, repeat
+from typing import NamedTuple
 
 import numpy as np
 
-from ._textio import atomic_write, tsv_records
+from ._textio import atomic_write, skipped, tsv_records
 from .errors import ConfigError, DataError
 
 # Default frequency window for the tag reduction: drop tags seen fewer than
@@ -28,8 +30,7 @@ DEFAULT_MAX_TAG_FREQ = 10_000
 class Vocab:
     """Ordered string<->id mapping with dense ids 0..len-1.
 
-    Ids are assigned by first appearance; adding an existing entry returns
-    its previous id.
+    Ids are assigned by first appearance; an entry added again keeps its id.
     """
 
     __slots__ = ("entries", "index")
@@ -37,16 +38,13 @@ class Vocab:
     def __init__(self, entries: Iterable[str] = ()):
         self.entries: list[str] = []
         self.index: dict[str, int] = {}
-        for entry in entries:
-            self.add(entry)
+        self.extend(entries)
 
-    def add(self, entry: str) -> int:
-        ident = self.index.get(entry)
-        if ident is None:
-            ident = len(self.entries)
-            self.entries.append(entry)
-            self.index[entry] = ident
-        return ident
+    def extend(self, entries: Iterable[str]) -> None:
+        """Add each entry not yet present, in order of first appearance."""
+        fresh = list(filterfalse(self.index.__contains__, dict.fromkeys(entries)))
+        self.index.update(zip(fresh, range(len(self.entries), len(self.entries) + len(fresh))))
+        self.entries += fresh
 
     def id_of(self, entry: str) -> int:
         try:
@@ -174,48 +172,132 @@ class Corpus:
                 f"{len(self.tags)} tags, total={self.total})")
 
 
+# Lines per block of the triples parse: enough that the per-block work runs
+# in C over whole columns, few enough that no block holds much of a file.
+BLOCK_LINES = 2048
+
+# By a record's tab count, what makes it 4 fields: its default count, if it has none.
+_COUNT_SUFFIX = {2: "\t1", 3: ""}
+
+
+class Vocabularies(NamedTuple):
+    """The three vocabularies of a triples stream, ids by first appearance."""
+
+    resources: Vocab
+    users: Vocab
+    tags: Vocab
+
+
+def _check_record(lineno: int, fields: list[str]) -> None:
+    """Raise the :class:`DataError` of the first check the record ``fields``
+    fails: 3 or 4 fields, no empty name, a positive ASCII-digit count."""
+    if len(fields) not in (3, 4):
+        raise DataError(f"line {lineno}: expected 3 or 4 tab-separated fields, got {len(fields)}")
+    if not all(fields[:3]):
+        raise DataError(f"line {lineno}: empty field")
+    if len(fields) == 4:
+        try:
+            count = int(fields[3])
+        except ValueError:
+            raise DataError(f"line {lineno}: count {fields[3]!r} is not an integer") from None
+        if count < 1:
+            raise DataError(f"line {lineno}: count must be positive, got {count}")
+        if not (fields[3].isascii() and fields[3].isdigit()):
+            raise DataError(f"line {lineno}: count {fields[3]!r} is not ASCII digits")
+
+
+def _report_bad_line(block: list[str], first_lineno: int) -> None:
+    """Raise the error of the first record of ``block``, whose first line is
+    numbered ``first_lineno``, that fails :func:`_check_record`."""
+    for lineno, fields in tsv_records(block):
+        _check_record(first_lineno + lineno - 1, fields)
+    raise RuntimeError(f"the block from line {first_lineno} failed a check that no line fails")
+
+
+def _triple_columns(lines: Iterable[str], vocabs: Vocabularies, counts: dict[str, int]):
+    """The records of ``lines`` in blocks of :data:`BLOCK_LINES` lines, each as
+    its resource, user, tag and count columns of strings.  Adds new names to
+    ``vocabs`` and the value of each new count string to ``counts``.  Raises
+    the :class:`DataError` of the first malformed line when its block is read
+    and, once the stream ends, when it held no record or a name holds a
+    reserved character (CR or LF)."""
+    lines = iter(lines)
+    next_lineno, records = 1, 0
+    while block := list(islice(lines, BLOCK_LINES)):
+        first_lineno, next_lineno = next_lineno, next_lineno + len(block)
+        rows = list(filterfalse(skipped, map(str.rstrip, block, repeat("\r\n"))))
+        if not rows:
+            continue
+        tabs = list(map(str.count, rows, repeat("\t")))
+        widths = set(tabs)  # one width is split as it is; in a mix, 3 fields get a count
+        if not widths <= _COUNT_SUFFIX.keys():
+            _report_bad_line(block, first_lineno)
+        if len(widths) > 1:
+            rows = list(map(str.__add__, rows, map(_COUNT_SUFFIX.__getitem__, tabs)))
+        fields = "\t".join(rows).split("\t")
+        width = len(fields) // len(rows)
+        columns = [fields[k::width] for k in range(width)]
+        if width == 3:
+            columns.append(["1"] * len(rows))
+        for vocab, names in zip(vocabs, columns):
+            vocab.extend(names)
+        if any("" in vocab.index for vocab in vocabs):
+            _report_bad_line(block, first_lineno)
+        for text in set(columns[3]).difference(counts):
+            if not (text.isascii() and text.isdigit() and int(text) > 0):
+                _report_bad_line(block, first_lineno)
+            counts[text] = int(text)
+        records += len(rows)
+        yield columns
+    if not records:
+        raise DataError("empty corpus")
+    for vocab in vocabs:
+        for entry in vocab.entries:
+            if "\n" in entry or "\r" in entry:
+                raise DataError(f"vocabulary entry {entry!r} contains reserved characters")
+
+
 def ingest_triples(lines: Iterable[str]) -> Corpus:
     """Parse a line-oriented triple stream into a merged corpus.
 
     Each non-comment, non-blank line must hold 3 or 4 tab-separated fields:
     ``resource, user, tag[, count]`` with a positive integer count (default 1).
     Lines starting with ``#`` and blank lines are ignored.  Ids are assigned
-    by first appearance; merged counts do not depend on line order.
+    by first appearance; merged counts do not depend on line order.  The
+    stream is read in blocks of :data:`BLOCK_LINES` lines.
     """
-    resources, users, tags = Vocab(), Vocab(), Vocab()
-    ids: list[int] = []
-    counts: list[int] = []
-    for lineno, fields in tsv_records(lines):
-        if len(fields) not in (3, 4):
-            raise DataError(f"line {lineno}: expected 3 or 4 tab-separated fields, got {len(fields)}")
-        if not all(fields[:3]):
-            raise DataError(f"line {lineno}: empty field")
-        count = 1
-        if len(fields) == 4:
-            try:
-                count = int(fields[3])
-            except ValueError:
-                raise DataError(f"line {lineno}: count {fields[3]!r} is not an integer") from None
-            if count < 1:
-                raise DataError(f"line {lineno}: count must be positive, got {count}")
-            if not (fields[3].isascii() and fields[3].isdigit()):
-                raise DataError(f"line {lineno}: count {fields[3]!r} is not ASCII digits")
-        ids += (resources.add(fields[0]), users.add(fields[1]), tags.add(fields[2]))
-        counts.append(count)
-    if not counts:
-        raise DataError("empty corpus")
-    for vocab in (resources, users, tags):
-        for entry in vocab.entries:
-            if "\n" in entry or "\r" in entry:
-                raise DataError(f"vocabulary entry {entry!r} contains reserved characters")
-    (r, u, t), merged = merge_rows(np.array(ids, dtype=np.int64).reshape(-1, 3).T,
-                                   np.array(counts, dtype=np.int64))
-    return Corpus(resources, users, tags, r, u, t, merged)
+    vocabs = Vocabularies(Vocab(), Vocab(), Vocab())
+    (r, u, t), merged = merge_rows(*_id_columns(lines, vocabs))
+    return Corpus(*vocabs, r, u, t, merged)
+
+
+def _id_columns(lines: Iterable[str], vocabs: Vocabularies):
+    """The resource, user and tag id columns and the count column of the
+    records of ``lines``, as int64 arrays; adds their names to ``vocabs``.
+    (A function of its own so that the per-block arrays are freed before
+    the merge, which holds the most memory of a read.)"""
+    counts: dict[str, int] = {}
+    lookups = [vocab.index.__getitem__ for vocab in vocabs] + [counts.__getitem__]
+    blocks = [[np.fromiter(map(lookup, column), dtype=np.int64, count=len(column))
+               for lookup, column in zip(lookups, columns)]
+              for columns in _triple_columns(lines, vocabs, counts)]
+    *ids, n = (np.concatenate(parts) for parts in zip(*blocks))
+    return ids, n
 
 
 def read_corpus(path) -> Corpus:
     with open(path, encoding="utf-8") as stream:
         return ingest_triples(stream)
+
+
+def read_vocabularies(path) -> Vocabularies:
+    """The vocabularies :func:`read_corpus` gives for ``path``, with the same
+    checks and errors, but no id arrays, merge or :class:`Corpus`."""
+    vocabs = Vocabularies(Vocab(), Vocab(), Vocab())
+    with open(path, encoding="utf-8") as stream:
+        for _ in _triple_columns(stream, vocabs, {}):
+            pass
+    return vocabs
 
 
 def write_corpus_tsv(corpus: Corpus, stream) -> None:

@@ -54,8 +54,8 @@ def js_divergence(p, q) -> float:
     q = _vector(q)
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    m = 0.5 * (p + q)
-    value = 0.5 * float(rel_entr(p, m).sum() + rel_entr(q, m).sum())
+    s = p + q  # twice m: m itself underflows to 0 for p = 5e-324, q = 0
+    value = 0.25 * float(rel_entr(2 * p, s).sum() + rel_entr(2 * q, s).sum())
     return max(value, 0.0)
 
 
@@ -72,10 +72,10 @@ class RankedList:
             raise DataError("ranking divergences must be finite")
         if divergences != sorted(divergences):
             raise DataError("ranking divergences must be non-decreasing")
-        keys = [rid for rid, _ in self.entries]
-        if len(set(keys)) != len(keys):
+        keys = {rid for rid, _ in self.entries}
+        if len(keys) != len(self.entries):
             raise DataError("ranking contains duplicate resources")
-        if self.seed in set(keys):
+        if self.seed in keys:
             raise DataError("seed resource may not appear in its own ranking")
 
     def top(self, k: int) -> list[tuple[object, float]]:
@@ -85,24 +85,28 @@ class RankedList:
         return len(self.entries)
 
 
-def rank_rows(probs: np.ndarray, seed_row: int) -> RankedList:
+def rank_rows(probs: np.ndarray, seed_row: int, keys=None) -> RankedList:
     """Rank every row of the [R, K] matrix ``probs`` but ``seed_row`` by ascending
     JS divergence to it, as ``(row, divergence)`` entries, in one pass (each row
-    summed as in :func:`js_divergence`, so with its bits).  Ties go to the lower row."""
-    m = 0.5 * (probs + probs[seed_row])
-    div = 0.5 * (rel_entr(probs, m).sum(axis=1) + rel_entr(probs[seed_row], m).sum(axis=1))
+    summed as in :func:`js_divergence`, so with its bits).  Ties go to the lower
+    row.  With ``keys``, row ``i`` (the seed included) is keyed ``keys[i]``."""
+    seed = probs[seed_row]
+    s = probs + seed
+    div = 0.25 * (rel_entr(2 * probs, s).sum(axis=1) + rel_entr(2 * seed, s).sum(axis=1))
     order = np.argsort(np.maximum(div, 0.0, out=div), kind="stable")
     order = order[order != seed_row]
-    return RankedList(seed_row, list(zip(order.tolist(), div[order].tolist())))
+    rows = order.tolist()
+    if keys is not None:
+        rows, seed_row = [keys[row] for row in rows], keys[seed_row]
+    return RankedList(seed_row, list(zip(rows, div[order].tolist())))
 
 
 def rank_by_seed(dists: Mapping, seed) -> RankedList:
-    """:func:`rank_rows` over the stack of the vectors in id order, keyed by id."""
+    """:func:`rank_rows` over the vectors in id order, keyed by id."""
     if seed not in dists:
         raise DataError(f"seed {seed!r} has no topic distribution")
     ids = sorted(dists)
-    ranked = rank_rows(np.stack([_vector(dists[rid]) for rid in ids]), ids.index(seed))
-    return RankedList(seed, [(ids[row], div) for row, div in ranked.entries])
+    return rank_rows(np.array([_vector(dists[rid]) for rid in ids]), ids.index(seed), ids)
 
 
 _RANKING_COLUMNS = "rank\tresource\tdivergence"

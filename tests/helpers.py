@@ -6,6 +6,22 @@ from tagtopics.corpus import Corpus, Vocab, ingest_triples
 from tagtopics.itm import ItmModel
 from tagtopics.sampling import PlantedSpec, sample_corpus
 
+# A malformed triples line of each kind, with a fragment of its error.
+MALFORMED = [
+    ("a\tu1", "line 1"),
+    ("a\tu1\tx\t1\textra", "line 1"),
+    ("a\t\tx", "empty field"),
+    ("a\tu1\tx\t0", "positive"),
+    ("a\tu1\tx\t-2", "positive"),
+    ("a\tu1\tx\tmany", "not an integer"),
+    ("a\tu1\tx\t1_000", "not ASCII digits"),
+    ("a\tu1\tx\t+3", "not ASCII digits"),
+    ("a\tu1\tx\t 7", "not ASCII digits"),
+    ("a\tu1\tx\t\u0663", "not ASCII digits"),  # ARABIC-INDIC DIGIT THREE
+]
+# Lines whose names hold a reserved character (embedded CR or LF).
+RESERVED = ["a\rb\tu1\tx", "a\tu1\nu2\tx", "a\tu1\tx\ry\t2"]
+
 
 def make_corpus(lines):
     return ingest_triples(lines)

@@ -7,14 +7,54 @@ obvious on purpose.  Two exceptions reuse a package kernel on purpose:
 ``js_divergence`` once per resource, so the vectorised ranking can be held
 to its bits; and :func:`itm_mixture_e_step` is the itm E-step as it was
 before the factored pass, through ``ItmModel.mixture``, so the factored
-pass can be held to it.
+pass can be held to it.  :func:`ingest_triples` is the per-line triples
+parse as it was before the block-wise parse, through the package's
+``tsv_records``, ``merge_rows`` and ``Corpus``, so the block-wise
+parse can be held to its ids, counts and error messages.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from tagtopics._textio import tsv_records
+from tagtopics.corpus import Corpus, Vocab, merge_rows
+from tagtopics.errors import DataError
 from tagtopics.similarity import js_divergence as scalar_js_divergence
+
+
+def ingest_triples(lines):
+    resources, users, tags = {}, {}, {}  # name -> id, by first appearance
+    ids = []
+    counts = []
+    for lineno, fields in tsv_records(lines):
+        if len(fields) not in (3, 4):
+            raise DataError(f"line {lineno}: expected 3 or 4 tab-separated fields, got {len(fields)}")
+        if not all(fields[:3]):
+            raise DataError(f"line {lineno}: empty field")
+        count = 1
+        if len(fields) == 4:
+            try:
+                count = int(fields[3])
+            except ValueError:
+                raise DataError(f"line {lineno}: count {fields[3]!r} is not an integer") from None
+            if count < 1:
+                raise DataError(f"line {lineno}: count must be positive, got {count}")
+            if not (fields[3].isascii() and fields[3].isdigit()):
+                raise DataError(f"line {lineno}: count {fields[3]!r} is not ASCII digits")
+        ids += (resources.setdefault(fields[0], len(resources)),
+                users.setdefault(fields[1], len(users)), tags.setdefault(fields[2], len(tags)))
+        counts.append(count)
+    if not counts:
+        raise DataError("empty corpus")
+    for vocab in (resources, users, tags):
+        for entry in vocab:
+            if "\n" in entry or "\r" in entry:
+                raise DataError(f"vocabulary entry {entry!r} contains reserved characters")
+    (r, u, t), merged = merge_rows(np.array(ids, dtype=np.int64).reshape(-1, 3).T,
+                                   np.array(counts, dtype=np.int64))
+    return Corpus(Vocab(resources), Vocab(users), Vocab(tags), r, u, t, merged)
 
 
 def plsa_joint(model, r, t):
@@ -157,13 +197,15 @@ def draw_by_comparison(table, rows, uniforms):
 
 
 def js_divergence(p, q):
-    mid = [(a + b) / 2.0 for a, b in zip(p, q)]
+    """With the midpoint and each ratio exact (``Fraction``), so a subnormal
+    entry against a zero does not underflow."""
+    mid = [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(p, q)]
 
     def kl(x, y):
         total = 0.0
         for xi, yi in zip(x, y):
             if xi > 0.0:
-                total += xi * math.log(xi / yi)
+                total += xi * math.log(Fraction(xi) / yi)
         return total
 
     return 0.5 * (kl(p, mid) + kl(q, mid))

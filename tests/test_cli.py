@@ -1,4 +1,5 @@
 import io
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -6,13 +7,14 @@ import pytest
 
 from helpers import named_triples
 from tagtopics import cli
-from tagtopics.corpus import read_corpus
+from tagtopics.corpus import Corpus, read_corpus
 from tagtopics.itm import train_itm
 from tagtopics.modelio import load_model
 from tagtopics.mwa import MwaModel
 from tagtopics.plsa import PlsaModel
 from tagtopics.sampling import planted_two_topic_spec, save_spec
-from tagtopics.similarity import TopicDistribution, rank_by_seed, rank_rows, write_ranking
+from tagtopics.similarity import (TopicDistribution, rank_by_seed, rank_rows, read_ranking,
+                                  write_ranking)
 from tagtopics.training import MODEL_KINDS, TrainConfig
 
 
@@ -202,6 +204,35 @@ class TestRank:
         model = load_model(model_path)
         assert len(seen) == 1 and type(seen[0]) is np.ndarray
         assert seen[0].tobytes() == model.topic_distributions().tobytes()
+
+    def test_reads_no_corpus(self, trained, tmp_path, monkeypatch):
+        corpus_path, model_path = trained
+        out = tmp_path / "ranking.tsv"
+        assert run("rank", model_path, corpus_path, "a", "--output", out) == 0
+        expected = out.read_bytes()
+
+        def built(self, *args):
+            raise AssertionError("cmd_rank built a Corpus")
+
+        monkeypatch.setattr(Corpus, "__init__", built)
+        assert run("rank", model_path, corpus_path, "a", "--output", out) == 0
+        assert out.read_bytes() == expected
+
+    def test_every_seed_of_a_subnormal_row_ranks(self, trained, tmp_path):
+        corpus_path, _ = trained
+        model = PlsaModel(resource_probs=np.array([0.5, 0.5]),
+                          tag_given_topic=np.array([[0.5, 0.5], [0.5, 0.5]]),
+                          topic_given_resource=np.array([[5e-324, 1.0], [0.0, 1.0]]))
+        model_path = tmp_path / "subnormal.plsa"
+        model.save(model_path)
+        assert load_model(model_path).topic_given_resource[0, 0] == 5e-324
+        for seed in read_corpus(corpus_path).resources.entries:
+            out = tmp_path / f"ranking-{seed}.tsv"
+            assert run("rank", model_path, corpus_path, seed, "--output", out) == 0
+            with open(out, encoding="utf-8") as stream:
+                _, ranked = read_ranking(stream)
+            assert [name for name, _ in ranked.entries] == [name for name in "ab" if name != seed]
+            assert all(0.0 <= div <= math.log(2.0) for _, div in ranked.entries)
 
     def test_unknown_seed_suggests_matches(self, trained, capsys):
         corpus_path, model_path = trained

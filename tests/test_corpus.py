@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_corpus, named_triples, rt_counts
+from helpers import MALFORMED, RESERVED, make_corpus, named_triples, rt_counts
 from tagtopics.corpus import (Corpus, Vocab, filter_tags, ingest_triples, merge_rows,
                               write_corpus_tsv)
 from tagtopics.errors import ConfigError, DataError
@@ -22,9 +22,10 @@ class TestVocab:
         assert len(vocab) == 3
 
     def test_duplicates_merge(self):
-        vocab = Vocab()
-        assert vocab.add("x") == vocab.add("x") == 0
-        assert len(vocab) == 1
+        vocab = Vocab(["x", "x"])
+        vocab.extend(["y", "x", "y"])
+        assert vocab.entries == ["x", "y"]
+        assert [vocab.id_of("x"), vocab.id_of("y")] == [0, 1]
 
     def test_unknown_lookups_raise(self):
         vocab = Vocab(["x"])
@@ -57,23 +58,12 @@ class TestIngest:
         corpus = make_corpus(["# header", "", "a\tu\tx", "   ", "# trailing"])
         assert corpus.total == 1
 
-    @pytest.mark.parametrize("line, fragment", [
-        ("a\tu1", "line 1"),
-        ("a\tu1\tx\t1\textra", "line 1"),
-        ("a\t\tx", "empty field"),
-        ("a\tu1\tx\t0", "positive"),
-        ("a\tu1\tx\t-2", "positive"),
-        ("a\tu1\tx\tmany", "not an integer"),
-        ("a\tu1\tx\t1_000", "not ASCII digits"),
-        ("a\tu1\tx\t+3", "not ASCII digits"),
-        ("a\tu1\tx\t 7", "not ASCII digits"),
-        ("a\tu1\tx\t\u0663", "not ASCII digits"),  # ARABIC-INDIC DIGIT THREE
-    ])
+    @pytest.mark.parametrize("line, fragment", MALFORMED)
     def test_malformed_lines(self, line, fragment):
         with pytest.raises(DataError, match=fragment):
             ingest_triples([line])
 
-    @pytest.mark.parametrize("line", ["a\rb\tu1\tx", "a\tu1\nu2\tx", "a\tu1\tx\ry\t2"])
+    @pytest.mark.parametrize("line", RESERVED)
     def test_reserved_characters_rejected(self, line):
         with pytest.raises(DataError, match="reserved characters"):
             ingest_triples([line])

@@ -81,6 +81,14 @@ class TestJsDivergence:
         value = js_divergence(p / p.sum(), q / q.sum())
         assert 0.0 <= value <= LN2 + 1e-12
 
+    def test_least_subnormal_against_zero(self):
+        # m = (p + q) / 2 underflows to 0 here, which made KL(p || m) infinite.
+        p, q = np.array([5e-324, 1.0]), np.array([0.0, 1.0])
+        values = [js_divergence(p, q), js_divergence(q, p)]
+        for seed_row in (0, 1):
+            values += [div for _, div in rank_rows(np.array([p, q]), seed_row).entries]
+        assert all(math.isfinite(v) and 0.0 <= v <= LN2 for v in values), values
+
     def test_accepts_topic_distribution_wrappers(self):
         p = TopicDistribution(np.array([0.5, 0.5]))
         q = TopicDistribution(np.array([1.0, 0.0]))
@@ -168,6 +176,45 @@ class TestRankBySeed:
         assert all(type(div) is float for _, div in got)
         want = oracles.rank_by_seed(dists, seed)
         assert [(rid, div.hex()) for rid, div in got] == [(rid, div.hex()) for rid, div in want]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_subnormal_entries_stay_finite(self, data):
+        """Rows whose zeros are partly replaced by subnormal values (5e-324
+        among them): every divergence is finite, in [0, ln 2] up to rounding,
+        the scalar divergence's bits, and within 1e-12 of the exact-midpoint
+        oracle."""
+        k = data.draw(st.sampled_from([1, 2, 3, 8, 9, 40]), label="topics")
+        n = data.draw(st.integers(2, 8), label="resources")
+        entry = st.one_of(st.just(0.0), st.floats(0.0, 1.0, allow_subnormal=True))
+        tiny = st.one_of(st.just(5e-324), st.floats(0.0, 2.2250738585072014e-308,
+                                                    allow_subnormal=True))
+        rows = []
+        for _ in range(n):
+            raw = np.array(data.draw(st.lists(entry, min_size=k, max_size=k)))
+            if raw.sum() == 0.0:
+                raw[data.draw(st.integers(0, k - 1))] = 1.0
+            row = raw / raw.sum()
+            for j in np.flatnonzero(row == 0.0):
+                if data.draw(st.booleans(), label="subnormal"):
+                    row[j] = data.draw(tiny)
+            rows.append(row)
+        dists = dict(enumerate(rows))
+        seed = data.draw(st.integers(0, n - 1), label="seed")
+        got = rank_by_seed(dists, seed).entries
+        assert all(math.isfinite(div) and 0.0 <= div <= LN2 + 1e-12 for _, div in got)
+        want = oracles.rank_by_seed(dists, seed)
+        assert [(rid, div.hex()) for rid, div in got] == [(rid, div.hex()) for rid, div in want]
+        for rid, div in got:
+            assert div == pytest.approx(oracles.js_divergence(rows[rid], rows[seed]), abs=1e-12)
+
+    def test_builds_one_ranked_list(self, monkeypatch):
+        built = []
+        check = RankedList.__post_init__
+        monkeypatch.setattr(RankedList, "__post_init__", lambda self: built.append(check(self)))
+        d = np.array([0.3, 0.7])
+        rank_by_seed({2: d, 1: np.array([1.0, 0.0]), 0: d}, 2)
+        assert len(built) == 1
 
     def test_rounding_below_zero_is_clamped(self):
         # Rows one ulp apart: unclamped, their divergence rounds to -5.7e-17.
