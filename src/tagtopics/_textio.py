@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+from itertools import filterfalse, islice
 
 import numpy as np
 
@@ -58,9 +59,11 @@ def parse_ints(fields: list[str], what: str) -> list[int]:
         raise DataError(f"{what}: expected integers, got {fields!r}") from None
 
 
-def parse_matrix(stream, n_rows: int, n_cols: int, what: str) -> np.ndarray:
+def parse_matrix(stream, n_rows: int, n_cols: int, what: str, first: int = 0) -> np.ndarray:
+    """The next ``n_rows`` rows of ``n_cols`` values of ``stream``, each value
+    through ``float``; errors name the rows from ``first`` on."""
     rows = []
-    for i in range(n_rows):
+    for i in range(first, first + n_rows):
         fields = next_fields(stream, f"{what} row {i}")
         if len(fields) != n_cols:
             raise DataError(f"{what} row {i}: expected {n_cols} values, got {len(fields)}")
@@ -69,6 +72,34 @@ def parse_matrix(stream, n_rows: int, n_cols: int, what: str) -> np.ndarray:
         except ValueError:
             raise DataError(f"{what} row {i}: non-numeric value") from None
     return np.array(rows)
+
+
+# Values per block of a table read: enough that numpy's text parser does the
+# work, few enough that no block holds much of a file.
+BLOCK_VALUES = 2**14
+
+
+def read_table(lines, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The table of ``shape`` in the next rows of ``lines``, an iterator of
+    lines that are not :func:`skipped`.  Blocks of about :data:`BLOCK_VALUES`
+    values go through ``np.loadtxt``; a block that it refuses or reads to
+    another shape is read again by :func:`parse_matrix`, for ``float``'s
+    values of the tokens it refuses or the error of the block's first bad
+    row, numbered within the table."""
+    n_rows, n_cols = math.prod(shape[:-1]), shape[-1]
+    table = np.empty((n_rows, n_cols))
+    step = max(BLOCK_VALUES // n_cols, 1)
+    for first in range(0, n_rows, step):
+        want = min(step, n_rows - first)
+        block = list(islice(lines, want))
+        rows = None
+        if len(block) == want:
+            with contextlib.suppress(ValueError):
+                rows = np.loadtxt(block, dtype=np.float64, comments=None, ndmin=2)
+        if rows is None or rows.shape != (want, n_cols):
+            rows = parse_matrix(iter(block), want, n_cols, what, first)
+        table[first:first + want] = rows
+    return table.reshape(shape)
 
 
 def write_model(model, stream) -> None:
@@ -106,13 +137,13 @@ def read_tables(cls, header: list[str], stream):
         raise DataError(f"bad {cls.kind} header: {' '.join(header)!r}")
     *sizes, seed = parse_ints(header[1:], f"{cls.kind} header")
     size = dict(zip(cls.DIMS, sizes))
+    lines = filterfalse(skipped, stream)
     tables = {}
     for attr, label, dims in cls.TABLES:
         shape = tuple(size[dim] for dim in dims)
         if min(shape) < 1:
             raise DataError(f"{label}: dimension must be positive, got {shape}")
-        rows = parse_matrix(stream, math.prod(shape[:-1]), shape[-1], label)
-        tables[attr] = rows.reshape(shape)
+        tables[attr] = read_table(lines, shape, label)
     if not all(map(skipped, stream)):
         raise DataError(f"{cls.kind} model: data after the last table")
     model = cls(**tables, seed=seed)

@@ -172,9 +172,13 @@ class Corpus:
                 f"{len(self.tags)} tags, total={self.total})")
 
 
-# Lines per block of the triples parse: enough that the per-block work runs
-# in C over whole columns, few enough that no block holds much of a file.
+# Lines per block of the triples parse and write: enough that the per-block
+# work runs in C over whole columns, few enough that no block holds much of a
+# file.
 BLOCK_LINES = 2048
+
+# Largest count: the counts are held as int64.
+MAX_COUNT = 2**63 - 1
 
 # By a record's tab count, what makes it 4 fields: its default count, if it has none.
 _COUNT_SUFFIX = {2: "\t1", 3: ""}
@@ -190,7 +194,8 @@ class Vocabularies(NamedTuple):
 
 def _check_record(lineno: int, fields: list[str]) -> None:
     """Raise the :class:`DataError` of the first check the record ``fields``
-    fails: 3 or 4 fields, no empty name, a positive ASCII-digit count."""
+    fails: 3 or 4 fields, no empty name, a positive ASCII-digit count of at
+    most :data:`MAX_COUNT`."""
     if len(fields) not in (3, 4):
         raise DataError(f"line {lineno}: expected 3 or 4 tab-separated fields, got {len(fields)}")
     if not all(fields[:3]):
@@ -204,6 +209,8 @@ def _check_record(lineno: int, fields: list[str]) -> None:
             raise DataError(f"line {lineno}: count must be positive, got {count}")
         if not (fields[3].isascii() and fields[3].isdigit()):
             raise DataError(f"line {lineno}: count {fields[3]!r} is not ASCII digits")
+        if count > MAX_COUNT:
+            raise DataError(f"line {lineno}: count {fields[3]!r} exceeds 2**63 - 1")
 
 
 def _report_bad_line(block: list[str], first_lineno: int) -> None:
@@ -244,7 +251,7 @@ def _triple_columns(lines: Iterable[str], vocabs: Vocabularies, counts: dict[str
         if any("" in vocab.index for vocab in vocabs):
             _report_bad_line(block, first_lineno)
         for text in set(columns[3]).difference(counts):
-            if not (text.isascii() and text.isdigit() and int(text) > 0):
+            if not (text.isascii() and text.isdigit() and 0 < int(text) <= MAX_COUNT):
                 _report_bad_line(block, first_lineno)
             counts[text] = int(text)
         records += len(rows)
@@ -306,8 +313,10 @@ def write_corpus_tsv(corpus: Corpus, stream) -> None:
     name_r = corpus.resources.entries
     name_u = corpus.users.entries
     name_t = corpus.tags.entries
-    for r, u, t, n in zip(corpus.r_ids, corpus.u_ids, corpus.t_ids, corpus.counts):
-        stream.write(f"{name_r[r]}\t{name_u[u]}\t{name_t[t]}\t{n}\n")
+    columns = (corpus.r_ids, corpus.u_ids, corpus.t_ids, corpus.counts)
+    for lo in range(0, corpus.num_triples, BLOCK_LINES):  # Python ints, a block at a time
+        for r, u, t, n in zip(*(col[lo:lo + BLOCK_LINES].tolist() for col in columns)):
+            stream.write(f"{name_r[r]}\t{name_u[u]}\t{name_t[t]}\t{n}\n")
 
 
 def save_corpus(corpus: Corpus, path) -> None:

@@ -18,6 +18,8 @@ MALFORMED = [
     ("a\tu1\tx\t+3", "not ASCII digits"),
     ("a\tu1\tx\t 7", "not ASCII digits"),
     ("a\tu1\tx\t\u0663", "not ASCII digits"),  # ARABIC-INDIC DIGIT THREE
+    ("a\tu1\tx\t9223372036854775808", r"exceeds 2\*\*63 - 1"),
+    ("a\tu1\tx\t99999999999999999999", r"exceeds 2\*\*63 - 1"),
 ]
 # Lines whose names hold a reserved character (embedded CR or LF).
 RESERVED = ["a\rb\tu1\tx", "a\tu1\nu2\tx", "a\tu1\tx\ry\t2"]

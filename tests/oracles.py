@@ -43,6 +43,8 @@ def ingest_triples(lines):
                 raise DataError(f"line {lineno}: count must be positive, got {count}")
             if not (fields[3].isascii() and fields[3].isdigit()):
                 raise DataError(f"line {lineno}: count {fields[3]!r} is not ASCII digits")
+            if count > 2**63 - 1:
+                raise DataError(f"line {lineno}: count {fields[3]!r} exceeds 2**63 - 1")
         ids += (resources.setdefault(fields[0], len(resources)),
                 users.setdefault(fields[1], len(users)), tags.setdefault(fields[2], len(tags)))
         counts.append(count)

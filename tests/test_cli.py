@@ -65,6 +65,15 @@ class TestIngest:
         assert run("ingest", src, tmp_path / "out.tsv") == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["ingest"], ["train", "--model", "plsa"]])
+    def test_count_above_int64_is_data_error(self, command, tmp_path, capsys):
+        src = tmp_path / "big.tsv"
+        src.write_text("a\tu\tx\t1\na\tu\ty\t99999999999999999999\n")
+        assert run(command[0], src, tmp_path / "out", *command[1:]) == 2
+        assert capsys.readouterr().err.strip().endswith(
+            "line 2: count '99999999999999999999' exceeds 2**63 - 1")
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrain:
     def test_single_topic_converges_fast(self, triple_file, tmp_path, capsys):
@@ -233,6 +242,15 @@ class TestRank:
                 _, ranked = read_ranking(stream)
             assert [name for name, _ in ranked.entries] == [name for name in "ab" if name != seed]
             assert all(0.0 <= div <= math.log(2.0) for _, div in ranked.entries)
+
+    def test_count_above_int64_is_data_error(self, trained, tmp_path, capsys):
+        corpus_path, model_path = trained
+        big = tmp_path / "big.tsv"
+        big.write_text(corpus_path.read_text() + "a\tu1\tx\t9223372036854775808\n")
+        assert run("rank", model_path, big, "a") == 2
+        assert "count '9223372036854775808' exceeds 2**63 - 1" in capsys.readouterr().err
+        big.write_text(corpus_path.read_text() + "a\tu1\tx\t9223372036854775807\n")
+        assert run("rank", model_path, big, "a") == 0
 
     def test_unknown_seed_suggests_matches(self, trained, capsys):
         corpus_path, model_path = trained

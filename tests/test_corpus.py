@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import MALFORMED, RESERVED, make_corpus, named_triples, rt_counts
+from tagtopics import corpus as corpus_module
 from tagtopics.corpus import (Corpus, Vocab, filter_tags, ingest_triples, merge_rows,
                               write_corpus_tsv)
 from tagtopics.errors import ConfigError, DataError
@@ -108,6 +109,19 @@ class TestCorpusProperties:
             assert sum(n for (ri, _), n in rt.items() if ri == r) == corpus.n_r[r]
         assert sum(rt.values()) == corpus.total
         assert corpus.n_r.sum() == corpus.n_u.sum() == corpus.n_t.sum() == corpus.total
+
+    @pytest.mark.parametrize("block_lines", [1, 7, corpus_module.BLOCK_LINES])
+    def test_write_in_blocks_is_one_line_per_triple(self, block_lines, monkeypatch):
+        corpus = make_corpus([f"r{i % 97}\tu{i % 31}\tt{i % 53}\t{i % 5 + 1}"
+                              for i in range(2 * corpus_module.BLOCK_LINES + 5)])
+        want = "# resource\tuser\ttag\tcount\n" + "".join(
+            f"{corpus.resources.entries[int(r)]}\t{corpus.users.entries[int(u)]}"
+            f"\t{corpus.tags.entries[int(t)]}\t{int(n)}\n"
+            for r, u, t, n in zip(corpus.r_ids, corpus.u_ids, corpus.t_ids, corpus.counts))
+        monkeypatch.setattr(corpus_module, "BLOCK_LINES", block_lines)
+        buffer = io.StringIO()
+        write_corpus_tsv(corpus, buffer)
+        assert buffer.getvalue() == want
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.lists(entry_strategy, min_size=1, max_size=25))

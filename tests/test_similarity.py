@@ -1,5 +1,12 @@
 import io
 import math
+import os
+import pickle
+import select
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -88,6 +95,15 @@ class TestJsDivergence:
         for seed_row in (0, 1):
             values += [div for _, div in rank_rows(np.array([p, q]), seed_row).entries]
         assert all(math.isfinite(v) and 0.0 <= v <= LN2 for v in values), values
+
+    def test_one_ulp_above_ln2_is_clamped(self):
+        # Disjoint supports: unclamped, both forms round to 0.6931471805599454.
+        p = np.array([0.0, 0.795261339348748, 0.25])
+        p /= p.sum()
+        q = np.array([1.0, 0.0, 0.0])
+        assert js_divergence(p, q) == js_divergence(q, p) == LN2
+        for seed_row in (0, 1):
+            assert rank_rows(np.array([p, q]), seed_row).entries == [(1 - seed_row, LN2)]
 
     def test_accepts_topic_distribution_wrappers(self):
         p = TopicDistribution(np.array([0.5, 0.5]))
@@ -267,6 +283,145 @@ class TestRankRows:
         by_row = rank_rows(np.array([rows[-1], rows[4], rows[9]]), 2)
         assert rank_by_seed({rid: np.array(row) for rid, row in rows.items()}, 9).entries == \
             [([-1, 4, 9][row], div) for row, div in by_row.entries]
+
+
+def planted_rows(n_rows=2500, n_topics=40, seed=2500):
+    """p(z|r) rows of rank size: a dominant topic of mass 0.85 per row and
+    the rest spread by a sparse Dirichlet draw, with exact zeros."""
+    rng = np.random.default_rng(seed)
+    rest = rng.dirichlet(np.full(n_topics, 0.2), size=n_rows)
+    rest[rng.random(rest.shape) < 0.1] = 0.0
+    rest[:, 0] += rest.sum(axis=1) == 0.0
+    rest /= rest.sum(axis=1, keepdims=True)
+    probs = 0.15 * rest
+    probs[np.arange(n_rows), rng.integers(0, n_topics, n_rows)] += 0.85
+    return probs
+
+
+def one_block(probs, seed_row):
+    """``rank_rows`` with the rows in a single block, on the calling thread."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(similarity, "MIN_BLOCK_ROWS", len(probs) + 1)
+        return rank_rows(probs, seed_row)
+
+
+def hex_entries(ranked):
+    return [(row, div.hex()) for row, div in ranked.entries]
+
+
+class TestSplitRanking:
+    def test_planted_rank_size_model(self, monkeypatch):
+        """Every 25th seed (all 2,500 take about 50 s): each
+        ranking has the bits of the single-block run."""
+        probs = planted_rows()
+        monkeypatch.setattr(similarity, "_cores", lambda: 2)  # a split on any host
+        assert len(probs) // similarity.MIN_BLOCK_ROWS >= 2
+        for seed_row in range(0, len(probs), 25):
+            assert hex_entries(rank_rows(probs, seed_row)) == hex_entries(one_block(probs, seed_row))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_any_split_has_the_bits_of_one_block(self, data):
+        """One-row blocks allowed, as many blocks as drawn cores, rows with
+        zeros, subnormal entries and exact ties."""
+        k = data.draw(st.sampled_from([1, 3, 8, 9, 40]), label="topics")
+        n = data.draw(st.integers(1, 40), label="resources")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="draw"))
+        probs = rng.dirichlet(np.ones(k), size=n)
+        probs[rng.random(probs.shape) < 0.25] = 0.0
+        probs[:, 0] += probs.sum(axis=1) == 0.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[rng.random(probs.shape) < 0.05] = 5e-324
+        probs[n // 2] = probs[-1]
+        seed = data.draw(st.integers(0, n - 1), label="seed")
+        want = hex_entries(one_block(probs, seed))
+        cores = data.draw(st.integers(1, 7), label="cores")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(similarity, "MIN_BLOCK_ROWS", 1)
+            patch.setattr(similarity, "_cores", lambda: cores)
+            assert hex_entries(rank_rows(probs, seed)) == want
+
+    def test_small_matrix_touches_no_pool(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("rank_rows used the pool")
+
+        monkeypatch.setattr(similarity, "_shared_pool", no_pool)
+        probs = planted_rows(n_rows=2 * similarity.MIN_BLOCK_ROWS - 1)
+        assert len(rank_rows(probs, 0)) == len(probs) - 1
+
+    def test_concurrent_callers(self, monkeypatch):
+        """More calling threads than cores, on a pool that the first of them
+        makes, with a short switch interval: every ranking keeps its bits,
+        and one pool is made."""
+        probs = planted_rows(n_rows=4 * 64, n_topics=8)
+        seeds = range(0, len(probs), 16)
+        want = {seed: hex_entries(one_block(probs, seed)) for seed in seeds}
+        made = []
+        make = similarity.ThreadPoolExecutor
+
+        def slow_make(*args, **kwargs):  # widens the window for a second pool
+            made.append(time.sleep(0.05))
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(similarity, "ThreadPoolExecutor", slow_make)
+        monkeypatch.setattr(similarity, "MIN_BLOCK_ROWS", 16)
+        monkeypatch.setattr(similarity, "_cores", lambda: 3)
+        monkeypatch.setattr(similarity, "_pool", None)
+        start = threading.Barrier(len(seeds))
+        got = {}
+
+        def rank(seed):
+            start.wait(timeout=60)
+            for _ in range(20):
+                got.setdefault(seed, set()).add(tuple(hex_entries(rank_rows(probs, seed))))
+
+        callers = [threading.Thread(target=rank, args=(seed,)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == {seed: {tuple(entries)} for seed, entries in want.items()}
+        assert len(made) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_forked_child_ranks(self, monkeypatch):
+        """The parent's pool threads do not exist in a forked child, which
+        must start a pool of its own rather than queue work for them."""
+        probs = planted_rows(n_rows=4 * similarity.MIN_BLOCK_ROWS)
+        monkeypatch.setattr(similarity, "_cores", lambda: 2)
+        monkeypatch.setattr(similarity, "_pool", None)  # a pool of this test's own
+        want = hex_entries(rank_rows(probs, 3))  # two blocks, long enough to start two threads
+        time.sleep(0.2)  # which then go idle
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read_end)
+                with os.fdopen(write_end, "wb") as stream:
+                    pickle.dump(hex_entries(rank_rows(probs, 3)), stream)
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        try:
+            chunks = []
+            while select.select([read_end], [], [], 60)[0]:
+                chunk = os.read(read_end, 1 << 16)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+            else:
+                os.kill(pid, signal.SIGKILL)
+                pytest.fail("the forked child did not rank within 60 s")
+        finally:
+            os.close(read_end)
+            os.waitpid(pid, 0)
+        assert pickle.loads(b"".join(chunks)) == want
 
 
 class TestRankedList:
