@@ -26,6 +26,13 @@ from .errors import ConfigError, DataError
 DEFAULT_MIN_TAG_FREQ = 10
 DEFAULT_MAX_TAG_FREQ = 10_000
 
+# Largest count: the counts are held as int64.
+MAX_COUNT = 2**63 - 1
+
+# Below this float sum of positive integer counts, every partial float sum
+# of them is an exact integer, so no float or int64 sum of them is wrong.
+EXACT_FLOAT_SUM = 2**53
+
 
 class Vocab:
     """Ordered string<->id mapping with dense ids 0..len-1.
@@ -92,12 +99,39 @@ def renumber(kept: np.ndarray, ids: np.ndarray, name) -> tuple[Vocab, np.ndarray
     return Vocab(name(i) for i in kept), remap[ids]
 
 
+def _checked_sums(add, counts: np.ndarray, what) -> np.ndarray:
+    """The sums ``add`` forms of the positive int64 ``counts``, exact however
+    large: ``add`` sums the high and the low 32 bits of the counts apart,
+    which cannot wrap below 2**31 counts.  Raises :class:`DataError` when a
+    sum exceeds :data:`MAX_COUNT`, naming sum ``i`` as ``what(i)``."""
+    high, low = add(counts >> 32), add(counts & 0xFFFF_FFFF)
+    high += low >> 32
+    over = np.flatnonzero(high > MAX_COUNT >> 32)
+    if over.size:
+        raise DataError(f"{what(over[0])} overflows int64: it exceeds 2**63 - 1")
+    return (high << 32) | (low & 0xFFFF_FFFF)
+
+
 def merge_rows(columns, counts: np.ndarray):
     """The distinct rows of the parallel id ``columns`` in lexicographic
-    order, as ``(columns, counts)``, with ``counts`` summed over repeats."""
+    order, as ``(columns, counts)``, with ``counts`` summed over repeats.
+    Raises :class:`DataError` when a summed count exceeds 2**63 - 1."""
     order, columns, first = _sort_rows(columns)
     starts = np.flatnonzero(first)
-    return [col[starts] for col in columns], np.add.reduceat(counts[order], starts)
+    counts = counts[order]
+    merged = [col[starts] for col in columns]
+    if counts.sum(dtype=float) < EXACT_FLOAT_SUM:  # no int64 sum can wrap
+        return merged, np.add.reduceat(counts, starts)
+    return merged, _checked_sums(
+        lambda values: np.add.reduceat(values, starts), counts,
+        lambda i: f"the merged count of id row {tuple(int(col[i]) for col in merged)}")
+
+
+def _bin_sums(ids: np.ndarray, values: np.ndarray, bins: int) -> np.ndarray:
+    """The int64 sums of ``values`` by their ``ids``, over ``bins`` bins."""
+    sums = np.zeros(bins, dtype=np.int64)
+    np.add.at(sums, ids, values)
+    return sums
 
 
 class Corpus:
@@ -130,16 +164,26 @@ class Corpus:
         if not first.all():
             raise DataError("duplicate (resource, user, tag) keys; counts must be pre-merged")
 
-        self.n_r = np.bincount(self.r_ids, weights=self.counts, minlength=len(resources)).astype(np.int64)
-        self.n_u = np.bincount(self.u_ids, weights=self.counts, minlength=len(users)).astype(np.int64)
-        self.n_t = np.bincount(self.t_ids, weights=self.counts, minlength=len(tags)).astype(np.int64)
-        self.total = int(self.counts.sum())
-
-        for vocab, ids, marginal, what in ((resources, self.r_ids, self.n_r, "resource"),
-                                           (users, self.u_ids, self.n_u, "user"),
-                                           (tags, self.t_ids, self.n_t, "tag")):
+        dims = ((resources, self.r_ids, "resource"), (users, self.u_ids, "user"),
+                (tags, self.t_ids, "tag"))
+        for vocab, ids, what in dims:
             if ids.min() < 0 or ids.max() >= len(vocab):
                 raise DataError(f"{what} id out of vocabulary range")
+        total = self.counts.sum(dtype=float)
+        if total < EXACT_FLOAT_SUM:  # every float partial sum is an exact integer
+            self.n_r, self.n_u, self.n_t = (
+                np.bincount(ids, weights=self.counts, minlength=len(vocab)).astype(np.int64)
+                for vocab, ids, _ in dims)
+            self.total = int(total)
+        else:
+            self.n_r, self.n_u, self.n_t = (
+                _checked_sums(lambda values: _bin_sums(ids, values, len(vocab)), self.counts,
+                              lambda i: f"the count of {what} {vocab.entries[i]!r}")
+                for vocab, ids, what in dims)
+            self.total = int(_checked_sums(lambda values: values.sum(keepdims=True),
+                                           self.counts, lambda _: "the total count")[0])
+
+        for (vocab, _, what), marginal in zip(dims, (self.n_r, self.n_u, self.n_t)):
             if (marginal == 0).any():
                 bad = [vocab.entries[i] for i in np.nonzero(marginal == 0)[0][:5]]
                 raise DataError(f"{what} vocabulary entries without triples: {bad}")
@@ -176,9 +220,6 @@ class Corpus:
 # work runs in C over whole columns, few enough that no block holds much of a
 # file.
 BLOCK_LINES = 2048
-
-# Largest count: the counts are held as int64.
-MAX_COUNT = 2**63 - 1
 
 # By a record's tab count, what makes it 4 fields: its default count, if it has none.
 _COUNT_SUFFIX = {2: "\t1", 3: ""}

@@ -52,17 +52,31 @@ class PlantedSpec:
             raise ConfigError("n_users must be >= 1 for plsa sampling")
 
 
+def _count_at_or_below(cum: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per n, how many entries of row ``rows[n]`` of ``cum``, whose rows do not
+    decrease, are at or below ``u[n]``: ``searchsorted(cum[rows[n]], u[n],
+    side="right")``, for all n in one binary search.  Each of its about
+    log2(columns) steps gathers one entry per n, so it holds O(n) memory."""
+    flat, width = cum.ravel(), cum.shape[1]
+    start = rows * width  # of each draw's row in ``flat``
+    count = np.zeros(len(rows), dtype=np.int64)  # the answer is in [count, count + span]
+    span = width
+    while span > 1:
+        half = span // 2
+        count += half * (flat[start + count + half - 1] <= u)
+        span -= half
+    return count + (flat[start + count] <= u)
+
+
 def _draw_rows(rng: np.random.Generator, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """One draw from row ``rows[n]`` of ``table`` per n; a binary search per
-    distinct row instead of an n-by-columns comparison."""
+    """One draw from row ``rows[n]`` of ``table`` per n, by inverse CDF: the
+    number of running row sums at or below a uniform ``u`` (clamped to the
+    last column, for a row whose sum rounds below ``u``).  All n are searched
+    together by :func:`_count_at_or_below`, with no n-by-columns comparison
+    and no pass per distinct row."""
     cum = np.cumsum(np.asarray(table, dtype=float), axis=1)
     u = rng.random(len(rows))
-    idx = np.empty(len(rows), dtype=np.int64)
-    order = np.argsort(rows, kind="stable")
-    distinct, starts = np.unique(rows[order], return_index=True)
-    for row, group in zip(distinct, np.split(order, starts[1:])):
-        idx[group] = np.searchsorted(cum[row], u[group], side="right")
-    return np.minimum(idx, cum.shape[1] - 1)
+    return np.minimum(_count_at_or_below(cum, rows, u), cum.shape[1] - 1)
 
 
 def sample_corpus(spec: PlantedSpec) -> Corpus:

@@ -3,6 +3,10 @@
 Resources are described by their topic distributions p(z|r); dissimilarity is
 the Jensen-Shannon divergence in natural log, so values live in [0, ln 2].
 The log base only rescales divergences and never reorders a ranking.
+
+The divergence terms come from scipy's ``rel_entr``.  scipy is imported on
+the first divergence, not with the package, so that commands which never
+rank (ingest, train, eval, sample) do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rel_entr
 
 from . import _textio
 from .errors import DataError
@@ -57,6 +60,8 @@ def js_divergence(p, q) -> float:
     q = _vector(q)
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
+    from scipy.special import rel_entr
+
     s = p + q  # twice m: m itself underflows to 0 for p = 5e-324, q = 0
     value = 0.25 * float(rel_entr(2 * p, s).sum() + rel_entr(2 * q, s).sum())
     return min(max(value, 0.0), LN2)
@@ -126,9 +131,10 @@ def _shared_pool() -> ThreadPoolExecutor:
         return _pool
 
 
-def _divergences(probs, seed, s, work, out) -> None:
+def _divergences(rel_entr, probs, seed, s, work, out) -> None:
     """JS divergence of each row of ``probs`` to ``seed`` into ``out``, each
-    row summed on its own with the operations of :func:`js_divergence`.
+    row summed on its own with the operations of :func:`js_divergence`
+    (``rel_entr`` is scipy's, passed in so that no pool thread imports it).
     ``s`` and ``work`` are scratch of the shape of ``probs``, allocated by
     the caller, so that no pool thread's heap grows by them."""
     np.add(probs, seed, out=s)
@@ -146,6 +152,8 @@ def rank_rows(probs: np.ndarray, seed_row: int, keys=None) -> RankedList:
     The rows are cut into one contiguous block per core, each of at least
     :data:`MIN_BLOCK_ROWS` rows, and the blocks run on a shared thread pool;
     no row's sum depends on the cut, so neither does any bit of the result."""
+    from scipy.special import rel_entr  # here, on the calling thread, not in the pool
+
     probs = np.asarray(probs, dtype=float)
     seed = probs[seed_row]
     s, work, div = np.empty_like(probs), np.empty_like(probs), np.empty(len(probs))
@@ -153,10 +161,11 @@ def rank_rows(probs: np.ndarray, seed_row: int, keys=None) -> RankedList:
     if blocks > 1:
         edges = [len(probs) * i // blocks for i in range(blocks + 1)]
         list(_shared_pool().map(
-            lambda lo, hi: _divergences(probs[lo:hi], seed, s[lo:hi], work[lo:hi], div[lo:hi]),
+            lambda lo, hi: _divergences(rel_entr, probs[lo:hi], seed, s[lo:hi], work[lo:hi],
+                                        div[lo:hi]),
             edges[:-1], edges[1:]))
     else:
-        _divergences(probs, seed, s, work, div)
+        _divergences(rel_entr, probs, seed, s, work, div)
     order = np.argsort(np.clip(div, 0.0, LN2, out=div), kind="stable")
     order = order[order != seed_row]
     rows = order.tolist()
@@ -170,7 +179,8 @@ def rank_by_seed(dists: Mapping, seed) -> RankedList:
     if seed not in dists:
         raise DataError(f"seed {seed!r} has no topic distribution")
     ids = sorted(dists)
-    return rank_rows(np.array([_vector(dists[rid]) for rid in ids]), ids.index(seed), ids)
+    return rank_rows(np.array(list(map(_vector, map(dists.__getitem__, ids)))),
+                     ids.index(seed), ids)
 
 
 _RANKING_COLUMNS = "rank\tresource\tdivergence"

@@ -74,6 +74,20 @@ class TestIngest:
             "line 2: count '99999999999999999999' exceeds 2**63 - 1")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["ingest"], ["train", "--model", "plsa"]])
+    @pytest.mark.parametrize("lines, what", [
+        (["a\tu\tx\t9223372036854775807"] * 3, "the merged count of id row (0, 0, 0)"),
+        (["a\tu\tx\t4611686018427387904", "b\tu\tx\t4611686018427387904"],
+         "the count of user 'u'"),
+    ])
+    def test_sum_above_int64_is_data_error(self, command, lines, what, tmp_path, capsys):
+        src = tmp_path / "big.tsv"
+        src.write_text("\n".join(lines) + "\n")
+        assert run(command[0], src, tmp_path / "out", *command[1:]) == 2
+        assert capsys.readouterr().err.strip().endswith(
+            f"{what} overflows int64: it exceeds 2**63 - 1")
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrain:
     def test_single_topic_converges_fast(self, triple_file, tmp_path, capsys):

@@ -232,6 +232,11 @@ class TestCorpusColumns:
         with pytest.raises(DataError, match="must be integers"):
             Corpus(vocab, vocab, vocab, r_ids, [0, 1], [1, 0], counts)
 
+    def test_negative_id_is_out_of_range(self):
+        vocab = Vocab(["a"])
+        with pytest.raises(DataError, match="resource id out of vocabulary range"):
+            Corpus(vocab, vocab, vocab, [-1], [0], [0], [1])
+
     def test_empty_columns_report_empty_corpus(self):
         vocab = Vocab(["a"])
         with pytest.raises(DataError, match="empty corpus"):
@@ -308,3 +313,58 @@ class TestMergeRows:
         assert np.column_stack((r, u, t)).tolist() == [
             [0, 2_999_999, 2_999_999], [1_100_000, 0, 0], [3_149_638, 691_236, 1_551_616]]
         assert counts.tolist() == [4, 9, 2]
+
+
+class TestCountOverflow:
+    BIG = 2**62
+
+    def test_merged_count_above_int64_rejected(self):
+        with pytest.raises(DataError, match=r"merged count of id row \(0, 0, 0\) overflows int64"):
+            ingest_triples(["a\tu\tx\t9223372036854775807"] * 3)
+        with pytest.raises(DataError, match="overflows int64"):
+            merge_rows((np.zeros(2, dtype=np.int64),), np.array([self.BIG, self.BIG]))
+
+    def test_merged_count_of_int64_max_is_exact(self):
+        _, counts = merge_rows((np.array([1, 0, 1]),), np.array([self.BIG, 5, self.BIG - 1]))
+        assert counts.tolist() == [5, 2**63 - 1]
+
+    @pytest.mark.parametrize("users, tags, what", [
+        ([0, 0], [0, 0], "the count of user 'u0'"),
+        ([0, 1], [0, 0], "the count of tag 't0'"),
+        ([0, 1], [0, 1], "the total count"),
+    ])
+    def test_marginal_above_int64_rejected(self, users, tags, what):
+        with pytest.raises(DataError, match=f"^{what} overflows int64: it exceeds 2\\*\\*63 - 1$"):
+            Corpus(Vocab(["r0", "r1"]), Vocab(["u0", "u1"][:max(users) + 1]),
+                   Vocab(["t0", "t1"][:max(tags) + 1]), [0, 1], users, tags, [self.BIG, self.BIG])
+
+    def test_ingest_of_marginal_above_int64_rejected(self):
+        with pytest.raises(DataError, match="the count of user 'u' overflows int64"):
+            ingest_triples(["a\tu\tx\t4611686018427387904", "b\tu\tx\t4611686018427387904"])
+
+    def test_marginals_up_to_int64_max_are_exact(self):
+        counts = [self.BIG - 2**53 - 5, self.BIG, 2**53 + 1, 3]  # total 2**63 - 1
+        r, u, t = [0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0]
+        corpus = Corpus(Vocab(["r0", "r1"]), Vocab(["u0", "u1"]), Vocab(["t0", "t1"]),
+                        r, u, t, counts)
+        for ids, marginal in ((r, corpus.n_r), (u, corpus.n_u), (t, corpus.n_t)):
+            assert marginal.tolist() == [sum(n for i, n in zip(ids, counts) if i == k)
+                                         for k in (0, 1)]
+        assert corpus.total == sum(counts) == 2**63 - 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exact_path_matches_float_path(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 6, size=(3, 200))
+        counts = rng.integers(1, 2**40, 200)
+        merged = merge_rows(rows, counts)
+        corpus = Corpus(*(Vocab(map(str, range(6))) for _ in range(3)), *merged[0], merged[1])
+        monkeypatch.setattr(corpus_module, "EXACT_FLOAT_SUM", 0)
+        exact = merge_rows(rows, counts)
+        assert [col.tolist() for col in exact[0]] == [col.tolist() for col in merged[0]]
+        assert exact[1].tolist() == merged[1].tolist()
+        again = Corpus(*(Vocab(map(str, range(6))) for _ in range(3)), *exact[0], exact[1])
+        for name in ("n_r", "n_u", "n_t"):
+            assert getattr(again, name).dtype == np.int64
+            assert getattr(again, name).tolist() == getattr(corpus, name).tolist()
+        assert again.total == corpus.total == int(counts.sum())

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import oracles
@@ -12,7 +14,7 @@ from tagtopics.errors import ConfigError, DataError
 from tagtopics.itm import ItmModel
 from tagtopics.mwa import MwaModel
 from tagtopics.plsa import PlsaModel
-from tagtopics.sampling import (PlantedSpec, _draw_rows, load_spec,
+from tagtopics.sampling import (PlantedSpec, _count_at_or_below, _draw_rows, load_spec,
                                 planted_two_topic_spec, read_spec, sample_corpus,
                                 write_spec)
 
@@ -131,6 +133,76 @@ class TestDraws:
         uniforms = np.random.default_rng(seed + 50).random(600)
         assert got.tolist() == oracles.draw_by_comparison(
             [probs.tolist()], [0] * 600, uniforms.tolist())
+
+
+class Uniforms:
+    """Stands in for a generator whose one ``random(n)`` call gives ``values``."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, n):
+        assert n == len(self.values)
+        return self.values
+
+
+@st.composite
+def draw_tables(draw):
+    """Probability tables of 1 to 50 columns whose rows hold runs of zeros
+    (so tied running sums), some with ``k`` equal entries ``1/k`` whose
+    running sum ends below 1 (ten entries of 0.1 end at 1 - 2**-53)."""
+    width = draw(st.integers(1, 50))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            cells = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=width, max_size=width))
+            row = np.array(cells) / max(sum(cells), 1.0)
+        else:
+            row = np.array(draw(st.lists(
+                st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=width, max_size=width)))
+            row = row / row.sum() if row.sum() > 0 else row
+        if not row.any():
+            row[draw(st.integers(0, width - 1))] = 1.0
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestDrawSearch:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(draw_tables(), st.integers(0, 300), st.integers(0, 2**32 - 1))
+    @example(np.array([[0.5, 0.5]]), 0, 0)  # no draws
+    def test_draws_match_comparison_oracle(self, table, n, seed):
+        rows = np.random.default_rng(seed).integers(0, len(table), n)
+        got = _draw_rows(np.random.default_rng(seed), table, rows)
+        assert got.dtype == np.int64 and got.shape == (n,)
+        uniforms = np.random.default_rng(seed).random(n)
+        assert got.tolist() == oracles.draw_by_comparison(
+            table.tolist(), rows.tolist(), uniforms.tolist())
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(draw_tables(), st.integers(0, 2**32 - 1))
+    def test_uniforms_on_and_beside_running_sums(self, table, seed):
+        # Every running sum, the floats either side of it, 0 and the largest
+        # float below 1, which passes the sum of a row that rounds below it.
+        cum = np.cumsum(table, axis=1)
+        points = np.concatenate([cum.ravel(), np.nextafter(cum.ravel(), 0.0),
+                                 np.nextafter(cum.ravel(), 1.0), [0.0, np.nextafter(1.0, 0.0)]])
+        uniforms = np.clip(points, 0.0, np.nextafter(1.0, 0.0))
+        rows = np.random.default_rng(seed).integers(0, len(table), len(uniforms))
+        assert _count_at_or_below(cum, rows, uniforms).tolist() == [
+            np.searchsorted(cum[row], u, side="right") for row, u in zip(rows, uniforms)]
+        assert _draw_rows(Uniforms(uniforms), table, rows).tolist() == \
+            oracles.draw_by_comparison(table.tolist(), rows.tolist(), uniforms.tolist())
+
+    def test_row_summing_below_one_is_clamped_to_its_last_column(self):
+        table = np.array([[0.1] * 10 + [0.0, 0.0]])
+        cum = np.cumsum(table, axis=1)
+        top = np.nextafter(1.0, 0.0)
+        assert cum[0, -1] == top  # the row sums to 1 - 2**-53, so the largest u passes it
+        uniforms = np.array([cum[0, 8], top, 0.0])
+        rows = np.zeros(3, dtype=np.int64)
+        assert _count_at_or_below(cum, rows, uniforms).tolist() == [9, 12, 0]
+        assert _draw_rows(Uniforms(uniforms), table, rows).tolist() == [9, 11, 0]
 
 
 class TestSpecIo:
