@@ -29,8 +29,8 @@ DEFAULT_MAX_TAG_FREQ = 10_000
 # Largest count: the counts are held as int64.
 MAX_COUNT = 2**63 - 1
 
-# Below this float sum of positive integer counts, every partial float sum
-# of them is an exact integer, so no float or int64 sum of them is wrong.
+# Below this float sum of positive integer counts no int64 sum of them can
+# wrap, as their exact total is within rounding of it, far below 2**63.
 EXACT_FLOAT_SUM = 2**53
 
 
@@ -101,9 +101,11 @@ def renumber(kept: np.ndarray, ids: np.ndarray, name) -> tuple[Vocab, np.ndarray
 
 def _checked_sums(add, counts: np.ndarray, what) -> np.ndarray:
     """The sums ``add`` forms of the positive int64 ``counts``, exact however
-    large: ``add`` sums the high and the low 32 bits of the counts apart,
-    which cannot wrap below 2**31 counts.  Raises :class:`DataError` when a
-    sum exceeds :data:`MAX_COUNT`, naming sum ``i`` as ``what(i)``."""
+    large: from :data:`EXACT_FLOAT_SUM` up, ``add`` sums the counts' high and low
+    32 bits apart, which cannot wrap below 2**31 counts.  Raises :class:`DataError`
+    when a sum exceeds :data:`MAX_COUNT`, naming sum ``i`` as ``what(i)``."""
+    if counts.sum(dtype=float) < EXACT_FLOAT_SUM:
+        return add(counts)
     high, low = add(counts >> 32), add(counts & 0xFFFF_FFFF)
     high += low >> 32
     over = np.flatnonzero(high > MAX_COUNT >> 32)
@@ -120,8 +122,6 @@ def merge_rows(columns, counts: np.ndarray):
     starts = np.flatnonzero(first)
     counts = counts[order]
     merged = [col[starts] for col in columns]
-    if counts.sum(dtype=float) < EXACT_FLOAT_SUM:  # no int64 sum can wrap
-        return merged, np.add.reduceat(counts, starts)
     return merged, _checked_sums(
         lambda values: np.add.reduceat(values, starts), counts,
         lambda i: f"the merged count of id row {tuple(int(col[i]) for col in merged)}")
@@ -169,19 +169,12 @@ class Corpus:
         for vocab, ids, what in dims:
             if ids.min() < 0 or ids.max() >= len(vocab):
                 raise DataError(f"{what} id out of vocabulary range")
-        total = self.counts.sum(dtype=float)
-        if total < EXACT_FLOAT_SUM:  # every float partial sum is an exact integer
-            self.n_r, self.n_u, self.n_t = (
-                np.bincount(ids, weights=self.counts, minlength=len(vocab)).astype(np.int64)
-                for vocab, ids, _ in dims)
-            self.total = int(total)
-        else:
-            self.n_r, self.n_u, self.n_t = (
-                _checked_sums(lambda values: _bin_sums(ids, values, len(vocab)), self.counts,
-                              lambda i: f"the count of {what} {vocab.entries[i]!r}")
-                for vocab, ids, what in dims)
-            self.total = int(_checked_sums(lambda values: values.sum(keepdims=True),
-                                           self.counts, lambda _: "the total count")[0])
+        self.n_r, self.n_u, self.n_t = (
+            _checked_sums(lambda values: _bin_sums(ids, values, len(vocab)), self.counts,
+                          lambda i: f"the count of {what} {vocab.entries[i]!r}")
+            for vocab, ids, what in dims)
+        self.total = int(_checked_sums(lambda values: values.sum(keepdims=True),
+                                       self.counts, lambda _: "the total count")[0])
 
         for (vocab, _, what), marginal in zip(dims, (self.n_r, self.n_u, self.n_t)):
             if (marginal == 0).any():

@@ -48,6 +48,8 @@ class PlantedSpec:
         self.model.validate()
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if isinstance(self.model, PlsaModel) and self.n_users < 1:
             raise ConfigError("n_users must be >= 1 for plsa sampling")
 

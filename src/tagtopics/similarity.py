@@ -54,7 +54,7 @@ def js_divergence(p, q) -> float:
     """Jensen-Shannon divergence: 0.5*KL(p||m) + 0.5*KL(q||m), m = (p+q)/2.
 
     Natural log, 0*log(0) = 0.  Symmetric, bounded by ln 2; clamped to
-    [0, ln 2] against rounding.
+    [0, ln 2] against rounding.  Computed as the one row of :func:`rank_rows`.
     """
     p = _vector(p)
     q = _vector(q)
@@ -62,9 +62,9 @@ def js_divergence(p, q) -> float:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
     from scipy.special import rel_entr
 
-    s = p + q  # twice m: m itself underflows to 0 for p = 5e-324, q = 0
-    value = 0.25 * float(rel_entr(2 * p, s).sum() + rel_entr(2 * q, s).sum())
-    return min(max(value, 0.0), LN2)
+    row, value = p.reshape(1, -1), np.empty(1)
+    _divergences(rel_entr, row, q.reshape(-1), np.empty_like(row), np.empty_like(row), value)
+    return min(max(float(value[0]), 0.0), LN2)
 
 
 @dataclass
@@ -132,11 +132,11 @@ def _shared_pool() -> ThreadPoolExecutor:
 
 
 def _divergences(rel_entr, probs, seed, s, work, out) -> None:
-    """JS divergence of each row of ``probs`` to ``seed`` into ``out``, each
-    row summed on its own with the operations of :func:`js_divergence`
-    (``rel_entr`` is scipy's, passed in so that no pool thread imports it).
-    ``s`` and ``work`` are scratch of the shape of ``probs``, allocated by
-    the caller, so that no pool thread's heap grows by them."""
+    """JS divergence of each row p of ``probs`` to q = ``seed`` into ``out``, each
+    summed on its own, as (KL(2p || S) + KL(2q || S)) / 4 with S = p + q, finite
+    where m = S / 2 underflows (p = 5e-324, q = 0).  ``rel_entr`` is scipy's, passed
+    in so that no pool thread imports it; ``s`` and ``work`` are scratch of the shape
+    of ``probs``, allocated by the caller, so that no pool thread's heap grows by them."""
     np.add(probs, seed, out=s)
     rel_entr(np.multiply(probs, 2, out=work), s, out=work).sum(axis=1, out=out)
     out += rel_entr(2 * seed, s, out=work).sum(axis=1)
@@ -145,27 +145,24 @@ def _divergences(rel_entr, probs, seed, s, work, out) -> None:
 
 def rank_rows(probs: np.ndarray, seed_row: int, keys=None) -> RankedList:
     """Rank every row of the [R, K] matrix ``probs`` but ``seed_row`` by ascending
-    JS divergence to it, as ``(row, divergence)`` entries, in one pass (each row
-    summed as in :func:`js_divergence`, so with its bits).  Ties go to the lower
-    row.  With ``keys``, row ``i`` (the seed included) is keyed ``keys[i]``.
+    JS divergence to it, as ``(row, divergence)`` entries, in one pass of the
+    kernel that :func:`js_divergence` runs on one row, so with its bits.  Ties go
+    to the lower row.  With ``keys``, row ``i`` (the seed included) is keyed ``keys[i]``.
 
     The rows are cut into one contiguous block per core, each of at least
-    :data:`MIN_BLOCK_ROWS` rows, and the blocks run on a shared thread pool;
-    no row's sum depends on the cut, so neither does any bit of the result."""
+    :data:`MIN_BLOCK_ROWS` rows; two or more run on a shared thread pool, one on
+    the calling thread.  No row's sum depends on the cut, nor any result bit."""
     from scipy.special import rel_entr  # here, on the calling thread, not in the pool
 
     probs = np.asarray(probs, dtype=float)
     seed = probs[seed_row]
     s, work, div = np.empty_like(probs), np.empty_like(probs), np.empty(len(probs))
-    blocks = min(len(probs) // MIN_BLOCK_ROWS, _cores())
-    if blocks > 1:
-        edges = [len(probs) * i // blocks for i in range(blocks + 1)]
-        list(_shared_pool().map(
-            lambda lo, hi: _divergences(rel_entr, probs[lo:hi], seed, s[lo:hi], work[lo:hi],
-                                        div[lo:hi]),
-            edges[:-1], edges[1:]))
-    else:
-        _divergences(rel_entr, probs, seed, s, work, div)
+    blocks = max(min(len(probs) // MIN_BLOCK_ROWS, _cores()), 1)
+    edges = [len(probs) * i // blocks for i in range(blocks + 1)]
+    list((_shared_pool().map if blocks > 1 else map)(
+        lambda lo, hi: _divergences(rel_entr, probs[lo:hi], seed, s[lo:hi], work[lo:hi],
+                                    div[lo:hi]),
+        edges[:-1], edges[1:]))
     order = np.argsort(np.clip(div, 0.0, LN2, out=div), kind="stable")
     order = order[order != seed_row]
     rows = order.tolist()
@@ -175,12 +172,18 @@ def rank_rows(probs: np.ndarray, seed_row: int, keys=None) -> RankedList:
 
 
 def rank_by_seed(dists: Mapping, seed) -> RankedList:
-    """:func:`rank_rows` over the vectors in id order, keyed by id."""
+    """:func:`rank_rows` over the vectors, all of the seed's shape, in id order."""
     if seed not in dists:
         raise DataError(f"seed {seed!r} has no topic distribution")
     ids = sorted(dists)
-    return rank_rows(np.array(list(map(_vector, map(dists.__getitem__, ids)))),
-                     ids.index(seed), ids)
+    vectors, seed_row = list(map(_vector, map(dists.__getitem__, ids))), ids.index(seed)
+    try:
+        probs = np.array(vectors)
+    except ValueError:  # shapes differ: name the first vector not of the seed's
+        odd = next(i for i, v in enumerate(vectors) if v.shape != vectors[seed_row].shape)
+        raise ValueError(f"length mismatch: {ids[odd]!r} has shape {vectors[odd].shape}, "
+                         f"the seed {seed!r} has {vectors[seed_row].shape}") from None
+    return rank_rows(probs, seed_row, ids)
 
 
 _RANKING_COLUMNS = "rank\tresource\tdivergence"

@@ -370,5 +370,14 @@ class TestSample:
                               expected.tag_given_interest_topic)
         assert np.array_equal(loaded.topic_given_resource, expected.topic_given_resource)
 
+    def test_negative_spec_seed_is_usage_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "planted.spec"
+        save_spec(planted_two_topic_spec(), spec_path)
+        spec_path.write_text(spec_path.read_text().replace("\nspec 20000 13 1\n",
+                                                           "\nspec 20000 -1 1\n"))
+        assert run("sample", spec_path, tmp_path / "out.tsv") == 1
+        assert capsys.readouterr().err == "tagtopics: usage error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out.tsv").exists()
+
     def test_missing_spec_is_data_error(self, tmp_path):
         assert run("sample", tmp_path / "nope.spec", tmp_path / "out.tsv") == 2

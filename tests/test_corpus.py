@@ -352,6 +352,26 @@ class TestCountOverflow:
                                          for k in (0, 1)]
         assert corpus.total == sum(counts) == 2**63 - 1
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+    def test_sums_beside_the_exact_float_sum_are_exact(self, offset):
+        """Totals just below, at and just above 2**53, where the sums go from
+        one int64 pass to the split one."""
+        rows = [(0, 0, 0), (1, 1, 1), (0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+        counts = [2**52, 2**51 - 3 + offset, 2**51, 1, 1, 1]
+        assert sum(counts) == corpus_module.EXACT_FLOAT_SUM + offset
+        float_total = np.array(counts).sum(dtype=float)
+        assert (float_total < corpus_module.EXACT_FLOAT_SUM) == (offset < 0)
+        (r, u, t), merged = merge_rows(np.array(rows).T, np.array(counts))
+        assert merged.dtype == np.int64
+        assert merged.tolist() == [3 * 2**51, 1, 1, 1, 2**51 - 3 + offset]
+        corpus = Corpus(*(Vocab(["0", "1"]) for _ in range(3)), r, u, t, merged)
+        for axis, name in enumerate(("n_r", "n_u", "n_t")):
+            marginal = getattr(corpus, name)
+            assert marginal.dtype == np.int64
+            assert marginal.tolist() == [sum(n for row, n in zip(rows, counts) if row[axis] == k)
+                                         for k in (0, 1)]
+        assert type(corpus.total) is int and corpus.total == sum(counts)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_exact_path_matches_float_path(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)

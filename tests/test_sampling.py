@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -234,6 +235,16 @@ class TestSpecIo:
         path.write_text(fixture.read_text() + "0.5 0.5\n")
         with pytest.raises(DataError, match="^itm model: data after the last table$"):
             load_spec(path)
+
+    def test_negative_seed_rejected(self):
+        buffer = io.StringIO()
+        write_spec(planted_two_topic_spec(), buffer)
+        text = buffer.getvalue().replace("\nspec 20000 13 1\n", "\nspec 20000 -1 1\n")
+        assert text != buffer.getvalue()
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            read_spec(io.StringIO(text))
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            sample_corpus(dataclasses.replace(planted_two_topic_spec(), seed=-1))
 
     def test_bad_header_rejected(self):
         with pytest.raises(DataError):

@@ -243,9 +243,11 @@ class TestRankBySeed:
     def test_unequal_lengths_rejected(self):
         dists = {0: TopicDistribution(np.array([0.5, 0.5])),
                  1: TopicDistribution(np.array([0.2, 0.3, 0.5]))}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^length mismatch: 1 has shape \(3,\), "
+                                             r"the seed 0 has \(2,\)$"):
             rank_by_seed(dists, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^length mismatch: 0 has shape \(2,\), "
+                                             r"the seed 1 has \(3,\)$"):
             rank_by_seed(dists, 1)
 
     def test_never_calls_the_scalar_divergence(self, monkeypatch):
