@@ -139,6 +139,9 @@ def read_spec(stream) -> PlantedSpec:
 
 
 def save_spec(spec: PlantedSpec, path) -> None:
+    """Write ``spec`` to ``path`` once it passes ``spec.validate``, as
+    :func:`load_spec` checks it; a failing spec leaves ``path`` as it was."""
+    spec.validate()
     with _textio.atomic_write(path) as stream:
         write_spec(spec, stream)
 

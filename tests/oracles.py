@@ -11,6 +11,9 @@ pass can be held to it.  :func:`ingest_triples` is the per-line triples
 parse as it was before the block-wise parse, through the package's
 ``tsv_records``, ``merge_rows`` and ``Corpus``, so the block-wise
 parse can be held to its ids, counts and error messages.
+:func:`write_model` is the model writer as it was before the block-wise
+shortest round-trip kernel, ``repr`` per value, so the kernel can be held to
+its bytes.
 """
 
 import math
@@ -57,6 +60,16 @@ def ingest_triples(lines):
     (r, u, t), merged = merge_rows(np.array(ids, dtype=np.int64).reshape(-1, 3).T,
                                    np.array(counts, dtype=np.int64))
     return Corpus(Vocab(resources), Vocab(users), Vocab(tags), r, u, t, merged)
+
+
+def write_model(model, stream) -> None:
+    """Write ``model`` in format v1, laid out by its class schema."""
+    sizes = " ".join(str(getattr(model, dim)) for dim in model.DIMS)
+    stream.write(f"# tagtopics model format v1\n{model.kind} {sizes} {model.seed}\n")
+    for attr, _, _ in model.TABLES:
+        table = getattr(model, attr)
+        for row in table.reshape(-1, table.shape[-1]):
+            stream.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def plsa_joint(model, r, t):

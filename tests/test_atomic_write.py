@@ -3,16 +3,20 @@
 Every writer of the package (model ``save``, ``save_corpus``, ``save_spec``
 and ``rank --output``) goes through ``_textio.atomic_write``: a writer that
 raises halfway leaves the old file byte for byte and no temporary file.
+Model ``save`` and ``save_spec`` refuse what their readers would reject
+before they write at all.
 """
 
 import os
 
+import numpy as np
 import pytest
 
 from tagtopics import _textio, cli, corpus, sampling
 from tagtopics._textio import atomic_write
 from tagtopics.corpus import save_corpus
-from tagtopics.sampling import planted_two_topic_spec, save_spec
+from tagtopics.errors import DataError
+from tagtopics.sampling import PlantedSpec, planted_two_topic_spec, save_spec
 
 
 class Halfway(OSError):
@@ -69,6 +73,43 @@ def test_model_save_failing_halfway(tmp_path, monkeypatch, hand_itm_model):
     monkeypatch.setattr(_textio, "write_model", half_then_raise)
     with pytest.raises(Halfway):
         hand_itm_model.save(path)
+    assert_untouched(path, old)
+
+
+def nan_entry(table):
+    table[0, 0] = np.nan
+
+
+def row_sum_of_1_2(table):
+    table[0] *= 1.2
+
+
+INVALID = pytest.mark.parametrize("spoil, message", [
+    (nan_entry, r"^p\(t\|z\) has non-finite entries$"),
+    (row_sum_of_1_2, r"^p\(t\|z\) rows do not sum to 1$"),
+], ids=["nan", "row-sum-1.2"])
+
+
+@INVALID
+def test_model_save_refuses_an_invalid_model(tmp_path, hand_plsa_model, spoil, message):
+    path = tmp_path / "model.plsa"
+    hand_plsa_model.save(path)
+    old = path.read_bytes()
+    spoil(hand_plsa_model.tag_given_topic)
+    with pytest.raises(DataError, match=message):
+        hand_plsa_model.save(path)
+    assert_untouched(path, old)
+
+
+@INVALID
+def test_save_spec_refuses_an_invalid_spec(tmp_path, hand_plsa_model, spoil, message):
+    path = tmp_path / "planted.spec"
+    spec = PlantedSpec(model=hand_plsa_model, n_samples=10, seed=1, n_users=2)
+    save_spec(spec, path)
+    old = path.read_bytes()
+    spoil(hand_plsa_model.tag_given_topic)
+    with pytest.raises(DataError, match=message):
+        save_spec(spec, path)
     assert_untouched(path, old)
 
 
