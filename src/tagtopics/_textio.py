@@ -90,9 +90,12 @@ def read_table(lines, shape: tuple[int, ...], what: str) -> np.ndarray:
     values go through ``np.loadtxt``; a block that it refuses or reads to
     another shape is read again by :func:`parse_matrix`, for ``float``'s
     values of the tokens it refuses or the error of the block's first bad
-    row, numbered within the table."""
+    row, numbered within the table.  A shape too large to allocate is a ``DataError``."""
     n_rows, n_cols = math.prod(shape[:-1]), shape[-1]
-    table = np.empty((n_rows, n_cols))
+    try:
+        table = np.empty((n_rows, n_cols))
+    except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
+        raise DataError(f"{what}: cannot allocate the declared shape {shape}") from None
     step = max(BLOCK_VALUES // n_cols, 1)
     for first in range(0, n_rows, step):
         want = min(step, n_rows - first)
@@ -304,10 +307,13 @@ def read_tables(cls, header: list[str], stream):
     return model
 
 
-def validate(model, atol: float) -> None:
+ROW_SUM_ATOL = 1e-10  # how far from 1 the sum of a table row may lie
+
+
+def validate(model) -> None:
     """Check every table against the class schema: its ndim, sizes that
     agree across tables, finite non-negative entries, and sums of 1 (within
-    ``atol``) over the last axis."""
+    :data:`ROW_SUM_ATOL`) over the last axis."""
     size: dict[str, int] = {}
     for attr, label, dims in model.TABLES:
         table = getattr(model, attr)
@@ -320,5 +326,5 @@ def validate(model, atol: float) -> None:
             raise DataError(f"{label} has non-finite entries")
         if (table < 0).any():
             raise DataError(f"{label} has negative entries")
-        if not np.allclose(table.sum(axis=-1), 1.0, rtol=0, atol=atol):
+        if not np.allclose(table.sum(axis=-1), 1.0, rtol=0, atol=ROW_SUM_ATOL):
             raise DataError(f"{label} rows do not sum to 1")

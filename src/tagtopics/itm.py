@@ -43,7 +43,7 @@ from .corpus import Corpus
 from .similarity import TopicDistribution
 # perfbench/tracing.py patches em_fit and mapreduce_slices by model module.
 from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
-                       mapreduce_slices, noisy_uniform_rows, normalize_rows)
+                       mapreduce_slices, normalize_rows)
 
 # Rows per chunk: as many as an [n, I, K] posterior of this many float64 values.
 _SCRATCH_ELEMS = 1 << 18
@@ -73,28 +73,23 @@ class ItmModel(training.Model):
         ("tag_given_interest_topic", "p(t|i,z)", ("n_interests", "n_topics", "n_tags")),
     )
 
+    # p(t|i,z) is drawn first, so that at interests=1 the start has the pLSA trainer's
+    # tables for the same seed (the p(i|u) rows normalize to 1.0).
+    DRAWS = ("tag_given_interest_topic", "topic_given_resource", "interest_given_user")
     band = "t"  # the id column ``rows`` sorts on
 
-    def validate(self, atol: float = 1e-10) -> None:
-        _textio.validate(self, atol)
+    def validate(self) -> None:
+        _textio.validate(self)
 
     def check_corpus(self, corpus: Corpus) -> None:
         training.check_corpus(self, corpus)
 
     @classmethod
     def initial(cls, corpus: Corpus, cfg: TrainConfig, rng) -> "ItmModel":
-        n_tags = len(corpus.tags)
-        # Draw order keeps the interests=1 case aligned with the pLSA trainer's
-        # initialization for the same seed (the p(i|u) rows normalize to 1.0).
-        return cls(
-            tag_given_interest_topic=_tag_major(noisy_uniform_rows(
-                rng, cfg.interests * cfg.topics, n_tags), (n_tags, cfg.interests, cfg.topics)),
-            topic_given_resource=noisy_uniform_rows(rng, len(corpus.resources), cfg.topics),
-            interest_given_user=noisy_uniform_rows(rng, len(corpus.users), cfg.interests),
-            user_probs=corpus.n_u / corpus.total,
-            resource_probs=corpus.n_r / corpus.total,
-            seed=cfg.seed,
-        )
+        model = super().initial(corpus, cfg, rng)  # and p(t|i,z) laid out tag-major
+        model.tag_given_interest_topic = _tag_major(model.tag_given_interest_topic.reshape(
+            -1, model.n_tags), (model.n_tags, cfg.interests, cfg.topics))
+        return model
 
     @staticmethod
     def rows(corpus: Corpus):
@@ -114,10 +109,6 @@ class ItmModel(training.Model):
         joint *= self.interest_given_user[uu][:, :, None]
         joint *= self.topic_given_resource[rr][:, None, :]
         return joint
-
-    def posterior(self, resource: int, user: int, tag: int) -> np.ndarray:
-        """Joint posterior p(i, z | u, r, t) for one triple, as an [I, K] table."""
-        return training.posterior(self, r=resource, u=user, t=tag)
 
     def e_step(self, chunk: dict, n, stats, lo: int) -> np.ndarray:
         """Mixture totals of the chunk's rows, one tag run at a time; given ``stats``,

@@ -22,7 +22,7 @@ from .errors import DegeneracyError
 from .similarity import TopicDistribution
 # perfbench/tracing.py patches em_fit and mapreduce_slices by model module.
 from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
-                       mapreduce_slices, noisy_uniform_rows, normalize_rows)
+                       mapreduce_slices, normalize_rows)
 
 
 class MwaModel(training.Model):
@@ -37,19 +37,11 @@ class MwaModel(training.Model):
         ("tag_given_topic", "p(t|z)", ("n_topics", "n_tags")),
     )
 
-    def validate(self, atol: float = 1e-10) -> None:
-        _textio.validate(self, atol)
+    def validate(self) -> None:
+        _textio.validate(self)
 
     def check_corpus(self, corpus: Corpus) -> None:
         training.check_corpus(self, corpus)
-
-    @classmethod
-    def initial(cls, corpus: Corpus, cfg: TrainConfig, rng) -> "MwaModel":
-        return cls(topic_probs=noisy_uniform_rows(rng, 1, cfg.topics)[0],
-                   resource_given_topic=noisy_uniform_rows(rng, cfg.topics, len(corpus.resources)),
-                   user_given_topic=noisy_uniform_rows(rng, cfg.topics, len(corpus.users)),
-                   tag_given_topic=noisy_uniform_rows(rng, cfg.topics, len(corpus.tags)),
-                   seed=cfg.seed)
 
     def mixture(self, rr, uu, tt) -> np.ndarray:
         """Unnormalised joint p(z) p(r|z) p(u|z) p(t|z) of the triples
@@ -58,10 +50,6 @@ class MwaModel(training.Model):
                 * self.resource_given_topic[:, rr].T
                 * self.user_given_topic[:, uu].T
                 * self.tag_given_topic[:, tt].T)
-
-    def posterior(self, resource: int, user: int, tag: int) -> np.ndarray:
-        """E-step posterior p(z | r, u, t) for one observed triple."""
-        return training.posterior(self, r=resource, u=user, t=tag)
 
     def m_step(self, stats) -> None:
         expected_z, expected_rz, expected_uz, expected_tz = stats

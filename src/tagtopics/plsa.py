@@ -24,7 +24,7 @@ from .corpus import Corpus
 from .similarity import TopicDistribution
 # perfbench/tracing.py patches em_fit and mapreduce_slices by model module.
 from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
-                       mapreduce_slices, noisy_uniform_rows, normalize_rows)
+                       mapreduce_slices, normalize_rows)
 
 
 class PlsaModel(training.Model):
@@ -42,17 +42,11 @@ class PlsaModel(training.Model):
         ("topic_given_resource", "p(z|r)", ("n_resources", "n_topics")),
     )
 
-    def validate(self, atol: float = 1e-10) -> None:
-        _textio.validate(self, atol)
+    def validate(self) -> None:
+        _textio.validate(self)
 
     def check_corpus(self, corpus: Corpus) -> None:
         training.check_corpus(self, corpus)
-
-    @classmethod
-    def initial(cls, corpus: Corpus, cfg: TrainConfig, rng) -> "PlsaModel":
-        return cls(tag_given_topic=noisy_uniform_rows(rng, cfg.topics, len(corpus.tags)),
-                   topic_given_resource=noisy_uniform_rows(rng, len(corpus.resources), cfg.topics),
-                   resource_probs=corpus.n_r / corpus.total, seed=cfg.seed)
 
     @staticmethod
     def rows(corpus: Corpus):
@@ -62,10 +56,6 @@ class PlsaModel(training.Model):
     def mixture(self, rr, tt) -> np.ndarray:
         """Unnormalised joint p(t|z) p(z|r) of the pairs ``(rr[n], tt[n])``, as [n, K]."""
         return self.topic_given_resource[rr] * self.tag_given_topic[:, tt].T
-
-    def posterior(self, resource: int, tag: int) -> np.ndarray:
-        """E-step posterior p(z | r, t) for one observed pair."""
-        return training.posterior(self, r=resource, t=tag)
 
     def m_step(self, stats) -> None:
         self.tag_given_topic = normalize_rows(np.ascontiguousarray(stats[0].T))

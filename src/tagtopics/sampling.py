@@ -5,13 +5,14 @@ and a seed; :func:`sample_corpus` draws i.i.d. triples from the model's
 generative process.  Planted instances give the recovery and ranking tests a
 known ground truth.
 
-Draw order per sample (one ``rng.random`` vector per step, so corpora are
-reproducible byte-for-byte per seed):
+Each entry of a model's ``TABLES`` is a table p(child | parents), drawn in
+ancestral order (one ``rng.random`` vector per table, so corpora are
+reproducible byte-for-byte per seed).  For the three models that order is:
 
 * itm:  u ~ p(u), r ~ p(r), i ~ p(i|u), z ~ p(z|r), t ~ p(t|i,z)
 * mwa:  z ~ p(z), then r, u, t independently from their aspect rows
-* plsa: r ~ p(r), z ~ p(z|r), t ~ p(t|z), u uniform over ``n_users``
-  (the model carries no user dimension, so users are interchangeable)
+* plsa: r ~ p(r), z ~ p(z|r), t ~ p(t|z), then u uniform over ``n_users``
+  (a model without a user table has interchangeable users)
 """
 
 from __future__ import annotations
@@ -24,33 +25,37 @@ from . import _textio
 from .corpus import Corpus, merge_rows, renumber
 from .errors import ConfigError, DataError
 from .itm import ItmModel
-from .modelio import read_model
-from .mwa import MwaModel
-from .plsa import PlsaModel
+from .modelio import MODEL_TYPES, read_model
+from .training import Model
+
+# The most draws a spec may ask for: about 2.2 GB of sampler memory at 130 bytes a draw.
+MAX_SAMPLES = 2**24
 
 
 @dataclass
 class PlantedSpec:
     """A generative model plus sampling parameters.
 
-    ``n_users`` is consulted only when ``model`` is a :class:`PlsaModel`;
-    the other models fix the user dimension themselves.
+    ``n_users`` is read only for a model without a user table (plsa), whose
+    users are drawn uniformly from that many.
     """
 
-    model: PlsaModel | MwaModel | ItmModel
+    model: Model  # of one of the classes in ``modelio.MODEL_TYPES``
     n_samples: int
     seed: int
     n_users: int = 1
 
     def validate(self) -> None:
-        if not isinstance(self.model, (PlsaModel, MwaModel, ItmModel)):
+        if not isinstance(self.model, tuple(MODEL_TYPES.values())):
             raise ConfigError(f"unsupported model type {type(self.model).__name__}")
         self.model.validate()
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
+        if self.n_samples > MAX_SAMPLES:
+            raise ConfigError(f"n_samples is {self.n_samples}, over the limit of {MAX_SAMPLES}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if isinstance(self.model, PlsaModel) and self.n_users < 1:
+        if "n_users" not in self.model.DIMS and self.n_users < 1:
             raise ConfigError("n_users must be >= 1 for plsa sampling")
 
 
@@ -81,6 +86,23 @@ def _draw_rows(rng: np.random.Generator, table: np.ndarray, rows: np.ndarray) ->
     return np.minimum(_count_at_or_below(cum, rows, u), cum.shape[1] - 1)
 
 
+def _draw_columns(rng: np.random.Generator, model, n: int, n_users: int) -> tuple:
+    """The planted (r, u, t) ids of n draws: pass after pass over ``model.TABLES``, each
+    table whose parents are drawn is drawn, at the rows its parents' ids pick; users are
+    uniform over ``n_users`` without a user table.  Only the three columns outlive it."""
+    drawn = {}  # the draws of each axis, by its size name in DIMS
+    while len(drawn) < len(model.TABLES):
+        for attr, _, (*parents, child) in model.TABLES:
+            if child not in drawn and all(dim in drawn for dim in parents):
+                table = getattr(model, attr)
+                rows = (np.ravel_multi_index([drawn[dim] for dim in parents], table.shape[:-1])
+                        if parents else np.zeros(n, dtype=np.int64))  # parentless: row 0
+                drawn[child] = _draw_rows(rng, table.reshape(-1, table.shape[-1]), rows)
+    if "n_users" not in drawn:
+        drawn["n_users"] = rng.integers(0, n_users, size=n)
+    return drawn["n_resources"], drawn["n_users"], drawn["n_tags"]
+
+
 def sample_corpus(spec: PlantedSpec) -> Corpus:
     """Draw ``spec.n_samples`` triples and merge them into a corpus.
 
@@ -89,28 +111,8 @@ def sample_corpus(spec: PlantedSpec) -> Corpus:
     first appearance.
     """
     spec.validate()
-    rng = np.random.default_rng(spec.seed)
-    model = spec.model
     n = spec.n_samples
-    zeros = np.zeros(n, dtype=np.int64)  # row 0 of a one-row table: a flat draw
-
-    if isinstance(model, PlsaModel):
-        r = _draw_rows(rng, model.resource_probs[None], zeros)
-        z = _draw_rows(rng, model.topic_given_resource, r)
-        t = _draw_rows(rng, model.tag_given_topic, z)
-        u = rng.integers(0, spec.n_users, size=n)
-    elif isinstance(model, MwaModel):
-        z = _draw_rows(rng, model.topic_probs[None], zeros)
-        r = _draw_rows(rng, model.resource_given_topic, z)
-        u = _draw_rows(rng, model.user_given_topic, z)
-        t = _draw_rows(rng, model.tag_given_topic, z)
-    else:
-        u = _draw_rows(rng, model.user_probs[None], zeros)
-        r = _draw_rows(rng, model.resource_probs[None], zeros)
-        i = _draw_rows(rng, model.interest_given_user, u)
-        z = _draw_rows(rng, model.topic_given_resource, r)
-        t = _draw_rows(rng, model.tag_given_interest_topic.reshape(-1, model.n_tags),
-                       i * model.n_topics + z)
+    r, u, t = _draw_columns(np.random.default_rng(spec.seed), spec.model, n, spec.n_users)
 
     # Renumber each column's planted ids in order of first appearance.
     (resources, r), (users, u), (tags, t) = (

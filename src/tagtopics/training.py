@@ -7,12 +7,12 @@ below ``tol``.  One data pass at θₖ gives both L(θₖ) and the statistics fo
 allows.  The trainer owns the config checks (the table budget included), the
 worker pool, the chunked fused pass, the map-reduce of its sums and the
 log-likelihood pass.  A model class subclasses :class:`Model`, which derives
-the statistics from its tables, and supplies only its own math:
-``kind``/``DIMS``/``TABLES`` (its tables and file schema);
-``initial(corpus, cfg, rng)``, the seeded start; ``mixture(*ids)``, the
-unnormalised joint per row as [n, latent...]; ``m_step(stats)``, the in-place
-update from the statistics; and ``log_terms(mix, ids)``, log p(row) from the
-mixture summed per row.  It may replace the defaults of :class:`Model`:
+its seeded start, one-row posterior and statistics from its tables, and
+supplies only its own math: ``kind``/``DIMS``/``TABLES`` (its tables and file
+schema); ``mixture(*ids)``, the unnormalised joint per row as [n, latent...];
+``m_step(stats)``, the in-place update from the statistics; and
+``log_terms(mix, ids)``, log p(row) from the mixture summed per row.  It may
+replace the defaults of :class:`Model`: ``DRAWS``, the start's draw order;
 ``rows``, the data rows sorted by the id column ``band``; ``chunk_rows``,
 which fixes the summation order; and the per-chunk step ``e_step(chunk, n,
 stats, lo)``, which returns the rows' mixture totals and, given ``stats``,
@@ -51,6 +51,7 @@ _ROW_NAMES = {2: "pair", 3: "triple"}
 # Each id column of the data rows: its name in messages, DIMS size and Corpus vocabulary.
 _ID_COLUMNS = {"r": ("resource", "n_resources", "resources"), "u": ("user", "n_users", "users"),
                "t": ("tag", "n_tags", "tags")}
+_COLUMN_OF = {dim: col for col, (_, dim, _) in _ID_COLUMNS.items()}
 _LATENT = ("n_topics", "n_interests")  # the latent sizes in DIMS
 
 # Relative amplitude of the seeded init noise; large enough to break topic
@@ -117,10 +118,11 @@ class TrainLog:
         return self.log_likelihoods[-1]
 
 
-def noisy_uniform_rows(rng: np.random.Generator, n_rows: int, n_cols: int) -> np.ndarray:
-    """Rows near the uniform distribution with seeded positive noise."""
-    rows = 1.0 + _INIT_NOISE * rng.random((n_rows, n_cols))
-    rows /= rows.sum(axis=1, keepdims=True)
+def noisy_uniform_rows(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """A table of ``shape`` whose rows (over its last axis) are near the uniform
+    distribution, with seeded positive noise."""
+    rows = 1.0 + _INIT_NOISE * rng.random(shape)
+    rows /= rows.sum(axis=-1, keepdims=True)
     return rows
 
 
@@ -221,10 +223,10 @@ def check_support(totals, ids: dict) -> None:
 
 
 class Model:
-    """Base of the model classes: the tables named in ``TABLES``, a seed, the
-    sizes named in ``DIMS`` (each read off the first table with that axis), the
-    :meth:`statistics` those tables imply, and defaults that a subclass may
-    replace: the rest of the protocol of :func:`train`, and p(z|r).
+    """Base of the model classes: the tables named in ``TABLES``, each p(last axis | other
+    axes), a seed, the sizes named in ``DIMS`` (read off the first table with that axis),
+    the start, one-row :meth:`posterior` and :meth:`statistics` those tables imply, and
+    defaults a subclass may replace: the rest of the protocol of :func:`train`, and p(z|r).
 
     Each subclass keeps its own one-line ``validate``, ``check_corpus``,
     ``log_likelihood``, ``topic_distribution`` and ``save``, because
@@ -234,6 +236,7 @@ class Model:
     kind: str
     DIMS: tuple[str, ...]
     TABLES: tuple[tuple[str, str, tuple[str, ...]], ...]
+    DRAWS: tuple[str, ...] = ()  # latent tables in ``initial``'s draw order; () for TABLES order
     chunk_rows = 1 << 15
     band = "r"  # the id column ``rows`` sorts on
 
@@ -251,6 +254,24 @@ class Model:
                 return getattr(self, attr).shape[dims.index(name)]
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
+    @classmethod
+    def table_shapes(cls, corpus, cfg: TrainConfig) -> dict:
+        """Each table's shape, in ``TABLES`` order, for ``corpus`` at ``cfg``'s latent sizes."""
+        sizes = {"n_topics": cfg.topics, "n_interests": cfg.interests,
+                 **{dim: len(getattr(corpus, vocab)) for _, dim, vocab in _ID_COLUMNS.values()}}
+        return {attr: tuple(sizes[dim] for dim in dims) for attr, _, dims in cls.TABLES}
+
+    @classmethod
+    def initial(cls, corpus, cfg: TrainConfig, rng: np.random.Generator):
+        """The seeded start: each table over one id axis (p(r), p(u)) its column's empirical
+        share, each with a latent axis :func:`noisy_uniform_rows`, drawn in ``DRAWS`` order."""
+        shapes = cls.table_shapes(corpus, cfg)
+        latent = [attr for attr, _, dims in cls.TABLES if not set(dims).isdisjoint(_LATENT)]
+        drawn = {attr: noisy_uniform_rows(rng, *shapes[attr]) for attr in cls.DRAWS or latent}
+        shares = {attr: getattr(corpus, f"n_{_COLUMN_OF[dims[0]]}") / corpus.total
+                  for attr, _, dims in cls.TABLES if attr not in latent}
+        return cls(**drawn, **shares, seed=cfg.seed)
+
     @staticmethod
     def rows(corpus):
         """The corpus triples as data rows: ``({"r", "u", "t"} ids, counts)``."""
@@ -260,8 +281,7 @@ class Model:
         """``(id column, latent sizes)`` of each statistic: one per table with a latent
         axis, in ``TABLES`` order, shaped [ids of the table's id column, latent...], or
         [latent...] for a table without one (p(z), whose column is ``None``)."""
-        cols = {dim: col for col, (_, dim, _) in _ID_COLUMNS.items()}
-        return [(next((cols[dim] for dim in dims if dim in cols), None), latent)
+        return [(next((_COLUMN_OF[dim] for dim in dims if dim in _COLUMN_OF), None), latent)
                 for _, _, dims in self.TABLES
                 if (latent := tuple(getattr(self, dim) for dim in dims if dim in _LATENT))]
 
@@ -288,6 +308,20 @@ class Model:
                 else:
                     add_rows(stat, chunk[col] - lo if col == self.band else chunk[col], post)
         return totals
+
+    def posterior(self, *ids) -> np.ndarray:
+        """E-step posterior of one observed row from its ids in (r, u, t) order, (r, t) for
+        plsa, shaped as the model's latent axes: p(i, z | r, u, t) is [I, K]."""
+        cols = [col for col, (_, dim, _) in _ID_COLUMNS.items() if dim in self.DIMS]
+        if len(ids) != len(cols):
+            raise TypeError(f"{type(self).__name__}.posterior takes the ids ({', '.join(cols)}), "
+                            f"got {len(ids)} ids")
+        check_ids(self, **dict(zip(cols, ids)))
+        row = {col: [i] for col, i in zip(cols, ids)}
+        mix = self.mixture(*row.values())
+        totals = mix.sum(axis=tuple(range(1, mix.ndim)))
+        check_support(totals, row)
+        return mix[0] / totals[0]
 
     def topic_distributions(self) -> np.ndarray:
         return self.topic_given_resource  # p(z|r) as [R, K]: the model's own table
@@ -323,16 +357,6 @@ def check_ids(model, **ids) -> None:
             raise DataError(f"unknown {what} id {i}; expected 0 to {n - 1}")
 
 
-def posterior(model, **ids) -> np.ndarray:
-    """E-step posterior of one observed row, e.g. ``posterior(model, r=0, t=2)``."""
-    check_ids(model, **ids)
-    row = {name: [i] for name, i in ids.items()}
-    mix = model.mixture(*row.values())
-    totals = mix.sum(axis=tuple(range(1, mix.ndim)))
-    check_support(totals, row)
-    return mix[0] / totals[0]
-
-
 def check_corpus(model, corpus) -> None:
     """Raise :class:`DataError` unless the model's vocabulary sizes (those
     of its ``DIMS``) match the corpus."""
@@ -366,9 +390,7 @@ def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
         raise ConfigError(f"config is for model {cfg.model!r}, but this trainer fits {cls.kind!r}")
     if cfg.topics > len(corpus.tags):
         warnings.warn(f"topics={cfg.topics} exceeds the tag vocabulary size {len(corpus.tags)}")
-    sizes = {"n_topics": cfg.topics, "n_interests": cfg.interests,
-             **{dim: len(getattr(corpus, vocab)) for _, dim, vocab in _ID_COLUMNS.values()}}
-    table_bytes = 8 * sum(math.prod(sizes[dim] for dim in dims) for _, _, dims in cls.TABLES)
+    table_bytes = 8 * sum(map(math.prod, cls.table_shapes(corpus, cfg).values()))
     if table_bytes > cfg.max_table_bytes:
         raise ConfigError(f"{cls.kind} tables need {table_bytes} bytes, over the budget of "
                           f"{cfg.max_table_bytes}; lower topics/interests or raise max_table_bytes")

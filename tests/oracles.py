@@ -13,7 +13,12 @@ parse as it was before the block-wise parse, through the package's
 parse can be held to its ids, counts and error messages.
 :func:`write_model` is the model writer as it was before the block-wise
 shortest round-trip kernel, ``repr`` per value, so the kernel can be held to
-its bytes.
+its bytes.  :data:`INITIAL` holds each model's seeded start (with
+:func:`noisy_uniform_rows` as it was, for two axes only) and
+:func:`sample_corpus` the planted sampler as they were before both were
+derived from ``TABLES``, the sampler through the package's ``_draw_rows``,
+``renumber`` and ``merge_rows``, so the derived ones can be held to their
+bytes.
 """
 
 import math
@@ -22,9 +27,14 @@ from fractions import Fraction
 import numpy as np
 
 from tagtopics._textio import tsv_records
-from tagtopics.corpus import Corpus, Vocab, merge_rows
+from tagtopics.corpus import Corpus, Vocab, merge_rows, renumber
 from tagtopics.errors import DataError
+from tagtopics.itm import _tag_major
+from tagtopics.mwa import MwaModel
+from tagtopics.plsa import PlsaModel
+from tagtopics.sampling import _draw_rows
 from tagtopics.similarity import js_divergence as scalar_js_divergence
+from tagtopics.training import _INIT_NOISE
 
 
 def ingest_triples(lines):
@@ -70,6 +80,80 @@ def write_model(model, stream) -> None:
         table = getattr(model, attr)
         for row in table.reshape(-1, table.shape[-1]):
             stream.write(" ".join(map(repr, row.tolist())) + "\n")
+
+
+def noisy_uniform_rows(rng, n_rows, n_cols):
+    """Rows near the uniform distribution with seeded positive noise."""
+    rows = 1.0 + _INIT_NOISE * rng.random((n_rows, n_cols))
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+def plsa_initial(cls, corpus, cfg, rng):
+    return cls(tag_given_topic=noisy_uniform_rows(rng, cfg.topics, len(corpus.tags)),
+               topic_given_resource=noisy_uniform_rows(rng, len(corpus.resources), cfg.topics),
+               resource_probs=corpus.n_r / corpus.total, seed=cfg.seed)
+
+
+def mwa_initial(cls, corpus, cfg, rng):
+    return cls(topic_probs=noisy_uniform_rows(rng, 1, cfg.topics)[0],
+               resource_given_topic=noisy_uniform_rows(rng, cfg.topics, len(corpus.resources)),
+               user_given_topic=noisy_uniform_rows(rng, cfg.topics, len(corpus.users)),
+               tag_given_topic=noisy_uniform_rows(rng, cfg.topics, len(corpus.tags)),
+               seed=cfg.seed)
+
+
+def itm_initial(cls, corpus, cfg, rng):
+    n_tags = len(corpus.tags)
+    # Draw order keeps the interests=1 case aligned with the pLSA trainer's
+    # initialization for the same seed (the p(i|u) rows normalize to 1.0).
+    return cls(
+        tag_given_interest_topic=_tag_major(noisy_uniform_rows(
+            rng, cfg.interests * cfg.topics, n_tags), (n_tags, cfg.interests, cfg.topics)),
+        topic_given_resource=noisy_uniform_rows(rng, len(corpus.resources), cfg.topics),
+        interest_given_user=noisy_uniform_rows(rng, len(corpus.users), cfg.interests),
+        user_probs=corpus.n_u / corpus.total,
+        resource_probs=corpus.n_r / corpus.total,
+        seed=cfg.seed,
+    )
+
+
+# The seeded start ``INITIAL[kind](cls, corpus, cfg, rng)`` of each model kind.
+INITIAL = {"plsa": plsa_initial, "mwa": mwa_initial, "itm": itm_initial}
+
+
+def sample_corpus(spec):
+    """The planted corpus of ``spec``, its three generative processes spelled out."""
+    spec.validate()
+    rng = np.random.default_rng(spec.seed)
+    model = spec.model
+    n = spec.n_samples
+    zeros = np.zeros(n, dtype=np.int64)  # row 0 of a one-row table: a flat draw
+
+    if isinstance(model, PlsaModel):
+        r = _draw_rows(rng, model.resource_probs[None], zeros)
+        z = _draw_rows(rng, model.topic_given_resource, r)
+        t = _draw_rows(rng, model.tag_given_topic, z)
+        u = rng.integers(0, spec.n_users, size=n)
+    elif isinstance(model, MwaModel):
+        z = _draw_rows(rng, model.topic_probs[None], zeros)
+        r = _draw_rows(rng, model.resource_given_topic, z)
+        u = _draw_rows(rng, model.user_given_topic, z)
+        t = _draw_rows(rng, model.tag_given_topic, z)
+    else:
+        u = _draw_rows(rng, model.user_probs[None], zeros)
+        r = _draw_rows(rng, model.resource_probs[None], zeros)
+        i = _draw_rows(rng, model.interest_given_user, u)
+        z = _draw_rows(rng, model.topic_given_resource, r)
+        t = _draw_rows(rng, model.tag_given_interest_topic.reshape(-1, model.n_tags),
+                       i * model.n_topics + z)
+
+    # Renumber each column's planted ids in order of first appearance.
+    (resources, r), (users, u), (tags, t) = (
+        renumber(ids[np.sort(np.unique(ids, return_index=True)[1])], ids, name)
+        for ids, name in ((r, "r{}".format), (u, "u{}".format), (t, "t{}".format)))
+    (r, u, t), counts = merge_rows((r, u, t), np.ones(n, dtype=np.int64))
+    return Corpus(resources, users, tags, r, u, t, counts)
 
 
 def plsa_joint(model, r, t):

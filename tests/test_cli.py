@@ -12,7 +12,7 @@ from tagtopics.itm import train_itm
 from tagtopics.modelio import load_model
 from tagtopics.mwa import MwaModel
 from tagtopics.plsa import PlsaModel
-from tagtopics.sampling import planted_two_topic_spec, save_spec
+from tagtopics.sampling import MAX_SAMPLES, planted_two_topic_spec, save_spec
 from tagtopics.similarity import (TopicDistribution, rank_by_seed, rank_rows, read_ranking,
                                   write_ranking)
 from tagtopics.training import MODEL_KINDS, TrainConfig
@@ -266,6 +266,20 @@ class TestRank:
         big.write_text(corpus_path.read_text() + "a\tu1\tx\t9223372036854775807\n")
         assert run("rank", model_path, big, "a") == 0
 
+    def test_negative_top_is_usage_error(self, trained, capsys):
+        corpus_path, model_path = trained
+        assert run("rank", model_path, corpus_path, "a", "--top", -1) == 1
+        assert capsys.readouterr().err == "tagtopics: usage error: --top must be >= 0\n"
+
+    @pytest.mark.parametrize("size", [10**15, 10**20])
+    def test_model_too_large_to_allocate_is_data_error(self, trained, tmp_path, capsys, size):
+        corpus_path, _ = trained
+        model_path = tmp_path / "huge.plsa"
+        model_path.write_text(f"# tagtopics model format v1\nplsa 40 {size} 1500 1\n1.0\n")
+        assert run("rank", model_path, corpus_path, "a") == 2
+        assert capsys.readouterr().err == (
+            f"tagtopics: data error: p(r): cannot allocate the declared shape ({size},)\n")
+
     def test_unknown_seed_suggests_matches(self, trained, capsys):
         corpus_path, model_path = trained
         assert run("rank", model_path, corpus_path, "aa") == 2
@@ -377,6 +391,16 @@ class TestSample:
                                                            "\nspec 20000 -1 1\n"))
         assert run("sample", spec_path, tmp_path / "out.tsv") == 1
         assert capsys.readouterr().err == "tagtopics: usage error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out.tsv").exists()
+
+    def test_draw_count_over_the_limit_is_usage_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "planted.spec"
+        save_spec(planted_two_topic_spec(), spec_path)
+        spec_path.write_text(spec_path.read_text().replace("\nspec 20000 13 1\n",
+                                                           f"\nspec {10**14} 13 1\n"))
+        assert run("sample", spec_path, tmp_path / "out.tsv") == 1
+        assert capsys.readouterr().err == (
+            f"tagtopics: usage error: n_samples is {10**14}, over the limit of {MAX_SAMPLES}\n")
         assert not (tmp_path / "out.tsv").exists()
 
     def test_missing_spec_is_data_error(self, tmp_path):

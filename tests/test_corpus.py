@@ -232,6 +232,15 @@ class TestCorpusColumns:
         with pytest.raises(DataError, match="must be integers"):
             Corpus(vocab, vocab, vocab, r_ids, [0, 1], [1, 0], counts)
 
+    @pytest.mark.parametrize("columns, message", [
+        (([0, 1], [0], [1, 0], [1, 1]), "^triple arrays have mismatched lengths$"),
+        (([0, 1], [0, 1], [1, 0], [1, 0]), "^triple counts must be positive$"),
+    ], ids=["mismatched-lengths", "count-below-1"])
+    def test_bad_columns_rejected(self, columns, message):
+        vocab = Vocab(["a", "b"])
+        with pytest.raises(DataError, match=message):
+            Corpus(vocab, vocab, vocab, *columns)
+
     def test_negative_id_is_out_of_range(self):
         vocab = Vocab(["a"])
         with pytest.raises(DataError, match="resource id out of vocabulary range"):

@@ -212,6 +212,35 @@ def test_non_finite_table_rejected(text):
         read_model(io.StringIO(text))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("plsa 1 x 2 0\n", r"^plsa header: expected integers, got \['1', 'x', '2', '0'\]$"),
+    ("plsa 1 0 2 0\n", r"^p\(r\): dimension must be positive, got \(0,\)$"),
+    ("plsa 1 1 2 0\n1.0\n-0.5 1.5\n1.0\n", r"^p\(t\|z\) has negative entries$"),
+], ids=["non-integer-size", "zero-size", "negative-entry"])
+def test_bad_model_file_rejected(text, message):
+    with pytest.raises(DataError, match=message):
+        read_model(io.StringIO(text))
+
+
+def test_table_of_another_ndim_rejected():
+    model = PlsaModel(tag_given_topic=np.full((2, 3), 1 / 3),
+                      topic_given_resource=np.full((4, 2), 0.5),
+                      resource_probs=np.full((1, 4), 0.25))
+    with pytest.raises(DataError, match=r"^p\(r\) must be a 1-D table, got 2-D$"):
+        model.validate()
+
+
+@pytest.mark.parametrize("off, ok", [(0.5, True), (2.0, False)])
+def test_row_sums_may_be_off_by_the_tolerance(off, ok):
+    model = PlsaModel(tag_given_topic=np.full((1, 2), 0.5), topic_given_resource=np.ones((2, 1)),
+                      resource_probs=np.array([0.5, 0.5 + off * _textio.ROW_SUM_ATOL]))
+    if ok:
+        model.validate()
+    else:
+        with pytest.raises(DataError, match=r"^p\(r\) rows do not sum to 1$"):
+            model.validate()
+
+
 def test_table_sizes_must_agree():
     model = PlsaModel(tag_given_topic=np.full((2, 3), 1 / 3),
                       topic_given_resource=np.full((4, 3), 1 / 3),

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ import oracles
 from helpers import named_triples, random_itm_spec
 from tagtopics.corpus import write_corpus_tsv
 from tagtopics.errors import ConfigError, DataError
-from tagtopics.itm import ItmModel
+from tagtopics.itm import ItmModel, _tag_major
+from tagtopics.modelio import MODEL_TYPES
 from tagtopics.mwa import MwaModel
 from tagtopics.plsa import PlsaModel
-from tagtopics.sampling import (PlantedSpec, _count_at_or_below, _draw_rows, load_spec,
-                                planted_two_topic_spec, read_spec, sample_corpus,
+from tagtopics.sampling import (MAX_SAMPLES, PlantedSpec, _count_at_or_below, _draw_rows,
+                                load_spec, planted_two_topic_spec, read_spec, sample_corpus,
                                 write_spec)
+from tagtopics.training import MODEL_KINDS
 
 
 def point_mass_plsa_spec(n_samples):
@@ -103,6 +106,71 @@ class TestSampleCorpus:
         with pytest.raises(ConfigError):
             sample_corpus(PlantedSpec(model=point_mass_plsa_spec(1).model,
                                       n_samples=0, seed=0))
+
+
+    @pytest.mark.parametrize("change, message", [
+        ({"model": object()}, "^unsupported model type object$"),
+        ({"n_samples": 0}, "^n_samples must be >= 1$"),
+        ({"n_samples": MAX_SAMPLES + 1},
+         f"^n_samples is {MAX_SAMPLES + 1}, over the limit of {MAX_SAMPLES}$"),
+        ({"n_users": 0}, "^n_users must be >= 1 for plsa sampling$"),
+    ], ids=["model-type", "no-draws", "over-the-limit", "no-users"])
+    def test_spec_checks(self, change, message):
+        spec = dataclasses.replace(point_mass_plsa_spec(10), **change)
+        with pytest.raises(ConfigError, match=message):
+            spec.validate()
+
+    def test_n_users_is_read_only_without_a_user_table(self):
+        dataclasses.replace(random_itm_spec(0), n_users=0).validate()
+
+    def test_draw_count_is_checked_before_anything_is_allocated(self):
+        point_mass_plsa_spec(MAX_SAMPLES).validate()
+        spec = point_mass_plsa_spec(10**14)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"^n_samples is {10**14}, over the limit"):
+                sample_corpus(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def dirichlet_spec(kind, sizes, table_seed, n_samples, seed, n_users, tag_major):
+    """A spec of ``kind`` whose every table row is a random Dirichlet draw; sizes
+    are (topics, interests, resources, users, tags).  ``tag_major`` lays itm's
+    p(t|i,z) out as training leaves it."""
+    size = dict(zip(("n_topics", "n_interests", "n_resources", "n_users", "n_tags"), sizes))
+    rng = np.random.default_rng(table_seed)
+    cls = MODEL_TYPES[kind]
+    tables = {attr: rng.dirichlet(np.ones(size[dims[-1]]),
+                                  size=tuple(size[dim] for dim in dims[:-1]) or None)
+              for attr, _, dims in cls.TABLES}
+    if kind == "itm" and tag_major:
+        table = tables["tag_given_interest_topic"]
+        tables["tag_given_interest_topic"] = _tag_major(table.reshape(-1, table.shape[2]),
+                                                        table.shape[2:] + table.shape[:2])
+    return PlantedSpec(cls(**tables), n_samples, seed, n_users)
+
+
+class TestAncestralDraws:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(MODEL_KINDS), sizes=st.lists(st.integers(1, 5), min_size=5,
+                                                              max_size=5),
+           table_seed=st.integers(0, 2**32 - 1), n_samples=st.integers(1, 400),
+           seed=st.integers(0, 2**32 - 1), n_users=st.integers(1, 5), tag_major=st.booleans())
+    @example(kind="plsa", sizes=[3, 1, 4, 2, 5], table_seed=1, n_samples=300, seed=2,
+             n_users=4, tag_major=False)
+    def test_corpus_has_the_bytes_of_the_per_model_draws(self, kind, sizes, table_seed,
+                                                         n_samples, seed, n_users, tag_major):
+        """Drawing the tables in ``TABLES`` order gives the corpus of the three
+        generative processes written out one by one."""
+        spec = dirichlet_spec(kind, sizes, table_seed, n_samples, seed, n_users, tag_major)
+        got, want = sample_corpus(spec), oracles.sample_corpus(spec)
+        for vocab in ("resources", "users", "tags"):
+            assert getattr(got, vocab).entries == getattr(want, vocab).entries
+        for column in ("r_ids", "u_ids", "t_ids", "counts"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
 
 
 class TestDraws:

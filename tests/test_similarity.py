@@ -472,6 +472,14 @@ class TestRankingIo:
         assert len(lines) == 2
         assert lines[1] == "rank\tresource\tdivergence"
 
+    @pytest.mark.parametrize("text, message", [
+        ("# seed=s\nrank\tresource\tdivergence\n1\ta\tsmall\n", r"^line 3: bad divergence 'small'$"),
+        ("# seed=s\n\n", r"^not a ranking file \(missing column header\)$"),
+    ], ids=["bad-divergence", "no-column-header"])
+    def test_bad_ranking_file_rejected(self, text, message):
+        with pytest.raises(DataError, match=message):
+            read_ranking(io.StringIO(text))
+
     def test_malformed_file_rejected(self):
         with pytest.raises(DataError):
             read_ranking(io.StringIO("not a ranking\n"))

@@ -7,7 +7,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from helpers import random_corpus
 from tagtopics import train_itm, train_mwa, train_plsa, training
 from tagtopics.corpus import Corpus, Vocab
@@ -16,7 +19,7 @@ from tagtopics.itm import ItmModel
 from tagtopics.modelio import MODEL_TYPES
 from tagtopics.mwa import MwaModel
 from tagtopics.training import (_SLICES, MODEL_KINDS, TrainConfig, em_fit, mapreduce_slices,
-                                noisy_uniform_rows)
+                                noisy_uniform_rows, normalize_rows)
 
 
 class TestTrainConfig:
@@ -84,6 +87,11 @@ def test_noisy_uniform_rows_are_distributions():
 
     again = noisy_uniform_rows(np.random.default_rng(0), 50, 7)
     assert np.array_equal(rows, again)
+
+
+def test_normalize_rows_gives_an_all_zero_row_the_uniform_distribution():
+    rows = normalize_rows(np.array([[1.0, 3.0, 0.0], [0.0, 0.0, 0.0]]))
+    assert rows.tolist() == [[0.25, 0.75, 0.0], [1 / 3, 1 / 3, 1 / 3]]
 
 
 @pytest.mark.parametrize("n, chunk_rows, edges", [
@@ -327,6 +335,18 @@ def test_posterior_rejects_ids_outside_the_vocabulary(fixture, request):
         model.topic_distribution(n - 1).probs.tobytes()
 
 
+@pytest.mark.parametrize("fixture", POSTERIOR_IDS)
+def test_posterior_takes_exactly_the_models_ids(fixture, request):
+    """A wrong number of ids raises, where ``zip`` would drop an extra one."""
+    model = request.getfixturevalue(fixture)
+    names = POSTERIOR_IDS[fixture]
+    cols = ", ".join(name[0] for name in names)
+    for count in (0, len(names) - 1, len(names) + 1):
+        with pytest.raises(TypeError,
+                           match=rf"\.posterior takes the ids \({cols}\), got {count} ids$"):
+            model.posterior(*[0] * count)
+
+
 TRAINERS = {"plsa": train_plsa, "mwa": train_mwa, "itm": train_itm}
 
 
@@ -491,6 +511,31 @@ def initial_model(kind, corpus):
     """The seeded start of ``kind`` at K=3 topics and I=2 interests."""
     cfg = TrainConfig(model=kind, topics=3, interests=2)
     return MODEL_TYPES[kind].initial(corpus, cfg, np.random.default_rng(0))
+
+
+@functools.cache
+def start_corpus(seed):
+    return random_corpus(seed, n_resources=7, n_users=4, n_tags=9)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(MODEL_KINDS), topics=st.integers(1, 5), interests=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), corpus_seed=st.integers(0, 2))
+def test_initial_has_the_bytes_of_each_models_own_start(kind, topics, interests, seed,
+                                                        corpus_seed):
+    """``Model.initial``, derived from ``TABLES``, gives every table the bytes and the
+    memory layout (itm's p(t|i,z) is tag-major) of the per-model start it replaced."""
+    corpus = start_corpus(corpus_seed)
+    cfg = TrainConfig(model=kind, topics=topics, interests=interests, seed=seed)
+    cls = MODEL_TYPES[kind]
+    got = cls.initial(corpus, cfg, np.random.default_rng(seed))
+    want = oracles.INITIAL[kind](cls, corpus, cfg, np.random.default_rng(seed))
+    assert got.seed == want.seed == seed
+    for attr, _, _ in cls.TABLES:
+        table, expected = getattr(got, attr), getattr(want, attr)
+        assert table.shape == expected.shape
+        assert table.strides == expected.strides
+        assert table.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("kind, band, statistics", [
