@@ -165,7 +165,7 @@ def main(argv=None) -> int:
     except DegeneracyError as exc:
         print(f"tagtopics: degenerate computation: {exc}", file=sys.stderr)
         return 3
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:  # bytes that are not UTF-8 too
         print(f"tagtopics: data error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # ConfigError included

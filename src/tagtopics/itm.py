@@ -25,10 +25,11 @@ A_t = p(t|.,.) as [I, K], a_u = p(i|u) and b_r = p(z|r).  Stack the rows of
 one tag as a [n, I] and b [n, K]: M = b A_tᵀ gives the totals rowsum(a ⊙ M),
 and with w = n / total the p(i|u) and p(z|r) statistic rows are (w a) ⊙ M and
 b ⊙ ((w a) A_t), the tag's statistic A_t ⊙ ((w a)ᵀ b): the KL-NMF update of
-Lee & Seung (2001) in tensor form.  So ``rows`` sorts the (r, u, t)-sorted
-triples stably by tag, and ``e_step`` walks a chunk one tag run at a time (a
-chunk out of tag order is walked sorted).  The tag statistic is the model's
-``band``: a slice of rows sums it for its own tags alone.
+Lee & Seung (2001) in tensor form.  So the model's ``band`` is the tag:
+``Model.rows`` sorts the (r, u, t)-sorted triples stably by tag, a slice of
+rows sums the tag statistic for its own tags alone, and ``e_step`` walks a
+chunk one tag run at a time.  A chunk out of tag order raises ``ValueError``,
+since a tag split into two runs would lose statistic additions.
 p(t|i,z) and its statistic are tag-major: a trained model's table is an
 [I, K, T] view of [T, I, K] memory.  A loaded one is C-contiguous; ``e_step``
 copies each run's A_t, so both layouts give the same bits.
@@ -91,13 +92,6 @@ class ItmModel(training.Model):
             -1, model.n_tags), (model.n_tags, cfg.interests, cfg.topics))
         return model
 
-    @staticmethod
-    def rows(corpus: Corpus):
-        """The triples in (t, r, u) order: a stable sort by tag of the (r, u, t)-sorted corpus."""
-        order = np.argsort(corpus.t_ids, kind="stable")
-        return ({"r": corpus.r_ids[order], "u": corpus.u_ids[order], "t": corpus.t_ids[order]},
-                corpus.counts[order])
-
     @property
     def chunk_rows(self) -> int:
         return max(1, _SCRATCH_ELEMS // (self.n_interests * self.n_topics))
@@ -115,16 +109,12 @@ class ItmModel(training.Model):
         the posterior statistics are added in, the tag statistic into its band of tags
         lo.. (see the module doc)."""
         tt = chunk["t"]
-        if (tt[1:] < tt[:-1]).any():  # rows out of tag order: walk them sorted, one run per tag
-            order = np.argsort(tt, kind="stable")
-            totals = np.empty(len(tt))
-            totals[order] = self.e_step({k: col[order] for k, col in chunk.items()}, n[order],
-                                        stats, lo)
-            return totals
+        if (tt[1:] < tt[:-1]).any():  # a tag split into two runs would lose statistic additions
+            raise ValueError("itm's E-step takes rows sorted by tag, as ItmModel.rows gives them")
         a, b = self.interest_given_user[chunk["u"]], self.topic_given_resource[chunk["r"]]
         starts = np.flatnonzero(np.r_[True, tt[1:] != tt[:-1]])
-        # One contiguous A_t per run, whatever the table's layout.
-        tags = np.ascontiguousarray(np.moveaxis(self.tag_given_interest_topic, 2, 0)[tt[starts]])
+        # One A_t per run; the gather is a C-contiguous copy, whatever the table's layout.
+        tags = np.moveaxis(self.tag_given_interest_topic, 2, 0)[tt[starts]]
         runs = [slice(i, j) for i, j in zip(starts.tolist(), [*starts[1:].tolist(), len(tt)])]
         m = np.concatenate([b[run] @ tag.T for run, tag in zip(runs, tags)])
         totals = (a * m).sum(axis=1)

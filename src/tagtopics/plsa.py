@@ -48,11 +48,6 @@ class PlsaModel(training.Model):
     def check_corpus(self, corpus: Corpus) -> None:
         training.check_corpus(self, corpus)
 
-    @staticmethod
-    def rows(corpus: Corpus):
-        r_pairs, t_pairs, n_pairs = corpus.rt_arrays()
-        return {"r": r_pairs, "t": t_pairs}, n_pairs
-
     def mixture(self, rr, tt) -> np.ndarray:
         """Unnormalised joint p(t|z) p(z|r) of the pairs ``(rr[n], tt[n])``, as [n, K]."""
         return self.topic_given_resource[rr] * self.tag_given_topic[:, tt].T

@@ -39,7 +39,7 @@ class TopicDistribution:
         if not np.isfinite(probs).all() or (probs < 0).any():
             raise ValueError("probabilities must be finite and non-negative")
         total = float(probs.sum())
-        if abs(total - 1.0) > 1e-10:
+        if abs(total - 1.0) > _textio.ROW_SUM_ATOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
     def __len__(self) -> int:

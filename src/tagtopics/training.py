@@ -13,10 +13,12 @@ schema); ``mixture(*ids)``, the unnormalised joint per row as [n, latent...];
 ``m_step(stats)``, the in-place update from the statistics; and
 ``log_terms(mix, ids)``, log p(row) from the mixture summed per row.  It may
 replace the defaults of :class:`Model`: ``DRAWS``, the start's draw order;
-``rows``, the data rows sorted by the id column ``band``; ``chunk_rows``,
-which fixes the summation order; and the per-chunk step ``e_step(chunk, n,
-stats, lo)``, which returns the rows' mixture totals and, given ``stats``,
-adds the statistics of the n-weighted posteriors (itm's forms no posterior).
+``band``, the id column its data rows are sorted on; ``chunk_rows``, which
+fixes the summation order; and the per-chunk step ``e_step(chunk, n, stats,
+lo)``, which returns the rows' mixture totals and, given ``stats``, adds the
+statistics of the n-weighted posteriors (itm's forms no posterior).  The rows
+themselves are not its to choose: :meth:`Model.rows` derives them from
+``DIMS`` and ``band``, and no class overrides it.
 Every scatter of statistic rows by repeating ids goes through :func:`add_rows`.
 
 Every pass walks the rows only through :func:`mapreduce_slices`, which holds
@@ -272,10 +274,18 @@ class Model:
                   for attr, _, dims in cls.TABLES if attr not in latent}
         return cls(**drawn, **shares, seed=cfg.seed)
 
-    @staticmethod
-    def rows(corpus):
-        """The corpus triples as data rows: ``({"r", "u", "t"} ids, counts)``."""
-        return {"r": corpus.r_ids, "u": corpus.u_ids, "t": corpus.t_ids}, corpus.counts
+    @classmethod
+    def rows(cls, corpus):
+        """The data rows ``({column: ids}, counts)`` in (r, u, t) column order, stably sorted
+        by ``band``: the corpus triples if ``DIMS`` holds ``n_users``, else the (r, t) pairs
+        of ``corpus.rt_arrays()``.  Both come sorted by r, so a band "r" copies no row."""
+        *cols, counts = ((corpus.r_ids, corpus.u_ids, corpus.t_ids, corpus.counts)
+                         if "n_users" in cls.DIMS else corpus.rt_arrays())
+        ids = dict(zip((col for col, (_, dim, _) in _ID_COLUMNS.items() if dim in cls.DIMS), cols))
+        if cls.band == "r":
+            return ids, counts
+        order = np.argsort(ids[cls.band], kind="stable")
+        return {name: col[order] for name, col in ids.items()}, counts[order]
 
     def statistics(self) -> list:
         """``(id column, latent sizes)`` of each statistic: one per table with a latent

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from helpers import make_corpus
 from tagtopics.itm import ItmModel
 from tagtopics.mwa import MwaModel
 from tagtopics.plsa import PlsaModel
+
+# Every property test draws the same examples on every run.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

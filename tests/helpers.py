@@ -2,9 +2,14 @@
 
 import numpy as np
 
+from tagtopics._textio import ROW_SUM_ATOL
 from tagtopics.corpus import Corpus, Vocab, ingest_triples
-from tagtopics.itm import ItmModel
+from tagtopics.itm import ItmModel, train_itm
+from tagtopics.mwa import train_mwa
+from tagtopics.plsa import train_plsa
 from tagtopics.sampling import PlantedSpec, sample_corpus
+
+TRAINERS = {"plsa": train_plsa, "mwa": train_mwa, "itm": train_itm}  # by model kind
 
 # A malformed triples line of each kind, with a fragment of its error.
 MALFORMED = [
@@ -23,6 +28,11 @@ MALFORMED = [
 ]
 # Lines whose names hold a reserved character (embedded CR or LF).
 RESERVED = ["a\rb\tu1\tx", "a\tu1\nu2\tx", "a\tu1\tx\ry\t2"]
+# Sums of a row at the edge of ROW_SUM_ATOL, each with whether it passes: the
+# doubles nearest 1 +- ROW_SUM_ATOL lie just past it, so the next ones in are taken.
+ROW_SUM_EDGES = [(float(np.nextafter(1 + ROW_SUM_ATOL, 1)), True),
+                 (float(np.nextafter(1 - ROW_SUM_ATOL, 1)), True),
+                 (1 + 2 * ROW_SUM_ATOL, False), (1 - 2 * ROW_SUM_ATOL, False)]
 
 
 def make_corpus(lines):

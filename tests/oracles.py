@@ -18,7 +18,8 @@ its bytes.  :data:`INITIAL` holds each model's seeded start (with
 :func:`sample_corpus` the planted sampler as they were before both were
 derived from ``TABLES``, the sampler through the package's ``_draw_rows``,
 ``renumber`` and ``merge_rows``, so the derived ones can be held to their
-bytes.
+bytes.  :data:`ROWS` holds each model's data rows as its class spelled them
+out before ``Model.rows`` derived them from ``DIMS`` and ``band``.
 """
 
 import math
@@ -280,6 +281,26 @@ def itm_mixture_e_step(model, ids, counts):
     np.add.at(stats[1], ids["r"], post.sum(axis=1))
     np.add.at(stats[2], ids["t"], post)
     return stats, ll
+
+
+def plsa_rows(corpus):
+    r_pairs, t_pairs, n_pairs = corpus.rt_arrays()
+    return {"r": r_pairs, "t": t_pairs}, n_pairs
+
+
+def mwa_rows(corpus):
+    """The corpus triples as data rows: ``({"r", "u", "t"} ids, counts)``."""
+    return {"r": corpus.r_ids, "u": corpus.u_ids, "t": corpus.t_ids}, corpus.counts
+
+
+def itm_rows(corpus):
+    """The triples in (t, r, u) order: a stable sort by tag of the (r, u, t)-sorted corpus."""
+    order = np.argsort(corpus.t_ids, kind="stable")
+    return ({"r": corpus.r_ids[order], "u": corpus.u_ids[order], "t": corpus.t_ids[order]},
+            corpus.counts[order])
+
+
+ROWS = {"plsa": plsa_rows, "mwa": mwa_rows, "itm": itm_rows}
 
 
 def draw_by_comparison(table, rows, uniforms):

@@ -12,17 +12,12 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import random_corpus
+from helpers import TRAINERS, random_corpus
 from tagtopics import cli
-from tagtopics.itm import train_itm
 from tagtopics.metrics import LabelSet, count_relevant_topk, effort_to_n
-from tagtopics.mwa import train_mwa
-from tagtopics.plsa import train_plsa
 from tagtopics.sampling import planted_two_topic_spec, sample_corpus
 from tagtopics.similarity import LN2, RankedList, js_divergence, rank_by_seed
 from tagtopics.training import TrainConfig
-
-TRAINERS = {"plsa": train_plsa, "mwa": train_mwa, "itm": train_itm}
 
 
 @contextlib.contextmanager
@@ -153,7 +148,7 @@ def test_criterion_6_planted_recovery():
         same_topic = {corpus.resources.id_of(f"r{i}") for i in range(10)}
         successes = 0
         for restart in range(20):
-            model, _ = train_itm(corpus, TrainConfig(
+            model, _ = TRAINERS["itm"](corpus, TrainConfig(
                 model="itm", topics=2, interests=2, seed=restart,
                 tol=1e-8, max_iters=150))
             dists = {r: model.topic_distribution(r)
@@ -170,8 +165,8 @@ def test_criterion_7_cross_model_reduction(toy_corpus, four_resource_corpus):
     with criterion(7, "itm with a single interest matches pLSA over triples to 1e-6"):
         for corpus in (toy_corpus, four_resource_corpus):
             shared = dict(topics=2, seed=5, tol=1e-12, max_iters=500)
-            itm_model, _ = train_itm(corpus, TrainConfig(model="itm", interests=1, **shared))
-            plsa_model, _ = train_plsa(corpus, TrainConfig(model="plsa", **shared))
+            itm_model, _ = TRAINERS["itm"](corpus, TrainConfig(model="itm", interests=1, **shared))
+            plsa_model, _ = TRAINERS["plsa"](corpus, TrainConfig(model="plsa", **shared))
             user_term = float(np.sum(corpus.n_u * np.log(corpus.n_u / corpus.total)))
             assert itm_model.log_likelihood(corpus) == pytest.approx(
                 plsa_model.log_likelihood(corpus) + user_term, abs=1e-6)

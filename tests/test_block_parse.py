@@ -105,7 +105,7 @@ class TestSameAsPerLine:
         assert_same_corpus(read_corpus(path), want)
         assert entries(read_vocabularies(path)) == entries(want)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None)
     @given(st.lists(st.builds(str.__add__, st.one_of(RECORD, RECORD, ANY_LINE),
                               st.sampled_from(["", "\n", "\r\n"])),
                     max_size=12),

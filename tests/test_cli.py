@@ -59,6 +59,14 @@ class TestIngest:
     def test_missing_input_is_data_error(self, tmp_path):
         assert run("ingest", tmp_path / "nope.tsv", tmp_path / "out.tsv") == 2
 
+    @pytest.mark.parametrize("command", ["ingest", "sample"])
+    def test_bytes_that_are_not_utf8_are_a_data_error(self, command, tmp_path, capsys):
+        src = tmp_path / "bad"
+        src.write_bytes(b"a\tu\tx\n\xff\n")
+        assert run(command, src, tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(
+            "tagtopics: data error: 'utf-8' codec can't decode byte 0xff in position 6")
+
     def test_malformed_line_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "bad.tsv"
         src.write_text("a\tu\n")

@@ -95,7 +95,7 @@ entry_strategy = st.tuples(
 
 
 class TestCorpusProperties:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None)
     @given(st.lists(entry_strategy, min_size=1, max_size=25))
     def test_marginal_consistency(self, entries):
         corpus = make_corpus([f"{r}\t{u}\t{t}\t{n}" for r, u, t, n in entries])
@@ -123,7 +123,7 @@ class TestCorpusProperties:
         write_corpus_tsv(corpus, buffer)
         assert buffer.getvalue() == want
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40, deadline=None)
     @given(st.lists(entry_strategy, min_size=1, max_size=25))
     def test_ingest_roundtrip_reproduces_counts(self, entries):
         # ids may be re-assigned on re-ingestion (first appearance follows the
@@ -139,7 +139,7 @@ class TestCorpusProperties:
         assert set(again.tags.entries) == set(corpus.tags.entries)
         assert again.resources.entries[0] == corpus.resources.entries[0]
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40, deadline=None)
     @given(st.lists(entry_strategy, min_size=1, max_size=25),
            st.integers(1, 6), st.integers(0, 6), st.integers(0, 5))
     def test_filter_widening_is_monotone(self, entries, lo, span, widen):

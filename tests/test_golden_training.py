@@ -21,13 +21,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tagtopics import load_model, train_itm, train_mwa, train_plsa
+from helpers import TRAINERS
+from tagtopics import load_model
 from tagtopics.itm import ItmModel
 from tagtopics.sampling import PlantedSpec, sample_corpus
 from tagtopics.training import TrainConfig
 
 DATA = Path(__file__).parent / "data"
-TRAINERS = {"plsa": train_plsa, "mwa": train_mwa, "itm": train_itm}
 WORKERS = (1, 2, 3)
 CASES = [(kind, workers) for kind in TRAINERS for workers in WORKERS]
 TOY = {"topics": 2, "interests": 2, "tol": 1e-12, "max_iters": 25, "seed": 3}

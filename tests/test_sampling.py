@@ -154,7 +154,7 @@ def dirichlet_spec(kind, sizes, table_seed, n_samples, seed, n_users, tag_major)
 
 
 class TestAncestralDraws:
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150, deadline=None)
     @given(kind=st.sampled_from(MODEL_KINDS), sizes=st.lists(st.integers(1, 5), min_size=5,
                                                               max_size=5),
            table_seed=st.integers(0, 2**32 - 1), n_samples=st.integers(1, 400),
@@ -237,7 +237,7 @@ def draw_tables(draw):
 
 
 class TestDrawSearch:
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None)
     @given(draw_tables(), st.integers(0, 300), st.integers(0, 2**32 - 1))
     @example(np.array([[0.5, 0.5]]), 0, 0)  # no draws
     def test_draws_match_comparison_oracle(self, table, n, seed):
@@ -248,7 +248,7 @@ class TestDrawSearch:
         assert got.tolist() == oracles.draw_by_comparison(
             table.tolist(), rows.tolist(), uniforms.tolist())
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None)
     @given(draw_tables(), st.integers(0, 2**32 - 1))
     def test_uniforms_on_and_beside_running_sums(self, table, seed):
         # Every running sum, the floats either side of it, 0 and the largest
