@@ -259,9 +259,19 @@ def write_model(model, stream) -> None:
     stream.write(f"# tagtopics model format v1\n{model.kind} {sizes} {model.seed}\n")
     for attr, _, _ in model.TABLES:
         table = getattr(model, attr)
-        for first in range(0, table.size, BLOCK_VALUES):
-            values = table.flat[first:first + BLOCK_VALUES].astype(np.float64, copy=False)
-            stream.write(_format_block(values, table.shape[-1], first))
+        flat = table.reshape(-1)
+        for first in range(0, flat.size, BLOCK_VALUES):
+            stream.write(_format_block(flat[first:first + BLOCK_VALUES], table.shape[-1], first))
+
+
+@contextlib.contextmanager
+def read_text(path):
+    """Text stream of UTF-8 file ``path``; bytes not UTF-8 are a ``DataError`` naming it."""
+    with open(path, encoding="utf-8") as stream:
+        try:
+            yield stream
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 @contextlib.contextmanager

@@ -12,7 +12,7 @@ import difflib
 import sys
 from dataclasses import fields
 
-from ._textio import atomic_write
+from ._textio import atomic_write, read_text
 from .corpus import filter_tags, ingest_triples, read_corpus, read_vocabularies, save_corpus
 from .errors import ConfigError, DataError, DegeneracyError
 from .itm import train_itm
@@ -39,7 +39,7 @@ def _print_stats(corpus) -> None:
 
 
 def cmd_ingest(args) -> None:
-    with open(args.input, encoding="utf-8") as stream:
+    with read_text(args.input) as stream:
         corpus = ingest_triples(stream)
     if args.min_tag_freq is not None or args.max_tag_freq is not None:
         corpus = filter_tags(corpus,
@@ -86,9 +86,9 @@ def cmd_rank(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    with open(args.ranking, encoding="utf-8") as stream:
+    with read_text(args.ranking) as stream:
         meta, ranked = read_ranking(stream)
-    with open(args.labels, encoding="utf-8") as stream:
+    with read_text(args.labels) as stream:
         labels = LabelSet.from_tsv(stream)
     n_same, n_link = count_relevant_topk(ranked, labels, args.k)
     effort = effort_to_n(ranked, labels, args.n)
@@ -165,7 +165,7 @@ def main(argv=None) -> int:
     except DegeneracyError as exc:
         print(f"tagtopics: degenerate computation: {exc}", file=sys.stderr)
         return 3
-    except (DataError, OSError, UnicodeDecodeError) as exc:  # bytes that are not UTF-8 too
+    except (DataError, OSError) as exc:
         print(f"tagtopics: data error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # ConfigError included

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._textio import atomic_write, skipped, tsv_records
+from ._textio import atomic_write, read_text, skipped, tsv_records
 from .errors import ConfigError, DataError
 
 # Default frequency window for the tag reduction: drop tags seen fewer than
@@ -327,7 +327,7 @@ def _id_columns(lines: Iterable[str], vocabs: Vocabularies):
 
 
 def read_corpus(path) -> Corpus:
-    with open(path, encoding="utf-8") as stream:
+    with read_text(path) as stream:
         return ingest_triples(stream)
 
 
@@ -335,7 +335,7 @@ def read_vocabularies(path) -> Vocabularies:
     """The vocabularies :func:`read_corpus` gives for ``path``, with the same
     checks and errors, but no id arrays, merge or :class:`Corpus`."""
     vocabs = Vocabularies(Vocab(), Vocab(), Vocab())
-    with open(path, encoding="utf-8") as stream:
+    with read_text(path) as stream:
         for _ in _triple_columns(stream, vocabs, {}):
             pass
     return vocabs

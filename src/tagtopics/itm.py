@@ -30,9 +30,6 @@ Lee & Seung (2001) in tensor form.  So the model's ``band`` is the tag:
 rows sums the tag statistic for its own tags alone, and ``e_step`` walks a
 chunk one tag run at a time.  A chunk out of tag order raises ``ValueError``,
 since a tag split into two runs would lose statistic additions.
-p(t|i,z) and its statistic are tag-major: a trained model's table is an
-[I, K, T] view of [T, I, K] memory.  A loaded one is C-contiguous; ``e_step``
-copies each run's A_t, so both layouts give the same bits.
 """
 
 from __future__ import annotations
@@ -48,11 +45,6 @@ from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
 
 # Rows per chunk: as many as an [n, I, K] posterior of this many float64 values.
 _SCRATCH_ELEMS = 1 << 18
-
-
-def _tag_major(rows: np.ndarray, shape) -> np.ndarray:
-    """[I*K, T] ``rows`` as an [I, K, T] view of a [T, I, K] = ``shape`` copy."""
-    return np.moveaxis(np.ascontiguousarray(rows.T).reshape(shape), 0, 2)
 
 
 class ItmModel(training.Model):
@@ -85,13 +77,6 @@ class ItmModel(training.Model):
     def check_corpus(self, corpus: Corpus) -> None:
         training.check_corpus(self, corpus)
 
-    @classmethod
-    def initial(cls, corpus: Corpus, cfg: TrainConfig, rng) -> "ItmModel":
-        model = super().initial(corpus, cfg, rng)  # and p(t|i,z) laid out tag-major
-        model.tag_given_interest_topic = _tag_major(model.tag_given_interest_topic.reshape(
-            -1, model.n_tags), (model.n_tags, cfg.interests, cfg.topics))
-        return model
-
     @property
     def chunk_rows(self) -> int:
         return max(1, _SCRATCH_ELEMS // (self.n_interests * self.n_topics))
@@ -113,7 +98,6 @@ class ItmModel(training.Model):
             raise ValueError("itm's E-step takes rows sorted by tag, as ItmModel.rows gives them")
         a, b = self.interest_given_user[chunk["u"]], self.topic_given_resource[chunk["r"]]
         starts = np.flatnonzero(np.r_[True, tt[1:] != tt[:-1]])
-        # One A_t per run; the gather is a C-contiguous copy, whatever the table's layout.
         tags = np.moveaxis(self.tag_given_interest_topic, 2, 0)[tt[starts]]
         runs = [slice(i, j) for i, j in zip(starts.tolist(), [*starts[1:].tolist(), len(tt)])]
         m = np.concatenate([b[run] @ tag.T for run, tag in zip(runs, tags)])
@@ -129,8 +113,8 @@ class ItmModel(training.Model):
 
     def m_step(self, stats) -> None:
         expected_ui, expected_rz, expected_t = stats
-        self.tag_given_interest_topic = _tag_major(normalize_rows(np.ascontiguousarray(
-            expected_t.reshape(self.n_tags, -1).T)), expected_t.shape)
+        self.tag_given_interest_topic = normalize_rows(np.ascontiguousarray(
+            expected_t.reshape(self.n_tags, -1).T)).reshape(self.tag_given_interest_topic.shape)
         self.interest_given_user = normalize_rows(expected_ui)
         self.topic_given_resource = normalize_rows(expected_rz)
 

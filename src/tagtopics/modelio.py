@@ -21,6 +21,6 @@ def read_model(stream):
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as stream:
+    with _textio.read_text(path) as stream:
         return read_model(stream)
 

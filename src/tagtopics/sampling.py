@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _textio
-from .corpus import Corpus, merge_rows, renumber
+from .corpus import MAX_COUNT, Corpus, merge_rows, renumber
 from .errors import ConfigError, DataError
 from .itm import ItmModel
 from .modelio import MODEL_TYPES, read_model
@@ -37,7 +37,7 @@ class PlantedSpec:
     """A generative model plus sampling parameters.
 
     ``n_users`` is read only for a model without a user table (plsa), whose
-    users are drawn uniformly from that many.
+    users are drawn uniformly from that many, at most ``corpus.MAX_COUNT``.
     """
 
     model: Model  # of one of the classes in ``modelio.MODEL_TYPES``
@@ -55,8 +55,8 @@ class PlantedSpec:
             raise ConfigError(f"n_samples is {self.n_samples}, over the limit of {MAX_SAMPLES}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if "n_users" not in self.model.DIMS and self.n_users < 1:
-            raise ConfigError("n_users must be >= 1 for plsa sampling")
+        if "n_users" not in self.model.DIMS and not 1 <= self.n_users <= MAX_COUNT:  # int64 ids
+            raise ConfigError(f"n_users must be 1 to {MAX_COUNT} for plsa, got {self.n_users}")
 
 
 def _count_at_or_below(cum: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -81,7 +81,7 @@ def _draw_rows(rng: np.random.Generator, table: np.ndarray, rows: np.ndarray) ->
     last column, for a row whose sum rounds below ``u``).  All n are searched
     together by :func:`_count_at_or_below`, with no n-by-columns comparison
     and no pass per distinct row."""
-    cum = np.cumsum(np.asarray(table, dtype=float), axis=1)
+    cum = np.cumsum(table, axis=1)
     u = rng.random(len(rows))
     return np.minimum(_count_at_or_below(cum, rows, u), cum.shape[1] - 1)
 
@@ -149,7 +149,7 @@ def save_spec(spec: PlantedSpec, path) -> None:
 
 
 def load_spec(path) -> PlantedSpec:
-    with open(path, encoding="utf-8") as stream:
+    with _textio.read_text(path) as stream:
         return read_spec(stream)
 
 

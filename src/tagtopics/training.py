@@ -16,9 +16,9 @@ replace the defaults of :class:`Model`: ``DRAWS``, the start's draw order;
 ``band``, the id column its data rows are sorted on; ``chunk_rows``, which
 fixes the summation order; and the per-chunk step ``e_step(chunk, n, stats,
 lo)``, which returns the rows' mixture totals and, given ``stats``, adds the
-statistics of the n-weighted posteriors (itm's forms no posterior).  The rows
-themselves are not its to choose: :meth:`Model.rows` derives them from
-``DIMS`` and ``band``, and no class overrides it.
+statistics of the n-weighted posteriors (itm's forms no posterior).  No class
+overrides :meth:`Model.initial` or :meth:`Model.rows`, which derives the rows
+from ``DIMS`` and ``band``.
 Every scatter of statistic rows by repeating ids goes through :func:`add_rows`.
 
 Every pass walks the rows only through :func:`mapreduce_slices`, which holds
@@ -226,8 +226,8 @@ def check_support(totals, ids: dict) -> None:
 
 class Model:
     """Base of the model classes: the tables named in ``TABLES``, each p(last axis | other
-    axes), a seed, the sizes named in ``DIMS`` (read off the first table with that axis),
-    the start, one-row :meth:`posterior` and :meth:`statistics` those tables imply, and
+    axes) and always a C-contiguous float64 array, a seed, the sizes named in ``DIMS``, the
+    start, one-row :meth:`posterior` and :meth:`statistics` those tables imply, and
     defaults a subclass may replace: the rest of the protocol of :func:`train`, and p(z|r).
 
     Each subclass keeps its own one-line ``validate``, ``check_corpus``,
@@ -247,8 +247,13 @@ class Model:
         if sorted(tables) != sorted(names):
             raise TypeError(f"{type(self).__name__} takes the tables {', '.join(names)} "
                             f"and seed; got {', '.join(tables) or 'none'}")
-        self.__dict__.update(tables)
-        self.seed = seed
+        for name, value in (*tables.items(), ("seed", seed)):
+            setattr(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        if any(name == attr for attr, _, _ in self.TABLES):  # every table C-contiguous float64
+            value = np.require(value, np.float64, "C")  # copies only if not; 0-d stays 0-d
+        super().__setattr__(name, value)
 
     def __getattr__(self, name: str) -> int:
         for attr, _, dims in self.TABLES:

@@ -30,7 +30,6 @@ import numpy as np
 from tagtopics._textio import tsv_records
 from tagtopics.corpus import Corpus, Vocab, merge_rows, renumber
 from tagtopics.errors import DataError
-from tagtopics.itm import _tag_major
 from tagtopics.mwa import MwaModel
 from tagtopics.plsa import PlsaModel
 from tagtopics.sampling import _draw_rows
@@ -109,8 +108,8 @@ def itm_initial(cls, corpus, cfg, rng):
     # Draw order keeps the interests=1 case aligned with the pLSA trainer's
     # initialization for the same seed (the p(i|u) rows normalize to 1.0).
     return cls(
-        tag_given_interest_topic=_tag_major(noisy_uniform_rows(
-            rng, cfg.interests * cfg.topics, n_tags), (n_tags, cfg.interests, cfg.topics)),
+        tag_given_interest_topic=noisy_uniform_rows(
+            rng, cfg.interests * cfg.topics, n_tags).reshape(cfg.interests, cfg.topics, n_tags),
         topic_given_resource=noisy_uniform_rows(rng, len(corpus.resources), cfg.topics),
         interest_given_user=noisy_uniform_rows(rng, len(corpus.users), cfg.interests),
         user_probs=corpus.n_u / corpus.total,

@@ -1,6 +1,7 @@
 import io
 import math
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from tagtopics.itm import train_itm
 from tagtopics.modelio import load_model
 from tagtopics.mwa import MwaModel
 from tagtopics.plsa import PlsaModel
-from tagtopics.sampling import MAX_SAMPLES, planted_two_topic_spec, save_spec
+from tagtopics.sampling import MAX_SAMPLES, PlantedSpec, planted_two_topic_spec, save_spec
 from tagtopics.similarity import (TopicDistribution, rank_by_seed, rank_rows, read_ranking,
                                   write_ranking)
 from tagtopics.training import MODEL_KINDS, TrainConfig
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -59,13 +62,27 @@ class TestIngest:
     def test_missing_input_is_data_error(self, tmp_path):
         assert run("ingest", tmp_path / "nope.tsv", tmp_path / "out.tsv") == 2
 
-    @pytest.mark.parametrize("command", ["ingest", "sample"])
-    def test_bytes_that_are_not_utf8_are_a_data_error(self, command, tmp_path, capsys):
-        src = tmp_path / "bad"
-        src.write_bytes(b"a\tu\tx\n\xff\n")
-        assert run(command, src, tmp_path / "out") == 2
-        assert capsys.readouterr().err.startswith(
-            "tagtopics: data error: 'utf-8' codec can't decode byte 0xff in position 6")
+    # Each file a command reads, in turn the one that is not UTF-8 ("bad").
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["ingest", "bad", "out"], id="ingest"),
+        pytest.param(["sample", "bad", "out"], id="sample"),
+        pytest.param(["rank", "bad", "triples", "a"], id="rank-model"),
+        pytest.param(["rank", DATA / "trained.plsa", "bad", "a"], id="rank-corpus"),
+        pytest.param(["eval", "bad", "labels"], id="eval-ranking"),
+        pytest.param(["eval", "ranking", "bad"], id="eval-labels"),
+    ])
+    def test_bytes_that_are_not_utf8_are_a_data_error(self, argv, triple_file, tmp_path,
+                                                      capsys):
+        bad, ranking, labels = tmp_path / "bad", tmp_path / "ranking", tmp_path / "labels"
+        bad.write_bytes(b"a\tu\tx\n\xff\n")
+        ranking.write_text("# model=plsa\nrank\tresource\tdivergence\n1\ta\t0.0\n")
+        labels.write_text("a\tsame\n")
+        files = {"bad": bad, "out": tmp_path / "out", "triples": triple_file,
+                 "ranking": ranking, "labels": labels}
+        assert run(*(files.get(arg, arg) for arg in argv)) == 2
+        assert capsys.readouterr().err == (f"tagtopics: data error: {bad}: 'utf-8' codec "
+                                           "can't decode byte 0xff in position 6: invalid "
+                                           "start byte\n")
 
     def test_malformed_line_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "bad.tsv"
@@ -409,6 +426,19 @@ class TestSample:
         assert run("sample", spec_path, tmp_path / "out.tsv") == 1
         assert capsys.readouterr().err == (
             f"tagtopics: usage error: n_samples is {10**14}, over the limit of {MAX_SAMPLES}\n")
+        assert not (tmp_path / "out.tsv").exists()
+
+    def test_plsa_user_count_over_the_limit_is_usage_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "plsa.spec"
+        model = PlsaModel(tag_given_topic=np.full((2, 4), 0.25),
+                          topic_given_resource=np.full((3, 2), 0.5),
+                          resource_probs=np.array([0.25, 0.25, 0.5]))
+        save_spec(PlantedSpec(model, n_samples=100, seed=1, n_users=3), spec_path)
+        spec_path.write_text(spec_path.read_text().replace("\nspec 100 1 3\n",
+                                                           f"\nspec 100 1 {10**20}\n"))
+        assert run("sample", spec_path, tmp_path / "out.tsv") == 1
+        assert capsys.readouterr().err == (
+            f"tagtopics: usage error: n_users must be 1 to {2**63 - 1} for plsa, got {10**20}\n")
         assert not (tmp_path / "out.tsv").exists()
 
     def test_missing_spec_is_data_error(self, tmp_path):

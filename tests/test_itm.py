@@ -17,8 +17,8 @@ from tagtopics._textio import write_model
 from tagtopics.errors import ConfigError, DataError, DegeneracyError
 from tagtopics.itm import ItmModel, train_itm
 from tagtopics.plsa import train_plsa
-from tagtopics.sampling import PlantedSpec, planted_two_topic_spec, sample_corpus
-from tagtopics.modelio import load_model, read_model
+from tagtopics.sampling import planted_two_topic_spec, sample_corpus
+from tagtopics.modelio import read_model
 from tagtopics.training import _SLICES, TrainConfig, data_pass, noisy_uniform_rows
 
 def cfg(**kwargs):
@@ -433,57 +433,3 @@ class TestStructuralInvariants:
                      "topic_given_resource", "user_probs", "resource_probs"):
             assert np.array_equal(getattr(model, name), getattr(again, name))
         assert again.seed == model.seed
-
-
-class TestLayout:
-    """Training keeps p(t|i,z) tag-major; a loaded model is C-contiguous.
-    Every result must have the same bits in both layouts."""
-
-    @pytest.fixture(scope="class")
-    def trained(self):
-        corpus = random_corpus(4, n_resources=30, n_users=12, n_tags=40, n_samples=3000)
-        model, log = train_itm(corpus, cfg(topics=5, interests=3, max_iters=4, seed=2))
-        return corpus, model, log
-
-    @staticmethod
-    def c_contiguous(model):
-        return ItmModel(**{attr: np.ascontiguousarray(getattr(model, attr))
-                           for attr, _, _ in ItmModel.TABLES}, seed=model.seed)
-
-    @staticmethod
-    def saved(model):
-        buffer = io.StringIO()
-        write_model(model, buffer)
-        return buffer.getvalue()
-
-    def test_training_leaves_the_tag_table_tag_major(self, trained):
-        _, model, _ = trained
-        table = model.tag_given_interest_topic
-        assert table.shape == (3, 5, 40) and not table.flags.c_contiguous
-        assert np.moveaxis(table, 2, 0).flags.c_contiguous
-
-    def test_both_layouts_give_the_same_bits(self, trained):
-        corpus, model, _ = trained
-        flat = self.c_contiguous(model)
-        assert flat.tag_given_interest_topic.flags.c_contiguous
-        ids = (corpus.r_ids, corpus.u_ids, corpus.t_ids)
-        assert model.mixture(*ids).tobytes() == flat.mixture(*ids).tobytes()
-        for r, u, t in list(zip(*ids))[::97]:
-            assert model.posterior(r, u, t).tobytes() == flat.posterior(r, u, t).tobytes()
-        assert model.log_likelihood(corpus) == flat.log_likelihood(corpus)
-        assert self.saved(model) == self.saved(flat)
-        drawn, again = (sample_corpus(PlantedSpec(model=m, n_samples=2000, seed=8))
-                        for m in (model, flat))
-        for attr in ("r_ids", "u_ids", "t_ids", "counts"):
-            assert np.array_equal(getattr(drawn, attr), getattr(again, attr))
-        for attr in ("resources", "users", "tags"):
-            assert getattr(drawn, attr).entries == getattr(again, attr).entries
-
-    def test_saved_and_loaded_model_keeps_the_log_likelihood(self, trained, tmp_path):
-        corpus, model, log = trained
-        model.save(tmp_path / "model.itm")
-        loaded = load_model(tmp_path / "model.itm")
-        assert loaded.tag_given_interest_topic.flags.c_contiguous
-        assert np.array_equal(loaded.tag_given_interest_topic, model.tag_given_interest_topic)
-        assert loaded.log_likelihood(corpus) == model.log_likelihood(corpus)
-        assert model.log_likelihood(corpus) == log.final_log_likelihood

@@ -13,7 +13,7 @@ import oracles
 from helpers import named_triples, random_itm_spec
 from tagtopics.corpus import write_corpus_tsv
 from tagtopics.errors import ConfigError, DataError
-from tagtopics.itm import ItmModel, _tag_major
+from tagtopics.itm import ItmModel
 from tagtopics.modelio import MODEL_TYPES
 from tagtopics.mwa import MwaModel
 from tagtopics.plsa import PlsaModel
@@ -113,8 +113,10 @@ class TestSampleCorpus:
         ({"n_samples": 0}, "^n_samples must be >= 1$"),
         ({"n_samples": MAX_SAMPLES + 1},
          f"^n_samples is {MAX_SAMPLES + 1}, over the limit of {MAX_SAMPLES}$"),
-        ({"n_users": 0}, "^n_users must be >= 1 for plsa sampling$"),
-    ], ids=["model-type", "no-draws", "over-the-limit", "no-users"])
+        ({"n_users": 0}, f"^n_users must be 1 to {2**63 - 1} for plsa, got 0$"),
+        ({"n_users": 2**63},
+         f"^n_users must be 1 to {2**63 - 1} for plsa, got {2**63}$"),
+    ], ids=["model-type", "no-draws", "over-the-limit", "no-users", "too-many-users"])
     def test_spec_checks(self, change, message):
         spec = dataclasses.replace(point_mass_plsa_spec(10), **change)
         with pytest.raises(ConfigError, match=message):
@@ -138,8 +140,8 @@ class TestSampleCorpus:
 
 def dirichlet_spec(kind, sizes, table_seed, n_samples, seed, n_users, tag_major):
     """A spec of ``kind`` whose every table row is a random Dirichlet draw; sizes
-    are (topics, interests, resources, users, tags).  ``tag_major`` lays itm's
-    p(t|i,z) out as training leaves it."""
+    are (topics, interests, resources, users, tags).  ``tag_major`` gives itm's
+    p(t|i,z) as an [I, K, T] view of [T, I, K] memory."""
     size = dict(zip(("n_topics", "n_interests", "n_resources", "n_users", "n_tags"), sizes))
     rng = np.random.default_rng(table_seed)
     cls = MODEL_TYPES[kind]
@@ -148,8 +150,8 @@ def dirichlet_spec(kind, sizes, table_seed, n_samples, seed, n_users, tag_major)
               for attr, _, dims in cls.TABLES}
     if kind == "itm" and tag_major:
         table = tables["tag_given_interest_topic"]
-        tables["tag_given_interest_topic"] = _tag_major(table.reshape(-1, table.shape[2]),
-                                                        table.shape[2:] + table.shape[:2])
+        tables["tag_given_interest_topic"] = np.moveaxis(
+            np.ascontiguousarray(np.moveaxis(table, 2, 0)), 0, 2)
     return PlantedSpec(cls(**tables), n_samples, seed, n_users)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import functools
+import io
 import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -13,11 +14,13 @@ from hypothesis import strategies as st
 import oracles
 from helpers import TRAINERS, make_corpus, random_corpus
 from tagtopics import train_itm, train_mwa, train_plsa, training
+from tagtopics._textio import write_model
 from tagtopics.corpus import Corpus, Vocab
 from tagtopics.errors import ConfigError, DataError, DegeneracyError
 from tagtopics.itm import ItmModel
-from tagtopics.modelio import MODEL_TYPES
+from tagtopics.modelio import MODEL_TYPES, load_model
 from tagtopics.mwa import MwaModel
+from tagtopics.sampling import PlantedSpec, sample_corpus
 from tagtopics.training import (_SLICES, MODEL_KINDS, TrainConfig, em_fit, mapreduce_slices,
                                 noisy_uniform_rows, normalize_rows)
 
@@ -535,8 +538,8 @@ def start_corpus(seed):
        seed=st.integers(0, 2**32 - 1), corpus_seed=st.integers(0, 2))
 def test_initial_has_the_bytes_of_each_models_own_start(kind, topics, interests, seed,
                                                         corpus_seed):
-    """``Model.initial``, derived from ``TABLES``, gives every table the bytes and the
-    memory layout (itm's p(t|i,z) is tag-major) of the per-model start it replaced."""
+    """``Model.initial``, derived from ``TABLES``, gives every table the bytes of the
+    per-model start it replaced, C-contiguous."""
     corpus = start_corpus(corpus_seed)
     cfg = TrainConfig(model=kind, topics=topics, interests=interests, seed=seed)
     cls = MODEL_TYPES[kind]
@@ -546,8 +549,79 @@ def test_initial_has_the_bytes_of_each_models_own_start(kind, topics, interests,
     for attr, _, _ in cls.TABLES:
         table, expected = getattr(got, attr), getattr(want, attr)
         assert table.shape == expected.shape
-        assert table.strides == expected.strides
+        assert table.flags.c_contiguous
         assert table.tobytes() == expected.tobytes()
+
+
+class TestLayout:
+    """Every table of every model is a C-contiguous float64 array, and no layout or
+    integer dtype of the arrays a model is built from or assigned changes a bit of its
+    results."""
+
+    @staticmethod
+    def saved(model):
+        buffer = io.StringIO()
+        write_model(model, buffer)
+        return buffer.getvalue()
+
+    @staticmethod
+    def tables(model):
+        return {attr: getattr(model, attr) for attr, _, _ in model.TABLES}
+
+    @staticmethod
+    def view(table):
+        """``table`` as int64 if its values are whole numbers, else as a strided view."""
+        if (table == np.round(table)).all():
+            return table.astype(np.int64)
+        return np.stack([table, table], axis=-1)[..., 0]
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_every_table_is_c_contiguous_float64_whatever_it_was_built_from(self, kind,
+                                                                             tmp_path):
+        corpus = random_corpus(4, n_resources=30, n_users=12, n_tags=40, n_samples=3000)
+        # At one topic and one interest p(z|r), p(z) and p(i|u) hold only ones.
+        for topics, interests in ((5, 3), (1, 1)):
+            config = TrainConfig(model=kind, topics=topics, interests=interests, max_iters=4,
+                                 seed=2)
+            start = MODEL_TYPES[kind].initial(corpus, config, np.random.default_rng(2))
+            model, log = TRAINERS[kind](corpus, config)
+            model.save(tmp_path / "model")
+            loaded = load_model(tmp_path / "model")
+            for built in (start, model, loaded):
+                for table in self.tables(built).values():
+                    assert table.dtype == np.float64 and table.flags.c_contiguous
+            for attr, table in self.tables(model).items():
+                assert np.array_equal(getattr(loaded, attr), table)
+            assert loaded.log_likelihood(corpus) == model.log_likelihood(corpus)
+            assert model.log_likelihood(corpus) == log.final_log_likelihood
+
+            same = type(model)(**self.tables(model), seed=model.seed)
+            assert all(getattr(same, attr) is table for attr, table in self.tables(model).items())
+            views = {attr: self.view(table) for attr, table in self.tables(model).items()}
+            assert any(view.dtype == np.int64 for view in views.values()) == (topics == 1)
+            assert not any(view.flags.c_contiguous for view in views.values()
+                           if view.dtype == np.float64)
+            rebuilt = type(model)(**views, seed=model.seed)
+            for attr, view in views.items():  # assigned, each table is converted too
+                setattr(same, attr, view)
+            for built in (rebuilt, same):
+                for attr, table in self.tables(built).items():
+                    assert table.dtype == np.float64 and table.flags.c_contiguous
+                    assert table.tobytes() == getattr(model, attr).tobytes()
+            ids, _ = model.rows(corpus)
+            assert model.mixture(*ids.values()).tobytes() == \
+                rebuilt.mixture(*ids.values()).tobytes()
+            for row in list(zip(*ids.values()))[::97]:
+                assert model.posterior(*row).tobytes() == rebuilt.posterior(*row).tobytes()
+            assert rebuilt.log_likelihood(corpus) == model.log_likelihood(corpus)
+            assert self.saved(rebuilt) == self.saved(model)
+            drawn, again = (sample_corpus(PlantedSpec(model=m, n_samples=2000, seed=8,
+                                                      n_users=5))
+                            for m in (model, rebuilt))
+            for attr in ("r_ids", "u_ids", "t_ids", "counts"):
+                assert np.array_equal(getattr(drawn, attr), getattr(again, attr))
+            for attr in ("resources", "users", "tags"):
+                assert getattr(drawn, attr).entries == getattr(again, attr).entries
 
 
 @pytest.mark.parametrize("kind, band, statistics", [
