@@ -64,14 +64,18 @@ def parse_ints(fields: list[str], what: str) -> list[int]:
         raise DataError(f"{what}: expected integers, got {fields!r}") from None
 
 
-def parse_matrix(stream, n_rows: int, n_cols: int, what: str, first: int = 0) -> np.ndarray:
+def parse_matrix(stream, n_rows: int, n_cols: int, what: str, first: int = 0,
+                 parse: bool = True) -> np.ndarray:
     """The next ``n_rows`` rows of ``n_cols`` values of ``stream``, each value
-    through ``float``; errors name the rows from ``first`` on."""
+    through ``float``; errors name the rows from ``first`` on.  Unless ``parse``,
+    only the field counts are checked, and no row is returned."""
     rows = []
     for i in range(first, first + n_rows):
         fields = next_fields(stream, f"{what} row {i}")
         if len(fields) != n_cols:
             raise DataError(f"{what} row {i}: expected {n_cols} values, got {len(fields)}")
+        if not parse:
+            continue
         try:
             rows.append(np.array(fields, dtype=np.float64))
         except ValueError:
@@ -84,18 +88,22 @@ def parse_matrix(stream, n_rows: int, n_cols: int, what: str, first: int = 0) ->
 BLOCK_VALUES = 2**14
 
 
-def read_table(lines, shape: tuple[int, ...], what: str) -> np.ndarray:
+def read_table(lines, shape: tuple[int, ...], what: str, parse: bool = True) -> np.ndarray:
     """The table of ``shape`` in the next rows of ``lines``, an iterator of
     lines that are not :func:`skipped`.  Blocks of about :data:`BLOCK_VALUES`
     values go through ``np.loadtxt``; a block that it refuses or reads to
     another shape is read again by :func:`parse_matrix`, for ``float``'s
     values of the tokens it refuses or the error of the block's first bad
-    row, numbered within the table.  A shape too large to allocate is a ``DataError``."""
+    row, numbered within the table.  A shape too large to allocate is a ``DataError``.
+    Unless ``parse``, :func:`parse_matrix` only steps over the rows, with the
+    same errors but those of the values' text, and returns no row."""
     n_rows, n_cols = math.prod(shape[:-1]), shape[-1]
     try:
         table = np.empty((n_rows, n_cols))
     except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
         raise DataError(f"{what}: cannot allocate the declared shape {shape}") from None
+    if not parse:
+        return parse_matrix(lines, n_rows, n_cols, what, parse=False)
     step = max(BLOCK_VALUES // n_cols, 1)
     for first in range(0, n_rows, step):
         want = min(step, n_rows - first)
@@ -296,9 +304,10 @@ def save(model, path) -> None:
         write_model(model, stream)
 
 
-def read_tables(cls, header: list[str], stream):
-    """Read the tables that follow the already-split ``header`` line and
-    return the validated ``cls`` instance."""
+def read_tables(cls, header: list[str], stream, only=None) -> tuple[dict, int, dict]:
+    """``(sizes by DIMS name, seed, tables by attribute)`` after the split ``header``
+    line, each table checked by :func:`validate`: every table, or only those that
+    ``only`` names, with the rows of the rest stepped over by :func:`read_table`."""
     if header[0] != cls.kind or len(header) != len(cls.DIMS) + 2:
         raise DataError(f"bad {cls.kind} header: {' '.join(header)!r}")
     *sizes, seed = parse_ints(header[1:], f"{cls.kind} header")
@@ -309,24 +318,24 @@ def read_tables(cls, header: list[str], stream):
         shape = tuple(size[dim] for dim in dims)
         if min(shape) < 1:
             raise DataError(f"{label}: dimension must be positive, got {shape}")
-        tables[attr] = read_table(lines, shape, label)
+        if (table := read_table(lines, shape, label, only is None or attr in only)).size:
+            tables[attr] = table  # a table stepped over has no rows
     if not all(map(skipped, stream)):
         raise DataError(f"{cls.kind} model: data after the last table")
-    model = cls(**tables, seed=seed)
-    model.validate()
-    return model
+    validate(cls, tables)
+    return size, seed, tables
 
 
 ROW_SUM_ATOL = 1e-10  # how far from 1 the sum of a table row may lie
 
 
-def validate(model) -> None:
-    """Check every table against the class schema: its ndim, sizes that
-    agree across tables, finite non-negative entries, and sums of 1 (within
-    :data:`ROW_SUM_ATOL`) over the last axis."""
+def validate(schema, tables) -> None:
+    """Check each table that ``tables`` maps by attribute against ``schema``'s
+    ``TABLES``: its ndim, sizes that agree across tables, finite non-negative
+    entries, and sums of 1 (within :data:`ROW_SUM_ATOL`) over the last axis."""
     size: dict[str, int] = {}
-    for attr, label, dims in model.TABLES:
-        table = getattr(model, attr)
+    for attr, label, dims in filter(lambda entry: entry[0] in tables, schema.TABLES):
+        table = tables[attr]
         if table.ndim != len(dims):
             raise DataError(f"{label} must be a {len(dims)}-D table, got {table.ndim}-D")
         for dim, n in zip(dims, table.shape):

@@ -17,13 +17,14 @@ from .corpus import filter_tags, ingest_triples, read_corpus, read_vocabularies,
 from .errors import ConfigError, DataError, DegeneracyError
 from .itm import train_itm
 from .metrics import LabelSet, count_relevant_topk, effort_to_n
-from .modelio import load_model
+# perfbench/tracing.py patches load_model here.
+from .modelio import load_model, load_ranked  # noqa: F401
 from .mwa import train_mwa
 from .plsa import train_plsa
 from .sampling import load_spec, sample_corpus
 # perfbench/tracing.py patches rank_by_seed here.
 from .similarity import rank_by_seed, rank_rows, read_ranking, write_ranking  # noqa: F401
-from .training import MODEL_KINDS, TrainConfig
+from .training import MODEL_KINDS, TrainConfig, check_corpus
 
 _TRAINERS = {"plsa": train_plsa, "mwa": train_mwa, "itm": train_itm}
 
@@ -66,9 +67,9 @@ def cmd_train(args) -> None:
 def cmd_rank(args) -> None:
     if args.top < 0:
         raise ConfigError("--top must be >= 0")
-    model = load_model(args.model_file)
+    cls, size, tables = load_ranked(args.model_file)
     vocabs = read_vocabularies(args.corpus)
-    model.check_corpus(vocabs)
+    check_corpus(size, vocabs)
     resources = vocabs.resources
     try:
         seed_id = resources.id_of(args.seed_resource)
@@ -77,8 +78,8 @@ def cmd_rank(args) -> None:
         hint = ", ".join(close) if close else "none"
         raise DataError(f"unknown seed resource {args.seed_resource!r}; "
                         f"close vocabulary matches: {hint}") from None
-    ranked = rank_rows(model.topic_distributions(), seed_id)
-    meta = {"model": model.kind, "K": model.n_topics, "base": "e",
+    ranked = rank_rows(cls.topic_distributions_of(tables), seed_id)
+    meta = {"model": cls.kind, "K": size["n_topics"], "base": "e",
             "seed": resources.name_of(seed_id)}
     with (contextlib.nullcontext(sys.stdout) if args.output is None
           else atomic_write(args.output)) as stream:

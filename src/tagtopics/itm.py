@@ -72,10 +72,10 @@ class ItmModel(training.Model):
     band = "t"  # the id column ``rows`` sorts on
 
     def validate(self) -> None:
-        _textio.validate(self)
+        _textio.validate(self, vars(self))
 
     def check_corpus(self, corpus: Corpus) -> None:
-        training.check_corpus(self, corpus)
+        training.check_corpus(self.size, corpus)
 
     @property
     def chunk_rows(self) -> int:

@@ -30,6 +30,7 @@ class MwaModel(training.Model):
 
     kind = "mwa"
     DIMS = ("n_topics", "n_resources", "n_users", "n_tags")
+    RANKED = ("topic_probs", "resource_given_topic")
     TABLES = (
         ("topic_probs", "p(z)", ("n_topics",)),
         ("resource_given_topic", "p(r|z)", ("n_topics", "n_resources")),
@@ -38,10 +39,10 @@ class MwaModel(training.Model):
     )
 
     def validate(self) -> None:
-        _textio.validate(self)
+        _textio.validate(self, vars(self))
 
     def check_corpus(self, corpus: Corpus) -> None:
-        training.check_corpus(self, corpus)
+        training.check_corpus(self.size, corpus)
 
     def mixture(self, rr, uu, tt) -> np.ndarray:
         """Unnormalised joint p(z) p(r|z) p(u|z) p(t|z) of the triples
@@ -67,14 +68,15 @@ class MwaModel(training.Model):
     def topic_distribution(self, resource: int) -> TopicDistribution:
         """p(z|r) by Bayes inversion of p(r|z) against the aspect prior."""
         training.check_ids(self, r=resource)
-        return TopicDistribution(self._inverted([resource])[0])
+        return TopicDistribution(self.topic_distributions_of(vars(self), [resource])[0])
 
-    def topic_distributions(self) -> np.ndarray:
-        return self._inverted(np.arange(self.n_resources))  # each topic_distribution, as [R, K]
-
-    def _inverted(self, resources) -> np.ndarray:
-        # One contiguous row per resource, so each sums over z as a lone vector does.
-        weights = np.multiply(self.topic_probs, self.resource_given_topic[:, resources].T, order="C")
+    @staticmethod
+    def topic_distributions_of(tables, resources=None) -> np.ndarray:
+        """p(z|r) of every resource, or of ``resources``, one contiguous row each, so
+        that each row sums over z as a lone vector does."""
+        given_topic = tables["resource_given_topic"]
+        resources = np.arange(given_topic.shape[1]) if resources is None else resources
+        weights = np.multiply(tables["topic_probs"], given_topic[:, resources].T, order="C")
         totals = weights.sum(axis=1, keepdims=True)
         if (dead := np.flatnonzero(totals <= 0.0)).size:
             raise DegeneracyError(f"resource {resources[dead[0]]} has no support")

@@ -43,10 +43,10 @@ class PlsaModel(training.Model):
     )
 
     def validate(self) -> None:
-        _textio.validate(self)
+        _textio.validate(self, vars(self))
 
     def check_corpus(self, corpus: Corpus) -> None:
-        training.check_corpus(self, corpus)
+        training.check_corpus(self.size, corpus)
 
     def mixture(self, rr, tt) -> np.ndarray:
         """Unnormalised joint p(t|z) p(z|r) of the pairs ``(rr[n], tt[n])``, as [n, K]."""

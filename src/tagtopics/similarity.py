@@ -102,6 +102,7 @@ MIN_BLOCK_ROWS = 1024
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
+_held = threading.local()  # each calling thread's scratch pair and its shape
 
 
 def _cores() -> int:
@@ -136,7 +137,7 @@ def _divergences(rel_entr, probs, seed, s, work, out) -> None:
     summed on its own, as (KL(2p || S) + KL(2q || S)) / 4 with S = p + q, finite
     where m = S / 2 underflows (p = 5e-324, q = 0).  ``rel_entr`` is scipy's, passed
     in so that no pool thread imports it; ``s`` and ``work`` are scratch of the shape
-    of ``probs``, allocated by the caller, so that no pool thread's heap grows by them."""
+    of ``probs``, held by the caller, so that no pool thread's heap grows by them."""
     np.add(probs, seed, out=s)
     rel_entr(np.multiply(probs, 2, out=work), s, out=work).sum(axis=1, out=out)
     out += rel_entr(2 * seed, s, out=work).sum(axis=1)
@@ -151,12 +152,15 @@ def rank_rows(probs: np.ndarray, seed_row: int, keys=None) -> RankedList:
 
     The rows are cut into one contiguous block per core, each of at least
     :data:`MIN_BLOCK_ROWS` rows; two or more run on a shared thread pool, one on
-    the calling thread.  No row's sum depends on the cut, nor any result bit."""
+    the calling thread.  No row's sum depends on the cut, nor any result bit.  The
+    two [R, K] scratch arrays are the calling thread's, kept for its next call."""
     from scipy.special import rel_entr  # here, on the calling thread, not in the pool
 
     probs = np.asarray(probs, dtype=float)
     seed = probs[seed_row]
-    s, work, div = np.empty_like(probs), np.empty_like(probs), np.empty(len(probs))
+    if getattr(_held, "shape", None) != probs.shape:  # the pair goes when the shape changes
+        _held.pair, _held.shape = (np.empty_like(probs), np.empty_like(probs)), probs.shape
+    (s, work), div = _held.pair, np.empty(len(probs))
     blocks = max(min(len(probs) // MIN_BLOCK_ROWS, _cores()), 1)
     edges = [len(probs) * i // blocks for i in range(blocks + 1)]
     list((_shared_pool().map if blocks > 1 else map)(
@@ -202,7 +206,8 @@ def write_ranking(ranked: RankedList, stream, *, limit: int | None = None,
 
 
 def read_ranking(stream) -> tuple[dict, RankedList]:
-    """Parse a ranking TSV back into its metadata and a name-keyed RankedList."""
+    """Parse a ranking TSV back into its metadata and a name-keyed RankedList.
+    ``seed=``, which :func:`write_ranking` writes last, runs to the end of its line."""
     meta: dict[str, str] = {}
     saw_columns = False
     entries: list[tuple[str, float]] = []
@@ -210,10 +215,10 @@ def read_ranking(stream) -> tuple[dict, RankedList]:
         line = raw.rstrip("\r\n")
         if _textio.skipped(line):
             if line[:1] == "#" and not saw_columns and not meta:
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, value = token.split("=", 1)
-                        meta[key] = value
+                head, has_seed, seed = f" {line[1:]}".partition(" seed=")  # the last key
+                meta = dict(token.split("=", 1) for token in head.split() if "=" in token)
+                if has_seed:
+                    meta["seed"] = seed
             continue
         if not saw_columns:
             if line != _RANKING_COLUMNS:

@@ -228,7 +228,8 @@ class Model:
     """Base of the model classes: the tables named in ``TABLES``, each p(last axis | other
     axes) and always a C-contiguous float64 array, a seed, the sizes named in ``DIMS``, the
     start, one-row :meth:`posterior` and :meth:`statistics` those tables imply, and
-    defaults a subclass may replace: the rest of the protocol of :func:`train`, and p(z|r).
+    defaults a subclass may replace: the rest of the protocol of :func:`train`, and p(z|r)
+    (``topic_distributions_of`` and ``RANKED``, the tables it reads).
 
     Each subclass keeps its own one-line ``validate``, ``check_corpus``,
     ``log_likelihood``, ``topic_distribution`` and ``save``, because
@@ -239,6 +240,7 @@ class Model:
     DIMS: tuple[str, ...]
     TABLES: tuple[tuple[str, str, tuple[str, ...]], ...]
     DRAWS: tuple[str, ...] = ()  # latent tables in ``initial``'s draw order; () for TABLES order
+    RANKED = ("topic_given_resource",)  # the tables ``topic_distributions_of`` reads
     chunk_rows = 1 << 15
     band = "r"  # the id column ``rows`` sorts on
 
@@ -260,6 +262,10 @@ class Model:
             if name in dims:
                 return getattr(self, attr).shape[dims.index(name)]
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    @property
+    def size(self) -> dict:
+        return {dim: getattr(self, dim) for dim in self.DIMS}
 
     @classmethod
     def table_shapes(cls, corpus, cfg: TrainConfig) -> dict:
@@ -339,7 +345,12 @@ class Model:
         return mix[0] / totals[0]
 
     def topic_distributions(self) -> np.ndarray:
-        return self.topic_given_resource  # p(z|r) as [R, K]: the model's own table
+        return self.topic_distributions_of(vars(self))
+
+    @staticmethod
+    def topic_distributions_of(tables) -> np.ndarray:
+        """p(z|r) as [R, K] from the ``RANKED`` tables that ``tables`` maps by attribute."""
+        return tables["topic_given_resource"]  # the model's own table
 
 
 def data_pass(model, ids: dict, counts, fused: bool, executor=None) -> tuple:
@@ -372,11 +383,11 @@ def check_ids(model, **ids) -> None:
             raise DataError(f"unknown {what} id {i}; expected 0 to {n - 1}")
 
 
-def check_corpus(model, corpus) -> None:
-    """Raise :class:`DataError` unless the model's vocabulary sizes (those
-    of its ``DIMS``) match the corpus."""
-    vocabs = [(dim, vocab) for _, dim, vocab in _ID_COLUMNS.values() if dim in model.DIMS]
-    shape = tuple(getattr(model, dim) for dim, _ in vocabs)
+def check_corpus(size: dict, corpus) -> None:
+    """Raise :class:`DataError` unless the vocabulary sizes among a model's
+    ``size`` (its sizes by ``DIMS`` name) match the corpus."""
+    vocabs = [(dim, vocab) for _, dim, vocab in _ID_COLUMNS.values() if dim in size]
+    shape = tuple(size[dim] for dim, _ in vocabs)
     expected = tuple(len(getattr(corpus, vocab)) for _, vocab in vocabs)
     if shape != expected:
         raise DataError(f"model dimensions {shape} do not match corpus {expected} "

@@ -327,6 +327,29 @@ class TestRank:
 
 
 class TestEval:
+    @pytest.mark.parametrize("seed", ["my site", "a  b", "x=y"])
+    def test_a_seed_name_with_spaces_or_equals_survives_rank(self, seed, tmp_path, capsys):
+        """The ranking header ends in ``seed=<name>``: the whole name comes back,
+        so a resource named after its first word may be ranked."""
+        names = ["my site", "my", "a  b", "a", "b", "x=y", "x", "y"]
+        triples = tmp_path / "triples.tsv"
+        triples.write_text("".join(f"{name}\tu{i % 2}\tt{i % 3}\n" for i, name in enumerate(names)))
+        corpus_path, model_path = tmp_path / "corpus.tsv", tmp_path / "model.plsa"
+        assert run("ingest", triples, corpus_path) == 0
+        assert run("train", corpus_path, model_path, "--model", "plsa", "--topics", 2) == 0
+        ranking, labels = tmp_path / "ranking.tsv", tmp_path / "labels.tsv"
+        assert run("rank", model_path, corpus_path, seed, "--output", ranking) == 0
+        labels.write_text("".join(f"{name}\tsame\n" for name in names if name != seed))
+        capsys.readouterr()
+        assert run("eval", ranking, labels, "--k", 7, "--n", 7) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "plsa\tsame@7\t7", "plsa\tlink-to@7\t0", "plsa\teffort@7\t7"]
+        with open(ranking, encoding="utf-8") as stream:
+            meta, ranked = read_ranking(stream)
+        assert meta == {"model": "plsa", "K": "2", "base": "e", "seed": seed}
+        assert ranked.seed == seed
+        assert sorted(name for name, _ in ranked.entries) == sorted(set(names) - {seed})
+
     def test_report(self, tmp_path, capsys):
         ranking = tmp_path / "ranking.tsv"
         ranking.write_text(

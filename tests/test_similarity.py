@@ -7,6 +7,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -430,6 +431,61 @@ class TestSplitRanking:
             os.close(read_end)
             os.waitpid(pid, 0)
         assert pickle.loads(b"".join(chunks)) == want
+
+
+class TestWarmScratch:
+    """``rank_rows`` holds its two [R, K] scratch arrays per calling thread."""
+
+    @staticmethod
+    def peak_bytes(probs, seed_row):
+        tracemalloc.start()
+        try:
+            rank_rows(probs, seed_row)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_second_call_of_a_shape_allocates_less_than_one_matrix(self):
+        probs, wider = planted_rows(), planted_rows(n_topics=41)
+        rank_rows(probs, 0)
+        assert self.peak_bytes(wider, 0) >= 2 * wider.nbytes  # a new shape: a new pair
+        assert self.peak_bytes(wider, 1) < wider.nbytes
+        assert self.peak_bytes(probs, 2) >= 2 * probs.nbytes  # the new shape replaced the old
+        assert self.peak_bytes(probs, 3) < probs.nbytes
+
+    @pytest.mark.parametrize("same_shape", [True, False])
+    def test_threads_at_once_get_the_single_thread_bits(self, same_shape, monkeypatch):
+        """More calling threads than cores, each on one of two matrices of two
+        shapes, or on two of one shape in turn, out of step with the others, so
+        that a scratch pair shared by threads would be overwritten mid-pass."""
+        monkeypatch.setattr(similarity, "_cores", lambda: 2)  # a split on any host
+        mats = [planted_rows(seed=1), planted_rows(seed=2) if same_shape else
+                planted_rows(n_rows=2100, n_topics=33, seed=2)]
+        seeds = [0, 7, 1999]
+        want = {(m, seed): hex_entries(one_block(mats[m], seed)) for m in (0, 1) for seed in seeds}
+        start = threading.Barrier(3)
+        got = {first: set() for first in range(3)}
+
+        def rank(first):
+            start.wait(timeout=60)
+            for turn in range(6):
+                m = (first + turn // 3) % 2 if same_shape else first % 2
+                for seed in seeds:
+                    got[first].add(((m, seed), tuple(hex_entries(rank_rows(mats[m], seed)))))
+
+        callers = [threading.Thread(target=rank, args=(first,)) for first in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for first, results in got.items():
+            assert results and all(entries == tuple(want[key]) for key, entries in results)
 
 
 class TestRankedList:
