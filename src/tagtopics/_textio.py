@@ -49,12 +49,36 @@ def tsv_records(lines):
             yield lineno, line.split("\t")
 
 
-def next_fields(stream, what: str = "data") -> list[str]:
-    """Whitespace-split fields of the next line that is not :func:`skipped`."""
+def next_line(stream, what: str = "data") -> str:
+    """The next line of ``stream`` that is not :func:`skipped`."""
     for line in stream:
         if not skipped(line):
-            return line.split()
+            return line
     raise DataError(f"unexpected end of file while reading {what}")
+
+
+def next_fields(stream, what: str = "data") -> list[str]:
+    """Whitespace-split fields of the next line that is not :func:`skipped`."""
+    return next_line(stream, what).split()
+
+
+# Rows at least this long are counted by numpy; below it, ``split`` costs less.
+_COUNT_ROW_CHARS = 4096
+
+
+def field_count(line: str) -> int:
+    """``len(line.split())``.  A long ASCII line whose only whitespace, but a final
+    newline, is single spaces between fields has its spaces counted without the split;
+    every ASCII whitespace character is at most ``" "``."""
+    body = line[:-1] if line.endswith("\n") else line
+    if len(body) >= _COUNT_ROW_CHARS and body.isascii():
+        codes = np.frombuffer(body.encode("ascii"), np.uint8)
+        gaps = codes <= 32
+        spaces = np.count_nonzero(gaps)
+        if (spaces == np.count_nonzero(codes == 32) and not (gaps[0] or gaps[-1])
+                and not (gaps[1:] & gaps[:-1]).any()):
+            return spaces + 1
+    return len(body.split())
 
 
 def parse_ints(fields: list[str], what: str) -> list[int]:
@@ -67,17 +91,18 @@ def parse_ints(fields: list[str], what: str) -> list[int]:
 def parse_matrix(stream, n_rows: int, n_cols: int, what: str, first: int = 0,
                  parse: bool = True) -> np.ndarray:
     """The next ``n_rows`` rows of ``n_cols`` values of ``stream``, each value
-    through ``float``; errors name the rows from ``first`` on.  Unless ``parse``,
-    only the field counts are checked, and no row is returned."""
+    through ``float``; errors name the rows from ``first`` on.  Each row's field count
+    comes from :func:`field_count`.  Unless ``parse``, only the field counts are
+    checked, and no row is returned."""
     rows = []
     for i in range(first, first + n_rows):
-        fields = next_fields(stream, f"{what} row {i}")
-        if len(fields) != n_cols:
-            raise DataError(f"{what} row {i}: expected {n_cols} values, got {len(fields)}")
+        line = next_line(stream, f"{what} row {i}")
+        if (width := field_count(line)) != n_cols:
+            raise DataError(f"{what} row {i}: expected {n_cols} values, got {width}")
         if not parse:
             continue
         try:
-            rows.append(np.array(fields, dtype=np.float64))
+            rows.append(np.array(line.split(), dtype=np.float64))
         except ValueError:
             raise DataError(f"{what} row {i}: non-numeric value") from None
     return np.array(rows)

@@ -113,8 +113,9 @@ class ItmModel(training.Model):
 
     def m_step(self, stats) -> None:
         expected_ui, expected_rz, expected_t = stats
-        self.tag_given_interest_topic = normalize_rows(np.ascontiguousarray(
-            expected_t.reshape(self.n_tags, -1).T)).reshape(self.tag_given_interest_topic.shape)
+        rows = self.tag_given_interest_topic.reshape(-1, self.n_tags)  # a view: C-contiguous
+        np.copyto(rows, expected_t.reshape(self.n_tags, -1).T)
+        normalize_rows(rows)
         self.interest_given_user = normalize_rows(expected_ui)
         self.topic_given_resource = normalize_rows(expected_rz)
 

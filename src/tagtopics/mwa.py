@@ -53,11 +53,13 @@ class MwaModel(training.Model):
                 * self.tag_given_topic[:, tt].T)
 
     def m_step(self, stats) -> None:
-        expected_z, expected_rz, expected_uz, expected_tz = stats
-        self.topic_probs = expected_z / expected_z.sum()
-        self.resource_given_topic = normalize_rows(np.ascontiguousarray(expected_rz.T))
-        self.user_given_topic = normalize_rows(np.ascontiguousarray(expected_uz.T))
-        self.tag_given_topic = normalize_rows(np.ascontiguousarray(expected_tz.T))
+        expected_z, *expected = stats
+        expected_z /= expected_z.sum()
+        self.topic_probs = expected_z
+        for table, stat in zip((self.resource_given_topic, self.user_given_topic,
+                                self.tag_given_topic), expected):
+            np.copyto(table, stat.T)
+            normalize_rows(table)
 
     def log_terms(self, mix, ids) -> np.ndarray:
         return np.log(mix)

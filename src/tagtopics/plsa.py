@@ -53,7 +53,8 @@ class PlsaModel(training.Model):
         return self.topic_given_resource[rr] * self.tag_given_topic[:, tt].T
 
     def m_step(self, stats) -> None:
-        self.tag_given_topic = normalize_rows(np.ascontiguousarray(stats[0].T))
+        np.copyto(self.tag_given_topic, stats[0].T)
+        normalize_rows(self.tag_given_topic)
         self.topic_given_resource = normalize_rows(stats[1])
 
     def log_terms(self, mix, ids) -> np.ndarray:

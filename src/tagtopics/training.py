@@ -10,7 +10,7 @@ log-likelihood pass.  A model class subclasses :class:`Model`, which derives
 its seeded start, one-row posterior and statistics from its tables, and
 supplies only its own math: ``kind``/``DIMS``/``TABLES`` (its tables and file
 schema); ``mixture(*ids)``, the unnormalised joint per row as [n, latent...];
-``m_step(stats)``, the in-place update from the statistics; and
+``m_step(stats)``, the update from the statistics, which allocates no table; and
 ``log_terms(mix, ids)``, log p(row) from the mixture summed per row.  It may
 replace the defaults of :class:`Model`: ``DRAWS``, the start's draw order;
 ``band``, the id column its data rows are sorted on; ``chunk_rows``, which
@@ -129,13 +129,19 @@ def noisy_uniform_rows(rng: np.random.Generator, *shape: int) -> np.ndarray:
 
 
 def normalize_rows(counts: np.ndarray) -> np.ndarray:
-    """Row-normalize expected counts; all-zero rows fall back to uniform."""
+    """Row-normalize expected counts in place and return them; all-zero rows fall back
+    to uniform.  ``counts`` must be a writeable float64 array: no table is allocated."""
+    if counts.dtype != np.float64 or not counts.flags.writeable:
+        state = "writeable" if counts.flags.writeable else "read-only"
+        raise ValueError(f"normalize_rows divides a writeable float64 array in place; "
+                         f"got a {state} {counts.dtype} array")
     sums = counts.sum(axis=1, keepdims=True)
     dead = sums[:, 0] == 0.0
     if dead.any():
         counts[dead] = 1.0
         sums = counts.sum(axis=1, keepdims=True)
-    return counts / sums
+    counts /= sums
+    return counts
 
 
 def add_rows(table: np.ndarray, ids: np.ndarray, values: np.ndarray) -> None:
@@ -410,7 +416,8 @@ def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
     """Fit model class ``cls`` to ``corpus`` by EM; returns ``(model, TrainLog)``.
 
     The result depends on ``cfg.seed`` only, not on ``cfg.workers``.  The optional
-    ``iteration_hook(model, k, ll)`` gets L(θₖ) for k >= 1 while the model holds θₖ."""
+    ``iteration_hook(model, k, ll)`` gets L(θₖ) for k >= 1 while the model holds θₖ.
+    Each M-step updates the tables in place, so a hook must copy any table it keeps."""
     cfg.validate()
     if cfg.model != cls.kind:
         raise ConfigError(f"config is for model {cfg.model!r}, but this trainer fits {cls.kind!r}")

@@ -1,4 +1,6 @@
-"""Shared test utilities: corpus builders and structural transforms."""
+"""Shared test utilities: corpus builders, structural transforms and a traced peak."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -77,3 +79,19 @@ def permute_corpus_tags(corpus, perm):
     tags = Vocab(corpus.tags.entries[inverse[j]] for j in range(len(corpus.tags)))
     return Corpus(corpus.resources, corpus.users, tags,
                   corpus.r_ids, corpus.u_ids, perm[corpus.t_ids], corpus.counts)
+
+
+def traced_peak(call):
+    """``(call(), peak)``: the most bytes ``tracemalloc`` saw allocated during the
+    call beyond what was allocated before it (tracing is started if it is off)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()

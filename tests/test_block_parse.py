@@ -3,7 +3,6 @@
 error at the same line, and no more memory."""
 
 import random
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import MALFORMED, RESERVED
+from helpers import MALFORMED, RESERVED, traced_peak
 from tagtopics import corpus
 from tagtopics.corpus import BLOCK_LINES, ingest_triples, read_corpus, read_vocabularies
 from tagtopics.errors import DataError
@@ -170,17 +169,7 @@ def memory_test_lines() -> str:
 def test_read_corpus_peak_memory(tmp_path):
     path = tmp_path / "triples.tsv"
     path.write_text(memory_test_lines(), encoding="utf-8")
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        parsed = read_corpus(path)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
+    parsed, peak = traced_peak(lambda: read_corpus(path))
     assert parsed.num_triples == 59_999
     assert peak <= PER_LINE_PEAK_BYTES
     assert entries(read_vocabularies(path)) == entries(parsed)

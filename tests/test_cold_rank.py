@@ -8,6 +8,7 @@ missing row, data after the last table and a shape too large to allocate
 fail as ``load_model`` fails on them, with its message and exit code 2.
 """
 
+import io
 import math
 from pathlib import Path
 
@@ -192,3 +193,45 @@ def test_cold_p_z_given_r_has_the_bits_of_a_full_load(path):
     assert got.tobytes() == want.tobytes()
     for attr in cls.RANKED:
         assert np.array_equal(tables[attr], getattr(model, attr))
+
+
+# Rows of a few and of many values (above ``_textio._COUNT_ROW_CHARS``), plain and with one
+# separator replaced by other whitespace, or with a leading or trailing space: the
+# step-over must count each as ``split`` does.
+VALUES = {"short": "0.5 0.25 0.25", "long": " ".join(["0.000123456789"] * 600)}
+EDITS = {
+    "plain": lambda row: row,
+    "tab": lambda row: row.replace(" ", "\t", 1),
+    "two spaces": lambda row: row.replace(" ", "  ", 1),
+    "leading space": lambda row: " " + row,
+    "trailing space": lambda row: row + " ",
+    "vertical tab": lambda row: row.replace(" ", "\x0b", 1),
+    "no-break space": lambda row: row.replace(" ", "\xa0", 1),
+    "em space": lambda row: row.replace(" ", "\u2003", 1),
+    "carriage return": lambda row: row + "\r",
+    "file separator": lambda row: row.replace(" ", "\x1c", 1),
+    "nul": lambda row: row.replace(" ", "\x00", 1),  # a control character, not whitespace
+    "non-numeric": lambda row: "nan " + row,
+}
+
+
+def step_error(row: str, n_cols: int, parse: bool):
+    """The message of ``parse_matrix``'s error on the one-row ``row``, or None."""
+    try:
+        _textio.parse_matrix(io.StringIO(row), 1, n_cols, "p(t|z)", parse=parse)
+    except DataError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("size", VALUES)
+@pytest.mark.parametrize("edit", EDITS)
+@pytest.mark.parametrize("newline", ["\n", ""], ids=["newline", "last-line"])
+def test_a_stepped_over_row_has_the_field_count_and_errors_of_a_split(size, edit, newline):
+    row = EDITS[edit](VALUES[size]) + newline
+    width = len(row.split())
+    assert _textio.field_count(row) == width
+    assert step_error(row, width, parse=False) is None
+    for n_cols in (width - 1, width + 1):
+        want = f"p(t|z) row 0: expected {n_cols} values, got {width}"
+        assert step_error(row, n_cols, parse=False) == step_error(row, n_cols, parse=True) == want

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import TRAINERS, make_corpus, random_corpus
+from helpers import TRAINERS, make_corpus, random_corpus, traced_peak
 from tagtopics import train_itm, train_mwa, train_plsa, training
 from tagtopics._textio import write_model
 from tagtopics.corpus import Corpus, Vocab
@@ -93,8 +93,22 @@ def test_noisy_uniform_rows_are_distributions():
 
 
 def test_normalize_rows_gives_an_all_zero_row_the_uniform_distribution():
-    rows = normalize_rows(np.array([[1.0, 3.0, 0.0], [0.0, 0.0, 0.0]]))
+    counts = np.array([[1.0, 3.0, 0.0], [0.0, 0.0, 0.0]])
+    rows = normalize_rows(counts)
+    assert rows is counts  # divided in place
     assert rows.tolist() == [[0.25, 0.75, 0.0], [1 / 3, 1 / 3, 1 / 3]]
+
+
+@pytest.mark.parametrize("counts, what", [
+    (np.ones((2, 3), dtype=np.int64), "writeable int64"),
+    (np.ones((2, 3), dtype=np.float32), "writeable float32"),
+    (np.broadcast_to(np.ones(3), (2, 3)), "read-only float64"),
+], ids=["int64", "float32", "read-only"])
+def test_normalize_rows_rejects_an_array_it_cannot_divide_in_place(counts, what):
+    before = counts.copy()
+    with pytest.raises(ValueError, match=f"in place; got a {what} array$"):
+        normalize_rows(counts)
+    assert np.array_equal(counts, before)
 
 
 @pytest.mark.parametrize("n, chunk_rows, edges", [
@@ -660,3 +674,39 @@ def test_memory_budget_guard(kind, toy_corpus):
     TRAINERS[kind](toy_corpus, dataclasses.replace(cfg, max_table_bytes=need))
     with pytest.raises(ConfigError, match=f" need {need} bytes, over the budget of {need - 1};"):
         TRAINERS[kind](toy_corpus, dataclasses.replace(cfg, max_table_bytes=need - 1))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_m_step_allocates_no_table(kind):
+    """Each M-step writes its tables in place: a statistic in table layout becomes its
+    table, and a transposed one is copied into the table it replaces.  What it
+    allocates meanwhile, the row sums and the ufunc buffer of the in-place division
+    (up to ``np.getbufsize()`` values, 64 KiB), stays under a tenth of the model's
+    largest table (1.5 MB or more here)."""
+    corpus = random_corpus(3, n_resources=500, n_users=100, n_tags=3000, n_samples=5000)
+    cfg = TrainConfig(model=kind, topics=64, interests=3, max_iters=2)
+    model, _ = TRAINERS[kind](corpus, cfg)
+    stats, _ = training.data_pass(model, *model.rows(corpus), fused=True)
+    largest = max(getattr(model, attr).nbytes for attr, _, _ in model.TABLES)
+    _, peak = traced_peak(lambda: model.m_step(stats))
+    assert peak < largest / 10, (peak, largest)
+    model.validate()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_table_a_hook_keeps_is_the_live_table(kind, toy_corpus):
+    """The M-step writes a table that a transposed statistic updates in place, so a
+    hook that keeps such a table without a copy sees it change on every update."""
+    attr = {"plsa": "tag_given_topic", "mwa": "resource_given_topic",
+            "itm": "tag_given_interest_topic"}[kind]
+    kept, copies = [], []
+
+    def hook(model, iteration, ll):
+        kept.append(getattr(model, attr))
+        copies.append(kept[-1].copy())
+
+    cfg = TrainConfig(model=kind, topics=2, interests=2, tol=1e-12, max_iters=4)
+    model, _ = TRAINERS[kind](toy_corpus, cfg, iteration_hook=hook)
+    assert len(kept) == 4 and all(table is getattr(model, attr) for table in kept)
+    assert np.array_equal(copies[-1], getattr(model, attr))
+    assert not np.array_equal(copies[0], getattr(model, attr))
