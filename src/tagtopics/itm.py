@@ -43,7 +43,8 @@ from .similarity import TopicDistribution
 from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
                        mapreduce_slices, normalize_rows)
 
-# Rows per chunk: as many as an [n, I, K] posterior of this many float64 values.
+# Rows per chunk, _SCRATCH_ELEMS // (I * K).  No [n, I, K] array is formed; the size
+# stays because the chunks fix the summation order, and so the log-likelihood bits.
 _SCRATCH_ELEMS = 1 << 18
 
 
@@ -94,21 +95,32 @@ class ItmModel(training.Model):
         the posterior statistics are added in, the tag statistic into its band of tags
         lo.. (see the module doc)."""
         tt = chunk["t"]
-        if (tt[1:] < tt[:-1]).any():  # a tag split into two runs would lose statistic additions
+        step = np.diff(tt)
+        if (step < 0).any():  # a tag split into two runs would lose statistic additions
             raise ValueError("itm's E-step takes rows sorted by tag, as ItmModel.rows gives them")
-        a, b = self.interest_given_user[chunk["u"]], self.topic_given_resource[chunk["r"]]
-        starts = np.flatnonzero(np.r_[True, tt[1:] != tt[:-1]])
-        tags = np.moveaxis(self.tag_given_interest_topic, 2, 0)[tt[starts]]
-        runs = [slice(i, j) for i, j in zip(starts.tolist(), [*starts[1:].tolist(), len(tt)])]
-        m = np.concatenate([b[run] @ tag.T for run, tag in zip(runs, tags)])
+        bounds = [0, *(np.flatnonzero(step) + 1).tolist(), len(tt)]  # the tag runs' edges
+        runs, run_tags = list(map(slice, bounds, bounds[1:])), tt.take(bounds[:-1])
+        a = self.interest_given_user.take(chunk["u"], axis=0)  # take: a faster row gather
+        b = self.topic_given_resource.take(chunk["r"], axis=0)
+        block = np.moveaxis(self.tag_given_interest_topic[:, :, tt[0]:tt[-1] + 1], 2, 0)
+        tags = block[run_tags - tt[0]]  # the runs' p(t|.,.) as [runs, I, K]
+        m = np.empty_like(a)  # products are written in place: out= makes the same dgemm call
+        for run, tag in zip(runs, tags):
+            np.matmul(b[run], tag.T, out=m[run])
         totals = (a * m).sum(axis=1)
         if stats is not None:
             training.check_support(totals, chunk)
             wa = a * (n / totals)[:, None]
-            training.add_rows(stats[0], chunk["u"], wa * m)
-            training.add_rows(stats[1], chunk["r"],
-                              b * np.concatenate([wa[run] @ tag for run, tag in zip(runs, tags)]))
-            stats[2][tt[starts] - lo] += tags * np.stack([wa[run].T @ b[run] for run in runs])
+            m *= wa
+            training.add_rows(stats[0], chunk["u"], m)
+            rz, tag_stat = np.empty_like(b), np.empty_like(tags)
+            for run, tag, out in zip(runs, tags, tag_stat):
+                np.matmul(wa[run], tag, out=rz[run])
+                np.matmul(wa[run].T, b[run], out=out)
+            rz *= b
+            training.add_rows(stats[1], chunk["r"], rz)
+            tag_stat *= tags
+            stats[2][run_tags - lo] += tag_stat
         return totals
 
     def m_step(self, stats) -> None:

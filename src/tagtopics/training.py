@@ -295,13 +295,16 @@ class Model:
     def rows(cls, corpus):
         """The data rows ``({column: ids}, counts)`` in (r, u, t) column order, stably sorted
         by ``band``: the corpus triples if ``DIMS`` holds ``n_users``, else the (r, t) pairs
-        of ``corpus.rt_arrays()``.  Both come sorted by r, so a band "r" copies no row."""
+        of ``corpus.rt_arrays()``.  Both come sorted by r, so a band "r" copies no row.  The
+        sort key is cast to the least unsigned type that holds every id: the same stable
+        order, which numpy finds by radix sort for up to 2**16 ids."""
         *cols, counts = ((corpus.r_ids, corpus.u_ids, corpus.t_ids, corpus.counts)
                          if "n_users" in cls.DIMS else corpus.rt_arrays())
         ids = dict(zip((col for col, (_, dim, _) in _ID_COLUMNS.items() if dim in cls.DIMS), cols))
         if cls.band == "r":
             return ids, counts
-        order = np.argsort(ids[cls.band], kind="stable")
+        key = np.min_scalar_type(len(getattr(corpus, _ID_COLUMNS[cls.band][2])) - 1)
+        order = np.argsort(ids[cls.band].astype(key), kind="stable")
         return {name: col[order] for name, col in ids.items()}, counts[order]
 
     def statistics(self) -> list:

@@ -2,15 +2,18 @@
 
 Everything here is written as plain Python loops over the dense tables so
 the math shares no code with the package internals.  Oracles stay slow and
-obvious on purpose.  Two exceptions reuse a package kernel on purpose:
+obvious on purpose.  Some exceptions reuse a package kernel on purpose:
 :func:`rank_by_seed`, the scalar ranking, calls the package's
 ``js_divergence`` once per resource, so the vectorised ranking can be held
 to its bits; and :func:`itm_mixture_e_step` is the itm E-step as it was
 before the factored pass, through ``ItmModel.mixture``, so the factored
-pass can be held to it.  :func:`ingest_triples` is the per-line triples
-parse as it was before the block-wise parse, through the package's
-``tsv_records``, ``merge_rows`` and ``Corpus``, so the block-wise
-parse can be held to its ids, counts and error messages.
+pass can be held to it; :func:`itm_e_step_v2` is the factored itm E-step as
+contract v2 first spelled it, with the package's ``check_support`` and
+``add_rows``, so the rewritten one can be held to its bytes.
+:func:`ingest_triples` is the per-line triples parse as it was before the
+block-wise parse, through the package's ``tsv_records``, ``merge_rows`` and
+``Corpus``, so the block-wise parse can be held to its ids, counts and
+error messages.
 :func:`write_model` is the model writer as it was before the block-wise
 shortest round-trip kernel, ``repr`` per value, so the kernel can be held to
 its bytes.  :data:`INITIAL` holds each model's seeded start (with
@@ -27,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from tagtopics import training
 from tagtopics._textio import tsv_records
 from tagtopics.corpus import Corpus, Vocab, merge_rows, renumber
 from tagtopics.errors import DataError
@@ -280,6 +284,29 @@ def itm_mixture_e_step(model, ids, counts):
     np.add.at(stats[1], ids["r"], post.sum(axis=1))
     np.add.at(stats[2], ids["t"], post)
     return stats, ll
+
+
+def itm_e_step_v2(model, chunk, n, stats, lo):
+    """``ItmModel.e_step`` as numeric contract v2 first spelled it: per-run product
+    lists joined by ``np.concatenate`` and ``np.stack``, and p(t|i,z) gathered tag by
+    tag from the whole [I, K, T] table."""
+    tt = chunk["t"]
+    if (tt[1:] < tt[:-1]).any():
+        raise ValueError("itm's E-step takes rows sorted by tag, as ItmModel.rows gives them")
+    a, b = model.interest_given_user[chunk["u"]], model.topic_given_resource[chunk["r"]]
+    starts = np.flatnonzero(np.r_[True, tt[1:] != tt[:-1]])
+    tags = np.moveaxis(model.tag_given_interest_topic, 2, 0)[tt[starts]]
+    runs = [slice(i, j) for i, j in zip(starts.tolist(), [*starts[1:].tolist(), len(tt)])]
+    m = np.concatenate([b[run] @ tag.T for run, tag in zip(runs, tags)])
+    totals = (a * m).sum(axis=1)
+    if stats is not None:
+        training.check_support(totals, chunk)
+        wa = a * (n / totals)[:, None]
+        training.add_rows(stats[0], chunk["u"], wa * m)
+        training.add_rows(stats[1], chunk["r"],
+                          b * np.concatenate([wa[run] @ tag for run, tag in zip(runs, tags)]))
+        stats[2][tt[starts] - lo] += tags * np.stack([wa[run].T @ b[run] for run in runs])
+    return totals
 
 
 def plsa_rows(corpus):

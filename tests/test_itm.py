@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -233,15 +233,16 @@ class TestFactoredEStep:
 
 
 @st.composite
-def banded_rows(draw, order):
+def banded_rows(draw, order, n_interests=None):
     """A random itm model and data rows for the band test.  The first and the last
     tag and one tag between have no rows; one tag's run is longer than all the other
     rows together, so it spans three or more slices.  The rows are in (t, r, u) order
-    if ``order`` is "sorted", else in "descending" tag order or "shuffled".  Returns
+    if ``order`` is "sorted", else in "descending" tag order or "shuffled".  The
+    model has ``n_interests`` interests, drawn if ``None``.  Returns
     ``(model, ids, counts, chunk_rows, empty_tags, long_tag)``."""
     n_resources, n_users = draw(st.integers(6, 8)), draw(st.integers(6, 8))
     n_tags = draw(st.integers(5, 9))
-    n_interests, n_topics = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n_interests, n_topics = n_interests or draw(st.integers(1, 3)), draw(st.integers(1, 3))
     chunk_rows = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     inner = list(range(1, n_tags - 1))
@@ -345,6 +346,48 @@ class TestTagBands:
             (ids["t"][lo], ids["t"][hi - 1] + 1) for lo, hi in zip(edges, edges[1:])]
         # Sorted rows: neighbouring slices share at most the tag at their edge.
         assert sum(hi - lo for lo, hi in bands[1:]) <= model.n_tags + _SLICES - 1
+
+
+class TestEStepBytes:
+    """``ItmModel.e_step`` against contract v2's spelling of it, ``oracles.itm_e_step_v2``:
+    the same dgemm calls on the same operands, so the same bytes."""
+
+    @pytest.mark.parametrize("n_interests", [1, None])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_e_step_has_the_bytes_of_contract_v2(self, n_interests, data):
+        model, ids, counts, _, _, long_tag = data.draw(banded_rows("sorted", n_interests))
+        tt = ids["t"]
+        gaps = set((np.flatnonzero(np.diff(tt) > 1) + 1).tolist())  # rows after a missing tag
+        assume(gaps)  # none if the inner tag without rows is next to the first or last tag
+        # Chunks are cut anywhere but at a missing tag, so a chunk's tag range holds one.
+        # One cut falls right after the long run's first row and none before it, so that
+        # row ends its chunk as a one-row run, cut from the rest of its run by the edge.
+        first_long = int(np.flatnonzero(tt == long_tag)[0])
+        cuts = set(data.draw(st.lists(st.integers(1, len(tt) - 1), max_size=len(tt))))
+        cuts = (cuts - gaps - {first_long}) | {first_long + 1}
+        edges = [0, *sorted(cuts), len(tt)]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        seen = set()  # the cases the chunks hold
+        for a, b in zip(edges, edges[1:]):
+            chunk, n = {name: col[a:b] for name, col in ids.items()}, counts[a:b]
+            if any(a < g < b for g in gaps):
+                seen.add("a missing tag")
+            if 1 in np.unique(chunk["t"], return_counts=True)[1]:
+                seen.add("a one-row run")
+            if b < len(tt) and tt[b - 1] == tt[b]:
+                seen.add("a run cut by the chunk's edge")
+            lo = int(chunk["t"][0])
+            # Statistics that already hold sums, so that each add's order shows in the bits.
+            stats = [rng.random(s.shape) for s in model.zero_stats(lo, int(chunk["t"][-1]) + 1)]
+            expected = [s.copy() for s in stats]
+            totals = model.e_step(chunk, n, stats, lo)
+            want = oracles.itm_e_step_v2(model, chunk, n, expected, lo)
+            assert totals.tobytes() == want.tobytes()
+            assert [s.tobytes() for s in stats] == [s.tobytes() for s in expected]
+            assert model.e_step(chunk, n, None, lo).tobytes() == want.tobytes()
+            assert oracles.itm_e_step_v2(model, chunk, n, None, lo).tobytes() == want.tobytes()
+        assert seen == {"a missing tag", "a one-row run", "a run cut by the chunk's edge"}
 
 
 class TestLogLikelihood:

@@ -15,7 +15,7 @@ import oracles
 from helpers import TRAINERS, make_corpus, random_corpus, traced_peak
 from tagtopics import train_itm, train_mwa, train_plsa, training
 from tagtopics._textio import write_model
-from tagtopics.corpus import Corpus, Vocab
+from tagtopics.corpus import Corpus, Vocab, merge_rows
 from tagtopics.errors import ConfigError, DataError, DegeneracyError
 from tagtopics.itm import ItmModel
 from tagtopics.modelio import MODEL_TYPES, load_model
@@ -265,6 +265,30 @@ def test_rows_are_the_rows_each_class_spelled_out(records, random):
             [(col.dtype, col.tobytes()) for col in want]
         if cls.band == "r":  # already in order: the rows are the corpus's own arrays
             assert all(col is old for col, old in zip(got, want))
+
+
+@pytest.mark.parametrize("n_tags, key", [(256, np.uint8), (257, np.uint16),
+                                          (65536, np.uint16), (65537, np.uint32)])
+def test_rows_sorted_on_the_least_key_type_are_the_int64_stable_sort(n_tags, key):
+    """``Model.rows`` sorts by tag ids cast to the least type that holds them, which
+    numpy sorts by radix up to 16 bits: at each edge of the key types, the rows of a
+    stable int64 argsort.  Every tag has a row, and 3,000 more rows hold the 40 least
+    and the 40 greatest ids, so that many rows tie."""
+    assert np.min_scalar_type(n_tags - 1) == key
+    rng = np.random.default_rng(n_tags)
+    extra = 3000
+    (r, u, t), counts = merge_rows(
+        (np.r_[np.arange(n_tags) % 7, rng.integers(0, 7, extra)],
+         np.r_[np.arange(n_tags) % 5, rng.integers(0, 5, extra)],
+         np.r_[rng.permutation(n_tags), rng.integers(n_tags - 40, n_tags, extra // 2),
+               rng.integers(0, 40, extra - extra // 2)]),
+        rng.integers(1, 9, n_tags + extra))
+    corpus = Corpus(Vocab(map(str, range(7))), Vocab(map(str, range(5))),
+                    Vocab(map(str, range(n_tags))), r, u, t, counts)
+    ids, got_counts = ItmModel.rows(corpus)
+    want_ids, want_counts = oracles.ROWS["itm"](corpus)
+    assert [(col.dtype, col.tobytes()) for col in (*ids.values(), got_counts)] == \
+        [(col.dtype, col.tobytes()) for col in (*want_ids.values(), want_counts)]
 
 
 def order_sensitive_corpus(rng):
@@ -534,6 +558,35 @@ def test_iteration_hook_sees_the_parameters_its_log_likelihood_belongs_to(
     _, log = TRAINERS[kind](toy_corpus, cfg, iteration_hook=hook)
     assert seen == [1, 2, 3, 4]
     assert log.iterations == 4
+
+
+@functools.cache
+def scaling_corpus():
+    """About 3,400 distinct triples: every kind's rows fill all the slices, and itm's
+    chunks hold many tag runs."""
+    return random_corpus(41, n_resources=60, n_users=25, n_tags=40, n_topics=4,
+                         n_samples=4000)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", sorted(TRAINERS))
+def test_counts_times_a_power_of_two_train_the_same_tables_and_scale_each_ll(kind, workers):
+    """Every count times 2**k scales every statistic and log-likelihood term by 2**k
+    exactly, and normalisation cancels it: the same table bytes, and each LL entry
+    exactly 2**k times as large.  This holds under any BLAS kernel, so it guards the
+    EM arithmetic (itm's dgemm products among it) where the pins cannot."""
+    corpus = scaling_corpus()
+    cfg = TrainConfig(model=kind, topics=4, interests=3, tol=1e-12, max_iters=12, seed=5,
+                      workers=workers)
+    model, log = TRAINERS[kind](corpus, cfg)
+    for k in (1, 3):
+        scaled = Corpus(corpus.resources, corpus.users, corpus.tags, corpus.r_ids,
+                        corpus.u_ids, corpus.t_ids, corpus.counts * 2**k)
+        again, again_log = TRAINERS[kind](scaled, cfg)
+        assert [ll.hex() for ll in again_log.log_likelihoods] == \
+            [(2**k * ll).hex() for ll in log.log_likelihoods]
+        assert [getattr(again, attr).tobytes() for attr, _, _ in again.TABLES] == \
+            [getattr(model, attr).tobytes() for attr, _, _ in model.TABLES]
 
 
 def initial_model(kind, corpus):
