@@ -44,13 +44,16 @@ class MwaModel(training.Model):
     def check_corpus(self, corpus: Corpus) -> None:
         training.check_corpus(self.size, corpus)
 
-    def mixture(self, rr, uu, tt) -> np.ndarray:
+    def mixture(self, rr, uu, tt, **transposed) -> np.ndarray:
         """Unnormalised joint p(z) p(r|z) p(u|z) p(t|z) of the triples
-        ``(rr[n], uu[n], tt[n])``, as [n, K]."""
+        ``(rr[n], uu[n], tt[n])``, as a C-order [n, K] of gathered rows: the three
+        conditionals are read as [ids, K] rows, from ``transposed`` (a data pass's row-major
+        copies, see ``Model.transposed_tables``) or else transposed views."""
+        by_id = transposed or self.transposed_tables(copy=False)
         return (self.topic_probs
-                * self.resource_given_topic[:, rr].T
-                * self.user_given_topic[:, uu].T
-                * self.tag_given_topic[:, tt].T)
+                * training.gather_rows(by_id["resource_given_topic"], rr)
+                * training.gather_rows(by_id["user_given_topic"], uu)
+                * training.gather_rows(by_id["tag_given_topic"], tt))
 
     def m_step(self, stats) -> None:
         expected_z, *expected = stats

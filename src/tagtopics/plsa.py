@@ -48,9 +48,12 @@ class PlsaModel(training.Model):
     def check_corpus(self, corpus: Corpus) -> None:
         training.check_corpus(self.size, corpus)
 
-    def mixture(self, rr, tt) -> np.ndarray:
-        """Unnormalised joint p(t|z) p(z|r) of the pairs ``(rr[n], tt[n])``, as [n, K]."""
-        return self.topic_given_resource[rr] * self.tag_given_topic[:, tt].T
+    def mixture(self, rr, tt, **transposed) -> np.ndarray:
+        """Unnormalised joint p(t|z) p(z|r) of the pairs ``(rr[n], tt[n])``, as a C-order
+        [n, K] of gathered rows: p(t|z) is read as [T, K] rows, from ``transposed`` (a data
+        pass's row-major copy, see ``Model.transposed_tables``) or else a transposed view."""
+        tags = (transposed or self.transposed_tables(copy=False))["tag_given_topic"]
+        return self.topic_given_resource.take(rr, axis=0) * training.gather_rows(tags, tt)
 
     def m_step(self, stats) -> None:
         np.copyto(self.tag_given_topic, stats[0].T)

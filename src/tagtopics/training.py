@@ -9,14 +9,17 @@ worker pool, the chunked fused pass, the map-reduce of its sums and the
 log-likelihood pass.  A model class subclasses :class:`Model`, which derives
 its seeded start, one-row posterior and statistics from its tables, and
 supplies only its own math: ``kind``/``DIMS``/``TABLES`` (its tables and file
-schema); ``mixture(*ids)``, the unnormalised joint per row as [n, latent...];
+schema); ``mixture(*ids, **transposed)``, the unnormalised joint per row as
+[n, latent...], which gathers from the pass's row-major copies of its (latent, ids)
+tables when ``transposed`` gives them (see :meth:`Model.transposed_tables`);
 ``m_step(stats)``, the update from the statistics, which allocates no table; and
 ``log_terms(mix, ids)``, log p(row) from the mixture summed per row.  It may
 replace the defaults of :class:`Model`: ``DRAWS``, the start's draw order;
 ``band``, the id column its data rows are sorted on; ``chunk_rows``, which
 fixes the summation order; and the per-chunk step ``e_step(chunk, n, stats,
-lo)``, which returns the rows' mixture totals and, given ``stats``, adds the
-statistics of the n-weighted posteriors (itm's forms no posterior).  No class
+lo, **transposed)``, which returns the rows' mixture totals and, given ``stats``, adds
+the statistics of the n-weighted posteriors (itm's forms no posterior and gets no
+copies).  No class
 overrides :meth:`Model.initial` or :meth:`Model.rows`, which derives the rows
 from ``DIMS`` and ``band``.
 Every scatter of statistic rows by repeating ids goes through :func:`add_rows`.
@@ -69,7 +72,10 @@ class TrainConfig:
 
     ``interests`` only matters for the interest-topic model; ``workers``
     changes the speed, never the result.  ``max_table_bytes`` bounds the
-    size (8 bytes a value) of the parameter tables a trainer allocates.
+    size (8 bytes a value) of the parameter tables a trainer allocates.  A data
+    pass also holds one row-major copy of each latent-first table (see
+    ``Model.transposed_tables``): pLSA's p(t|z), and mwa's p(r|z), p(u|z) and
+    p(t|z), so up to 2x the table bytes for mwa.
     """
 
     model: str = "plsa"
@@ -146,11 +152,27 @@ def normalize_rows(counts: np.ndarray) -> np.ndarray:
 
 def add_rows(table: np.ndarray, ids: np.ndarray, values: np.ndarray) -> None:
     """``table[ids[n]] += values[n]`` in row order: the bits of ``np.add.at``, faster,
-    through the flat view of ``table``, which must be C-contiguous to take the sums."""
+    through the flat view of ``table``, which must be C-contiguous to take the sums.
+
+    Float64 rows of even width whose flat views are both 16-byte aligned are added as
+    complex128 values at half the width: a complex add adds the real parts and the
+    imaginary parts apart, one float64 add each, so every cell gets the same adds in the
+    same order from half the indices.  Odd widths and misaligned views (a band sliced at
+    an odd row of an odd width) take the float64 path."""
     if not table.flags.c_contiguous:
         raise ValueError("add_rows needs a C-contiguous table")
-    width = values.shape[1]
-    np.add.at(table.reshape(-1), (ids[:, None] * width + np.arange(width)).ravel(), values.ravel())
+    flat, flat_values, width = table.reshape(-1), values.reshape(-1), values.shape[1]
+    if (width % 2 == 0 and flat.dtype == flat_values.dtype == np.float64
+            and flat.ctypes.data % 16 == 0 and flat_values.ctypes.data % 16 == 0):
+        flat, flat_values = flat.view(np.complex128), flat_values.view(np.complex128)
+        width //= 2
+    np.add.at(flat, (ids[:, None] * width + np.arange(width)).ravel(), flat_values)
+
+
+def gather_rows(table: np.ndarray, ids) -> np.ndarray:
+    """``table[ids]`` as a C-order array: taken from a C-contiguous table, which is
+    faster, and indexed from any other, which ``take`` would first copy whole."""
+    return table.take(ids, axis=0) if table.flags.c_contiguous else table[ids]
 
 
 def mapreduce_slices(ids: dict, counts, chunk_rows: int, add_chunk, zero, executor=None,
@@ -324,10 +346,20 @@ class Model:
                                            key=lambda stat: stat[1][0] != self.band)}
         return [stats[j] for j in sorted(stats)]
 
-    def e_step(self, chunk: dict, n, stats, lo: int) -> np.ndarray:
+    def transposed_tables(self, copy: bool = True) -> dict:
+        """Each two-axis table over (latent, ids), keyed by attribute, as [ids, latent] for
+        ``mixture`` to gather by rows: p(t|z) of pLSA; p(r|z), p(u|z) and p(t|z) of mwa;
+        none of itm's.  A data pass makes the row-major copies once and gives them to every
+        chunk; ``copy=False`` gives transposed views, which copy nothing."""
+        views = {attr: getattr(self, attr).T for attr, _, dims in self.TABLES
+                 if len(dims) == 2 and dims[0] in _LATENT}
+        return {attr: np.ascontiguousarray(view) for attr, view in views.items()} if copy else views
+
+    def e_step(self, chunk: dict, n, stats, lo: int, **transposed) -> np.ndarray:
         """The rows' totals of an [n, K] mixture; given ``stats``, the n-weighted posteriors
-        are added to each statistic by row id (id - lo for the ``band`` one), or over all rows."""
-        post = self.mixture(*chunk.values())
+        are added to each statistic by row id (id - lo for the ``band`` one), or over all rows.
+        ``transposed`` is the pass's :meth:`transposed_tables`, passed on to ``mixture``."""
+        post = self.mixture(*chunk.values(), **transposed)
         totals = post.sum(axis=1)
         if stats is not None:
             check_support(totals, chunk)
@@ -364,13 +396,16 @@ class Model:
 
 def data_pass(model, ids: dict, counts, fused: bool, executor=None) -> tuple:
     """One walk of the data rows at the current parameters: ``(stats, L)``, with
-    ``stats`` empty unless ``fused``.  Each chunk goes through ``model.e_step``.  A
-    slice sums the statistic keyed by the model's ``band`` over the ids its rows
-    reach (see :func:`mapreduce_slices`)."""
+    ``stats`` empty unless ``fused``.  Each chunk goes through ``model.e_step``, with
+    the row-major copies that ``model.transposed_tables()`` makes once per pass, so no
+    chunk gathers a column and none is left on the model.  A slice sums the statistic
+    keyed by the model's ``band`` over the ids its rows reach (see
+    :func:`mapreduce_slices`)."""
     k = [col for col, _ in model.statistics()].index(model.band)
+    transposed = model.transposed_tables()  # once per pass, for every chunk
 
     def add_chunk(sums, chunk, n, lo) -> None:
-        totals = model.e_step(chunk, n, sums[1:] if fused else None, lo)
+        totals = model.e_step(chunk, n, sums[1:] if fused else None, lo, **transposed)
         with np.errstate(divide="ignore"):  # a zero total adds -inf
             sums[0] += (n * model.log_terms(totals, chunk)).sum()
 

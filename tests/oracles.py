@@ -10,6 +10,10 @@ before the factored pass, through ``ItmModel.mixture``, so the factored
 pass can be held to it; :func:`itm_e_step_v2` is the factored itm E-step as
 contract v2 first spelled it, with the package's ``check_support`` and
 ``add_rows``, so the rewritten one can be held to its bytes.
+:func:`plsa_mixture_v1` and :func:`mwa_mixture_v1` are pLSA's and mwa's
+``mixture`` as they were before they gathered rows of per-pass row-major
+copies: columns of the [K, ids] tables, transposed, in the same product order,
+so the row gathers can be held to their bytes.
 :func:`ingest_triples` is the per-line triples parse as it was before the
 block-wise parse, through the package's ``tsv_records``, ``merge_rows`` and
 ``Corpus``, so the block-wise parse can be held to its ids, counts and
@@ -307,6 +311,22 @@ def itm_e_step_v2(model, chunk, n, stats, lo):
                           b * np.concatenate([wa[run] @ tag for run, tag in zip(runs, tags)]))
         stats[2][tt[starts] - lo] += tags * np.stack([wa[run].T @ b[run] for run in runs])
     return totals
+
+
+def plsa_mixture_v1(model, rr, tt):
+    """``PlsaModel.mixture`` by column gathers of p(t|z)."""
+    return model.topic_given_resource[rr] * model.tag_given_topic[:, tt].T
+
+
+def mwa_mixture_v1(model, rr, uu, tt):
+    """``MwaModel.mixture`` by column gathers of p(r|z), p(u|z) and p(t|z)."""
+    return (model.topic_probs
+            * model.resource_given_topic[:, rr].T
+            * model.user_given_topic[:, uu].T
+            * model.tag_given_topic[:, tt].T)
+
+
+MIXTURE_V1 = {"plsa": plsa_mixture_v1, "mwa": mwa_mixture_v1}
 
 
 def plsa_rows(corpus):

@@ -20,7 +20,7 @@ from tagtopics.errors import ConfigError, DataError, DegeneracyError
 from tagtopics.itm import ItmModel
 from tagtopics.modelio import MODEL_TYPES, load_model
 from tagtopics.mwa import MwaModel
-from tagtopics.sampling import PlantedSpec, sample_corpus
+from tagtopics.sampling import PlantedSpec, planted_two_topic_spec, sample_corpus
 from tagtopics.training import (_SLICES, MODEL_KINDS, TrainConfig, em_fit, mapreduce_slices,
                                 noisy_uniform_rows, normalize_rows)
 
@@ -209,19 +209,64 @@ def test_mapreduce_slices_adds_each_band_at_its_offset(threads):
 
 
 class TestAddRows:
-    @pytest.mark.parametrize("width", [1, 40])
+    """Even widths on 16-byte aligned views are added as complex128 pairs, the rest as
+    float64 values; both paths give the bits of ``np.add.at``."""
+
+    @staticmethod
+    def draw(seed, rows, n, width):
+        """A non-zero start, as a slice's later chunks see it; repeated, unsorted ids;
+        values over 16 decades, so any other summation order changes the bits."""
+        rng = np.random.default_rng(seed)
+        start = rng.standard_normal((rows, width)) * 1e3
+        ids = rng.integers(0, rows, n)
+        values = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-8, 8, (n, width))
+        return start, ids, values
+
+    @staticmethod
+    def misaligned(array):
+        """A copy of ``array`` whose data starts 8 bytes past a 16-byte boundary."""
+        buffer = np.empty(array.size + 2)
+        offset = 1 if buffer.ctypes.data % 16 == 0 else 2
+        copy = buffer[offset:offset + array.size].reshape(array.shape)
+        copy[...] = array
+        assert copy.ctypes.data % 16 == 8 and copy.flags.c_contiguous
+        return copy
+
+    @pytest.mark.parametrize("width", [1, 3, 10, 40])
     @pytest.mark.parametrize("n", [0, 1, 700])
     def test_has_the_bits_of_np_add_at(self, width, n):
-        rng = np.random.default_rng(1000 * width + n)
-        # A non-zero start, as a slice's later chunks see it; repeated, unsorted ids;
-        # values over 16 decades, so any other summation order changes the bits.
-        start = rng.standard_normal((50, width)) * 1e3
-        ids = rng.integers(0, 50, n)
-        values = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-8, 8, (n, width))
+        start, ids, values = self.draw(1000 * width + n, 50, n, width)
         expected, table = start.copy(), start.copy()
         np.add.at(expected, ids, values)
         training.add_rows(table, ids, values)
         assert np.array_equal(table.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("lo", [1, 7])
+    def test_a_band_sliced_at_an_odd_row_of_an_odd_width_has_the_bits_of_np_add_at(self, lo):
+        start, ids, values = self.draw(lo, 60, 500, 3)
+        expected, big = start.copy(), start.copy()
+        table = big[lo:lo + 40]  # 24 bytes a row: the band starts 8 bytes off a boundary
+        assert table.ctypes.data % 16 == 8 and table.flags.c_contiguous
+        ids %= 40
+        np.add.at(expected[lo:lo + 40], ids, values)
+        training.add_rows(table, ids, values)
+        assert np.array_equal(big.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("width", [2, 40])
+    @pytest.mark.parametrize("copy", ["table", "values", "both"])
+    def test_aligned_and_misaligned_views_give_the_same_bytes(self, width, copy):
+        """The same sums through the complex128 path and, with the table, the values or
+        both copied to an address 8 bytes off a 16-byte boundary, the float64 path."""
+        start, ids, values = self.draw(width, 50, 700, width)
+        aligned = start.copy()
+        assert aligned.ctypes.data % 16 == 0 and values.ctypes.data % 16 == 0
+        training.add_rows(aligned, ids, values)
+        table = self.misaligned(start) if copy != "values" else start.copy()
+        training.add_rows(table, ids, self.misaligned(values) if copy != "table" else values)
+        assert table.tobytes() == aligned.tobytes()
+        expected = start.copy()
+        np.add.at(expected, ids, values)
+        assert aligned.tobytes() == expected.tobytes()
 
     def test_non_contiguous_table_raises(self):
         table = np.zeros((40, 7)).T
@@ -763,3 +808,75 @@ def test_a_table_a_hook_keeps_is_the_live_table(kind, toy_corpus):
     assert len(kept) == 4 and all(table is getattr(model, attr) for table in kept)
     assert np.array_equal(copies[-1], getattr(model, attr))
     assert not np.array_equal(copies[0], getattr(model, attr))
+
+
+@functools.cache
+def planted_corpus():
+    return sample_corpus(planted_two_topic_spec())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("topics", [5, 6])
+@pytest.mark.parametrize("kind", ["plsa", "mwa"])
+def test_mixture_rows_have_the_bytes_of_the_column_gather(kind, topics, workers):
+    """Each chunk's mixture, gathered by rows from the pass's row-major copies, has the
+    bytes of the column gather (``oracles.MIXTURE_V1``) and is C-ordered, on chunks cut
+    at every slice edge; so has the mixture of the chunk's ids alone.  The copies are
+    made once per pass: every chunk gets the same arrays."""
+    corpus = planted_corpus()
+    model, _ = TRAINERS[kind](corpus, TrainConfig(model=kind, topics=topics, max_iters=3,
+                                                  seed=4, workers=workers))
+    seen = []
+
+    class Recording(type(model)):
+        chunk_rows = 37
+
+        def mixture(self, *ids, **transposed):
+            mix = super().mixture(*ids, **transposed)
+            seen.append((ids, transposed, mix.copy(order="K")))  # e_step scales it in place
+            return mix
+
+    recording = Recording(**{attr: getattr(model, attr) for attr, _, _ in model.TABLES})
+    ids, counts = model.rows(corpus)
+    edges = [len(counts) * i // _SLICES for i in range(_SLICES + 1)]
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as executor:
+        training.data_pass(recording, ids, counts, True, executor)
+    assert len(seen) == sum(-(-(b - a) // 37) for a, b in zip(edges, edges[1:]))
+    copies = seen[0][1]
+    assert sorted(copies) == sorted(attr for attr, _, dims in model.TABLES
+                                    if dims[:1] == ("n_topics",) and len(dims) == 2)
+    for attr, rows in copies.items():
+        assert rows.flags.c_contiguous
+        assert rows.tobytes() == getattr(model, attr).T.tobytes()
+    for chunk, transposed, mix in seen:
+        assert transposed.keys() == copies.keys()
+        assert all(transposed[attr] is rows for attr, rows in copies.items())
+        want = oracles.MIXTURE_V1[kind](model, *chunk).tobytes()
+        alone = model.mixture(*chunk)
+        assert mix.flags.c_contiguous and alone.flags.c_contiguous
+        assert mix.tobytes() == alone.tobytes() == want
+
+
+@pytest.mark.parametrize("kind", ["plsa", "mwa"])
+def test_posterior_has_the_bytes_of_the_column_gather_and_copies_no_table(kind):
+    """``posterior`` gathers its one row from transposed views: the bytes of the column
+    gather, and less traced memory than a tenth of the smallest table it gathers from."""
+    corpus = random_corpus(3, n_resources=500, n_users=1000, n_tags=3000, n_samples=5000)
+    model, _ = TRAINERS[kind](corpus, TrainConfig(model=kind, topics=64, max_iters=2))
+    smallest = min(table.nbytes for table in model.transposed_tables(copy=False).values())
+    ids, _ = model.rows(corpus)
+    for row in list(zip(*ids.values()))[::397]:
+        post, peak = traced_peak(lambda: model.posterior(*row))
+        mix = oracles.MIXTURE_V1[kind](model, *([i] for i in row))
+        assert post.tobytes() == (mix[0] / mix.sum(axis=1)[0]).tobytes()
+        assert peak < smallest / 10, (peak, smallest)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_trained_model_holds_its_tables_and_seed_alone(kind, workers, toy_corpus):
+    """No per-pass copy is left on the model, whose attributes are what the model files
+    and the benchmark's round-trip check read."""
+    cfg = TrainConfig(model=kind, topics=2, interests=2, max_iters=3, workers=workers)
+    model, _ = TRAINERS[kind](toy_corpus, cfg)
+    assert sorted(vars(model)) == sorted([attr for attr, _, _ in model.TABLES] + ["seed"])
