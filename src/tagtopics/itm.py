@@ -27,9 +27,9 @@ and with w = n / total the p(i|u) and p(z|r) statistic rows are (w a) ⊙ M and
 b ⊙ ((w a) A_t), the tag's statistic A_t ⊙ ((w a)ᵀ b): the KL-NMF update of
 Lee & Seung (2001) in tensor form.  So the model's ``band`` is the tag:
 ``Model.rows`` sorts the (r, u, t)-sorted triples stably by tag, a slice of
-rows sums the tag statistic for its own tags alone, and ``e_step`` walks a
-chunk one tag run at a time.  A chunk out of tag order raises ``ValueError``,
-since a tag split into two runs would lose statistic additions.
+rows sums the tag statistic for its own tags alone, and ``e_step`` walks a chunk one
+tag run at a time.  A training plans the runs once, before it adds any statistic, and
+a chunk out of tag order raises ``ValueError`` there: a split tag would lose additions.
 """
 
 from __future__ import annotations
@@ -46,6 +46,15 @@ from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
 # Rows per chunk, _SCRATCH_ELEMS // (I * K).  No [n, I, K] array is formed; the size
 # stays because the chunks fix the summation order, and so the log-likelihood bits.
 _SCRATCH_ELEMS = 1 << 18
+
+
+def tag_runs(tt) -> dict:
+    """``e_step``'s ``runs`` (slices) and ``run_tags`` of the tag runs of a chunk's tags."""
+    step = np.diff(tt)
+    if (step < 0).any():  # a tag split into two runs would lose statistic additions
+        raise ValueError("itm's E-step takes rows sorted by tag, as ItmModel.rows gives them")
+    bounds = [0, *(np.flatnonzero(step) + 1).tolist(), len(tt)]  # the tag runs' edges
+    return {"runs": list(map(slice, bounds, bounds[1:])), "run_tags": tt.take(bounds[:-1])}
 
 
 class ItmModel(training.Model):
@@ -90,23 +99,24 @@ class ItmModel(training.Model):
         joint *= self.topic_given_resource[rr][:, None, :]
         return joint
 
-    def e_step(self, chunk: dict, n, stats, lo: int) -> np.ndarray:
-        """Mixture totals of the chunk's rows, one tag run at a time; given ``stats``,
-        the posterior statistics are added in, the tag statistic into its band of tags
-        lo.. (see the module doc)."""
+    def chunk_plan(self, ids: dict) -> tuple[dict, dict]:
+        """log p(u) and log p(r) for ``log_terms``, and each chunk's :func:`tag_runs`."""
+        slices = training.chunk_edges(len(ids["t"]), self.chunk_rows)
+        return ({"logs": (np.log(self.user_probs), np.log(self.resource_probs))},
+                {a: tag_runs(ids["t"][a:b]) for chunks in slices for a, b in chunks})
+
+    def e_step(self, chunk: dict, n, stats, lo: int, *, runs, run_tags) -> np.ndarray:
+        """Mixture totals of the chunk's rows, one tag run at a time (``runs`` and
+        ``run_tags`` are its :func:`tag_runs`); given ``stats``, the posterior statistics
+        are added in, the tag statistic into its band of tags lo.. (see the module doc)."""
         tt = chunk["t"]
-        step = np.diff(tt)
-        if (step < 0).any():  # a tag split into two runs would lose statistic additions
-            raise ValueError("itm's E-step takes rows sorted by tag, as ItmModel.rows gives them")
-        bounds = [0, *(np.flatnonzero(step) + 1).tolist(), len(tt)]  # the tag runs' edges
-        runs, run_tags = list(map(slice, bounds, bounds[1:])), tt.take(bounds[:-1])
         a = self.interest_given_user.take(chunk["u"], axis=0)  # take: a faster row gather
         b = self.topic_given_resource.take(chunk["r"], axis=0)
         block = np.moveaxis(self.tag_given_interest_topic[:, :, tt[0]:tt[-1] + 1], 2, 0)
         tags = block[run_tags - tt[0]]  # the runs' p(t|.,.) as [runs, I, K]
         m = np.empty_like(a)  # products are written in place: out= makes the same dgemm call
         for run, tag in zip(runs, tags):
-            np.matmul(b[run], tag.T, out=m[run])
+            np.dot(b[run], tag.T, out=m[run])
         totals = (a * m).sum(axis=1)
         if stats is not None:
             training.check_support(totals, chunk)
@@ -115,8 +125,8 @@ class ItmModel(training.Model):
             training.add_rows(stats[0], chunk["u"], m)
             rz, tag_stat = np.empty_like(b), np.empty_like(tags)
             for run, tag, out in zip(runs, tags, tag_stat):
-                np.matmul(wa[run], tag, out=rz[run])
-                np.matmul(wa[run].T, b[run], out=out)
+                np.dot(wa[run], tag, out=rz[run])
+                np.dot(wa[run].T, b[run], out=out)
             rz *= b
             training.add_rows(stats[1], chunk["r"], rz)
             tag_stat *= tags
@@ -131,8 +141,8 @@ class ItmModel(training.Model):
         self.interest_given_user = normalize_rows(expected_ui)
         self.topic_given_resource = normalize_rows(expected_rz)
 
-    def log_terms(self, mix, ids) -> np.ndarray:
-        log_u, log_r = np.log(self.user_probs), np.log(self.resource_probs)
+    def log_terms(self, mix, ids, logs=None) -> np.ndarray:
+        log_u, log_r = logs or (np.log(self.user_probs), np.log(self.resource_probs))
         return np.log(mix) + log_u[ids["u"]] + log_r[ids["r"]]
 
     def log_likelihood(self, corpus: Corpus) -> float:

@@ -13,16 +13,16 @@ schema); ``mixture(*ids, **transposed)``, the unnormalised joint per row as
 [n, latent...], which gathers from the pass's row-major copies of its (latent, ids)
 tables when ``transposed`` gives them (see :meth:`Model.transposed_tables`);
 ``m_step(stats)``, the update from the statistics, which allocates no table; and
-``log_terms(mix, ids)``, log p(row) from the mixture summed per row.  It may
-replace the defaults of :class:`Model`: ``DRAWS``, the start's draw order;
-``band``, the id column its data rows are sorted on; ``chunk_rows``, which
-fixes the summation order; and the per-chunk step ``e_step(chunk, n, stats,
-lo, **transposed)``, which returns the rows' mixture totals and, given ``stats``, adds
-the statistics of the n-weighted posteriors (itm's forms no posterior and gets no
-copies).  No class
-overrides :meth:`Model.initial` or :meth:`Model.rows`, which derives the rows
-from ``DIMS`` and ``band``.
-Every scatter of statistic rows by repeating ids goes through :func:`add_rows`.
+``log_terms(mix, ids, **logs)``, log p(row) from the mixture summed per row.  It may
+replace the defaults of :class:`Model`: ``DRAWS``, the start's draw order; ``band``, the
+id column its data rows are sorted on; ``chunk_rows``, which fixes the summation order;
+``chunk_plan(ids)``, built once per training, the ``logs`` (itm's log p(u) and log p(r))
+and each chunk's ``plan`` (itm's tag runs); and the per-chunk step ``e_step(chunk, n,
+stats, lo, **transposed, **plan)``, which returns the rows' mixture totals and, given
+``stats``, adds the statistics of the n-weighted posteriors (itm's forms no posterior
+and gets no copies).  No class overrides :meth:`Model.initial` or :meth:`Model.rows`,
+which derives the rows from ``DIMS`` and ``band``.  Every scatter of statistic rows by
+repeating ids goes through :func:`add_rows`.
 
 Every pass walks the rows only through :func:`mapreduce_slices`, which holds
 its summation order (``_SLICES`` fixed slices summed from zero in
@@ -175,12 +175,19 @@ def gather_rows(table: np.ndarray, ids) -> np.ndarray:
     return table.take(ids, axis=0) if table.flags.c_contiguous else table[ids]
 
 
+def chunk_edges(n_rows: int, chunk_rows: int) -> list:
+    """The ``(a, b)`` edges of the ``chunk_rows`` chunks of each non-empty slice of rows."""
+    edges = sorted({n_rows * i // _SLICES for i in range(_SLICES + 1)})  # no empty slice
+    return [[(a, min(a + chunk_rows, end)) for a in range(first, end, chunk_rows)]
+            for first, end in zip(edges, edges[1:])]
+
+
 def mapreduce_slices(ids: dict, counts, chunk_rows: int, add_chunk, zero, executor=None,
                      band=None):
     """Sum the data rows in ``_SLICES`` fixed slices: each starts from ``zero(lo, hi)``, a
-    list of arrays, and calls ``add_chunk(sums, {name: col[a:b]}, counts[a:b], lo)`` per
-    ``chunk_rows`` chunk in row order, on ``executor``'s threads (in turn if it is ``None``).
-    The slice sums are added in slice order into ``zero(0, size)``, which is returned.
+    list of arrays, and calls ``add_chunk(sums, {name: col[a:b]}, counts[a:b], lo, a)`` per
+    chunk a..b-1 (:func:`chunk_edges`) in row order, on ``executor``'s threads (in turn if
+    it is ``None``).  The slice sums are added in slice order into ``zero(0, size)``.
 
     ``band = (key, k, size)`` says that ``sums[k]`` is keyed by ``ids[key]``: a slice sums
     it only over its band, the rows lo..hi-1 of a ``size``-row table, where lo and hi - 1
@@ -188,22 +195,21 @@ def mapreduce_slices(ids: dict, counts, chunk_rows: int, add_chunk, zero, execut
     each band is added in at row lo, then freed.  Without ``band``, lo = hi = size = 0.
     Outside its band a slice's sum would be +0.0, and adding +0.0 to a sum that starts at
     +0.0 leaves its bits, so every cell gets the additions, and the bits, of whole tables."""
-    edges = sorted({len(counts) * i // _SLICES for i in range(_SLICES + 1)})  # no empty slice
     key, k, size = band or (None, None, 0)
+    slices = chunk_edges(len(counts), chunk_rows)
 
-    def walk(first: int, end: int):
+    def walk(chunks):
         lo = hi = 0
         if key:
-            keys = ids[key][first:end]
+            keys = ids[key][chunks[0][0]:chunks[-1][1]]
             lo, hi = int(keys.min()), int(keys.max()) + 1
         sums = zero(lo, hi)
-        for a in range(first, end, chunk_rows):
-            b = min(a + chunk_rows, end)
-            add_chunk(sums, {name: col[a:b] for name, col in ids.items()}, counts[a:b], lo)
+        for a, b in chunks:
+            add_chunk(sums, {name: col[a:b] for name, col in ids.items()}, counts[a:b], lo, a)
         return lo, sums
 
     acc = zero(0, size)
-    for lo, part in (executor.map if executor else map)(walk, edges[:-1], edges[1:]):
+    for lo, part in (executor.map if executor else map)(walk, slices):
         for j, value in enumerate(part):
             total = acc[j][lo:lo + len(value)] if j == k else acc[j]
             total += value
@@ -355,6 +361,11 @@ class Model:
                  if len(dims) == 2 and dims[0] in _LATENT}
         return {attr: np.ascontiguousarray(view) for attr, view in views.items()} if copy else views
 
+    def chunk_plan(self, ids: dict) -> tuple[dict, dict]:
+        """The keywords of each ``log_terms`` call, and of each chunk's ``e_step`` by its
+        first row, that every pass of the rows ``ids`` would compute alike: none here."""
+        return {}, {}
+
     def e_step(self, chunk: dict, n, stats, lo: int, **transposed) -> np.ndarray:
         """The rows' totals of an [n, K] mixture; given ``stats``, the n-weighted posteriors
         are added to each statistic by row id (id - lo for the ``band`` one), or over all rows.
@@ -394,20 +405,22 @@ class Model:
         return tables["topic_given_resource"]  # the model's own table
 
 
-def data_pass(model, ids: dict, counts, fused: bool, executor=None) -> tuple:
+def data_pass(model, ids: dict, counts, fused: bool, executor=None, plan=None) -> tuple:
     """One walk of the data rows at the current parameters: ``(stats, L)``, with
     ``stats`` empty unless ``fused``.  Each chunk goes through ``model.e_step``, with
-    the row-major copies that ``model.transposed_tables()`` makes once per pass, so no
-    chunk gathers a column and none is left on the model.  A slice sums the statistic
-    keyed by the model's ``band`` over the ids its rows reach (see
+    the row-major copies that ``model.transposed_tables()`` makes once per pass, and
+    with its part of ``plan``, ``model.chunk_plan(ids)`` if it is ``None``.  A slice sums
+    the statistic keyed by the model's ``band`` over the ids its rows reach (see
     :func:`mapreduce_slices`)."""
     k = [col for col, _ in model.statistics()].index(model.band)
     transposed = model.transposed_tables()  # once per pass, for every chunk
+    logs, chunks = model.chunk_plan(ids) if plan is None else plan
 
-    def add_chunk(sums, chunk, n, lo) -> None:
-        totals = model.e_step(chunk, n, sums[1:] if fused else None, lo, **transposed)
+    def add_chunk(sums, chunk, n, lo, first) -> None:
+        totals = model.e_step(chunk, n, sums[1:] if fused else None, lo, **transposed,
+                              **chunks.get(first, {}))
         with np.errstate(divide="ignore"):  # a zero total adds -inf
-            sums[0] += (n * model.log_terms(totals, chunk)).sum()
+            sums[0] += (n * model.log_terms(totals, chunk, **logs)).sum()
 
     ll, *stats = mapreduce_slices(
         ids, counts, model.chunk_rows, add_chunk,
@@ -455,7 +468,8 @@ def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
 
     The result depends on ``cfg.seed`` only, not on ``cfg.workers``.  The optional
     ``iteration_hook(model, k, ll)`` gets L(θₖ) for k >= 1 while the model holds θₖ.
-    Each M-step updates the tables in place, so a hook must copy any table it keeps."""
+    Each M-step updates the tables in place, so a hook must copy any table it keeps; the
+    rows and the fixed p(u) and p(r) are read once per training, so it must not change them."""
     cfg.validate()
     if cfg.model != cls.kind:
         raise ConfigError(f"config is for model {cfg.model!r}, but this trainer fits {cls.kind!r}")
@@ -467,11 +481,12 @@ def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
                           f"{cfg.max_table_bytes}; lower topics/interests or raise max_table_bytes")
     model = cls.initial(corpus, cfg, np.random.default_rng(cfg.seed))
     ids, counts = model.rows(corpus)
+    plan = model.chunk_plan(ids)  # once per training: every fused pass walks the same rows
     executor = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
 
     hook = None if iteration_hook is None else (
         lambda iteration, ll: iteration_hook(model, iteration, ll))
     with executor or contextlib.nullcontext():
-        log = em_fit(lambda: data_pass(model, ids, counts, True, executor), model.m_step,
+        log = em_fit(lambda: data_pass(model, ids, counts, True, executor, plan), model.m_step,
                      lambda: model.log_likelihood(corpus), cfg, hook)
     return model, log

@@ -1,6 +1,12 @@
-"""Shared test utilities: corpus builders, structural transforms and a traced peak."""
+"""Shared test utilities: corpus builders, structural transforms, a traced peak and a
+pytest run in a subprocess."""
 
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -95,3 +101,31 @@ def traced_peak(call):
     finally:
         if started:
             tracemalloc.stop()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def openblas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is an x86-64 OpenBLAS built with ``DYNAMIC_ARCH``, which
+    picks its kernel when it loads, so ``OPENBLAS_CORETYPE`` can choose another."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        return False
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return ("openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+def run_pytest(*args, **env) -> subprocess.CompletedProcess:
+    """``python -m pytest -q *args`` from the repository root in a fresh process, with
+    ``env`` added to this process's environment (say, ``OPENBLAS_CORETYPE``, which a
+    BLAS reads only when it loads); its stdout and stderr are joined in ``stdout``."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           *args], cwd=ROOT, env={**os.environ, "PYTHONPATH": path, **env},
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                          timeout=600)

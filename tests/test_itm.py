@@ -12,14 +12,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import make_corpus, random_corpus
+from helpers import make_corpus, openblas_dynamic_arch, random_corpus, run_pytest
+from tagtopics import itm
 from tagtopics._textio import write_model
 from tagtopics.errors import ConfigError, DataError, DegeneracyError
 from tagtopics.itm import ItmModel, train_itm
 from tagtopics.plsa import train_plsa
 from tagtopics.sampling import planted_two_topic_spec, sample_corpus
 from tagtopics.modelio import read_model
-from tagtopics.training import _SLICES, TrainConfig, data_pass, noisy_uniform_rows
+from tagtopics.training import (_SLICES, TrainConfig, chunk_edges, data_pass,
+                                noisy_uniform_rows)
 
 def cfg(**kwargs):
     kwargs.setdefault("model", "itm")
@@ -147,6 +149,20 @@ class TestTrainItm:
         flip = votes[:10].sum() > 5
         aligned = learned[:, ::-1] if flip else learned
         np.testing.assert_allclose(aligned[resource_ids], planted, atol=1e-1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_training_builds_its_tag_runs_once(self, workers):
+        # Once for the training's plan and once for the final log-likelihood pass,
+        # not once per pass: 3 fused passes walk the plan that train made.
+        corpus = random_corpus(5)
+        rows = len(ItmModel.rows(corpus)[1])
+        with (mock.patch.object(ItmModel, "chunk_rows", 7),
+              mock.patch.object(itm, "tag_runs", wraps=itm.tag_runs) as runs):
+            _, log = train_itm(corpus, cfg(max_iters=3, tol=1e-15, workers=workers))
+        assert log.iterations == 3 and not log.converged
+        chunks = [a for edges in chunk_edges(rows, 7) for a, _ in edges]
+        assert len(chunks) > 2 * _SLICES  # several chunks per slice
+        assert runs.call_count == 2 * len(chunks)
 
     def test_memory_budget_guard(self, toy_corpus):
         with pytest.raises(ConfigError, match="budget"):
@@ -279,8 +295,8 @@ def dense_pass(model, ids, counts):
         for a in range(lo, hi, model.chunk_rows):
             b = min(a + model.chunk_rows, hi)
             chunk = {name: col[a:b] for name, col in ids.items()}
-            ll += (counts[a:b] * model.log_terms(
-                model.e_step(chunk, counts[a:b], stats, 0), chunk)).sum()
+            totals = model.e_step(chunk, counts[a:b], stats, 0, **itm.tag_runs(chunk["t"]))
+            ll += (counts[a:b] * model.log_terms(totals, chunk)).sum()
         parts.append([ll, *stats])
     ll, *stats = functools.reduce(lambda acc, part: [x + y for x, y in zip(acc, part)], parts)
     return stats, ll
@@ -381,13 +397,23 @@ class TestEStepBytes:
             # Statistics that already hold sums, so that each add's order shows in the bits.
             stats = [rng.random(s.shape) for s in model.zero_stats(lo, int(chunk["t"][-1]) + 1)]
             expected = [s.copy() for s in stats]
-            totals = model.e_step(chunk, n, stats, lo)
+            runs = itm.tag_runs(chunk["t"])
+            totals = model.e_step(chunk, n, stats, lo, **runs)
             want = oracles.itm_e_step_v2(model, chunk, n, expected, lo)
             assert totals.tobytes() == want.tobytes()
             assert [s.tobytes() for s in stats] == [s.tobytes() for s in expected]
-            assert model.e_step(chunk, n, None, lo).tobytes() == want.tobytes()
+            assert model.e_step(chunk, n, None, lo, **runs).tobytes() == want.tobytes()
             assert oracles.itm_e_step_v2(model, chunk, n, None, lo).tobytes() == want.tobytes()
         assert seen == {"a missing tag", "a one-row run", "a run cut by the chunk's edge"}
+
+
+@pytest.mark.skipif(not openblas_dynamic_arch(),
+                    reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH")
+def test_e_step_bytes_hold_under_the_haswell_kernel():
+    """``TestEStepBytes`` in a process whose OpenBLAS runs its Haswell kernel: ``np.dot``
+    makes the oracle's dgemm calls under that kernel too, not only under the default."""
+    result = run_pytest("tests/test_itm.py::TestEStepBytes", OPENBLAS_CORETYPE="Haswell")
+    assert result.returncode == 0, result.stdout[-4000:]
 
 
 class TestLogLikelihood:

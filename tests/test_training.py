@@ -127,10 +127,11 @@ def test_mapreduce_slices_walks_each_slice_in_chunks(n, chunk_rows, edges):
         zeros.append(np.zeros(1))
         return [zeros[-1]]
 
-    def add_chunk(sums, chunk, counts, lo):
+    def add_chunk(sums, chunk, counts, lo, first):
         assert chunk.keys() == {"r", "t"}
         assert chunk["r"].tolist() == chunk["t"].tolist() == counts.tolist()
         assert lo == 0
+        assert first == counts[0]  # the chunk's first row
         chunks.append((int(counts[0]), int(counts[-1]) + 1))
         sums[0] += counts.sum()
 
@@ -151,7 +152,7 @@ def test_mapreduce_slices_adds_in_slice_order(threads):
     fold = functools.reduce(operator.add, values)
     assert fold != functools.reduce(operator.add, values[::-1])  # 2.0 against 5.0
 
-    def add_chunk(sums, chunk, counts, lo):
+    def add_chunk(sums, chunk, counts, lo, first):
         row = int(chunk["i"][0])
         time.sleep(0.002 * (len(values) - row))  # later slices finish first
         sums[0] += values[row]
@@ -181,7 +182,7 @@ def test_mapreduce_slices_adds_each_band_at_its_offset(threads):
         bands.append((lo, hi))
         return [np.zeros(()), np.zeros((hi - lo, 2))]
 
-    def add_chunk(sums, chunk, counts, lo):
+    def add_chunk(sums, chunk, counts, lo, first):
         row = int(chunk["i"][0])
         time.sleep(0.002 * (len(keys) - row))  # later slices finish first
         sums[0] += values[row]
