@@ -125,15 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="corpus file from `ingest`")
     p.add_argument("output", help="model file to write")
     p.add_argument("--model", choices=MODEL_KINDS, required=True)
-    defaults = TrainConfig()
-    p.add_argument("--topics", type=int, default=defaults.topics)
-    p.add_argument("--interests", type=int, default=defaults.interests, help="itm only")
-    p.add_argument("--tol", type=float, default=defaults.tol,
-                   help="relative log-likelihood improvement threshold")
-    p.add_argument("--max-iters", type=int, default=defaults.max_iters)
-    p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--workers", type=int, default=defaults.workers)
-    p.add_argument("--max-table-bytes", type=int, default=defaults.max_table_bytes)
+    helps = {"interests": "itm only", "tol": "relative log-likelihood improvement threshold"}
+    for field in fields(TrainConfig):  # --topics .. --max-table-bytes; --model is above
+        if field.name != "model":
+            p.add_argument(f"--{field.name.replace('_', '-')}", type=type(field.default),
+                           default=field.default, help=helps.get(field.name))
     p.set_defaults(run=cmd_train)
 
     p = sub.add_parser("rank", help="rank resources by divergence from a seed resource")

@@ -24,7 +24,7 @@ and gets no copies).  No class overrides :meth:`Model.initial` or :meth:`Model.r
 which derives the rows from ``DIMS`` and ``band``.  Every scatter of statistic rows by
 repeating ids goes through :func:`add_rows`.
 
-Every pass walks the rows only through :func:`mapreduce_slices`, which holds
+Every pass, fused or L-only, is one call of :func:`mapreduce_slices`, which holds
 its summation order (``_SLICES`` fixed slices summed from zero in
 ``chunk_rows`` chunks, then in slice order): any worker count, same bits, and
 a fused pass's L has the bits of :func:`log_likelihood`.  A slice sums the
@@ -182,39 +182,43 @@ def chunk_edges(n_rows: int, chunk_rows: int) -> list:
             for first, end in zip(edges, edges[1:])]
 
 
-def mapreduce_slices(ids: dict, counts, chunk_rows: int, add_chunk, zero, executor=None,
-                     band=None):
-    """Sum the data rows in ``_SLICES`` fixed slices: each starts from ``zero(lo, hi)``, a
-    list of arrays, and calls ``add_chunk(sums, {name: col[a:b]}, counts[a:b], lo, a)`` per
-    chunk a..b-1 (:func:`chunk_edges`) in row order, on ``executor``'s threads (in turn if
-    it is ``None``).  The slice sums are added in slice order into ``zero(0, size)``.
-
-    ``band = (key, k, size)`` says that ``sums[k]`` is keyed by ``ids[key]``: a slice sums
-    it only over its band, the rows lo..hi-1 of a ``size``-row table, where lo and hi - 1
-    are the least and the greatest key of the slice's rows (so any row order will do), and
-    each band is added in at row lo, then freed.  Without ``band``, lo = hi = size = 0.
-    Outside its band a slice's sum would be +0.0, and adding +0.0 to a sum that starts at
-    +0.0 leaves its bits, so every cell gets the additions, and the bits, of whole tables."""
-    key, k, size = band or (None, None, 0)
-    slices = chunk_edges(len(counts), chunk_rows)
+def mapreduce_slices(model, ids: dict, counts, fused: bool, executor=None, plan=None) -> tuple:
+    """One walk of the data rows at the current parameters: ``(stats, L)``, with ``stats``
+    empty unless ``fused``.  Each of the ``_SLICES`` fixed slices is summed from zero in its
+    chunks a..b-1 (:func:`chunk_edges`) in row order, on ``executor``'s threads (in turn if
+    it is ``None``), and the slice sums are added in slice order.  A chunk goes through
+    ``model.e_step``, with the row-major copies ``model.transposed_tables()`` makes once per
+    pass and its part of ``plan`` (``model.chunk_plan(ids)`` if ``None``), then its L
+    through ``model.log_terms``.  A fused slice sums the statistic keyed by the ``band``
+    column only over its band, the ids lo..hi-1, where lo and hi - 1 are the least and the
+    greatest id of the slice's rows (so any row order will do), and each band is added in
+    at row lo, then freed.  Outside its band a slice's sum would be +0.0, and adding +0.0 to
+    a sum that starts at +0.0 leaves its bits, so every cell gets the additions, and the
+    bits, of whole tables."""
+    transposed = model.transposed_tables()  # once per pass, for every chunk
+    logs, plans = model.chunk_plan(ids) if plan is None else plan
 
     def walk(chunks):
-        lo = hi = 0
-        if key:
-            keys = ids[key][chunks[0][0]:chunks[-1][1]]
-            lo, hi = int(keys.min()), int(keys.max()) + 1
-        sums = zero(lo, hi)
+        keys = ids[model.band][chunks[0][0]:chunks[-1][1]]
+        lo, hi = (int(keys.min()), int(keys.max()) + 1) if fused else (0, 0)
+        stats, ll = model.zero_stats(lo, hi) if fused else None, np.zeros(())
         for a, b in chunks:
-            add_chunk(sums, {name: col[a:b] for name, col in ids.items()}, counts[a:b], lo, a)
-        return lo, sums
+            chunk = {name: col[a:b] for name, col in ids.items()}
+            totals = model.e_step(chunk, counts[a:b], stats, lo, **transposed, **plans.get(a, {}))
+            with np.errstate(divide="ignore"):  # a zero total adds -inf
+                ll += (counts[a:b] * model.log_terms(totals, chunk, **logs)).sum()
+        return lo, stats or [], ll
 
-    acc = zero(0, size)
-    for lo, part in (executor.map if executor else map)(walk, slices):
-        for j, value in enumerate(part):
-            total = acc[j][lo:lo + len(value)] if j == k else acc[j]
+    stats = model.zero_stats(0, getattr(model, _ID_COLUMNS[model.band][1])) if fused else []
+    ll = np.zeros(())
+    for lo, part, part_ll in (executor.map if executor else map)(
+            walk, chunk_edges(len(counts), model.chunk_rows)):
+        ll += part_ll
+        for total, value, (col, _) in zip(stats, part, model.statistics()):
+            total = total[lo:lo + len(value)] if col == model.band else total
             total += value
-        del part, value  # hold only the sum while the next partial is computed
-    return acc
+        part = value = None  # hold only the sum while the next partial is computed
+    return stats, ll
 
 
 def em_fit(
@@ -405,30 +409,6 @@ class Model:
         return tables["topic_given_resource"]  # the model's own table
 
 
-def data_pass(model, ids: dict, counts, fused: bool, executor=None, plan=None) -> tuple:
-    """One walk of the data rows at the current parameters: ``(stats, L)``, with
-    ``stats`` empty unless ``fused``.  Each chunk goes through ``model.e_step``, with
-    the row-major copies that ``model.transposed_tables()`` makes once per pass, and
-    with its part of ``plan``, ``model.chunk_plan(ids)`` if it is ``None``.  A slice sums
-    the statistic keyed by the model's ``band`` over the ids its rows reach (see
-    :func:`mapreduce_slices`)."""
-    k = [col for col, _ in model.statistics()].index(model.band)
-    transposed = model.transposed_tables()  # once per pass, for every chunk
-    logs, chunks = model.chunk_plan(ids) if plan is None else plan
-
-    def add_chunk(sums, chunk, n, lo, first) -> None:
-        totals = model.e_step(chunk, n, sums[1:] if fused else None, lo, **transposed,
-                              **chunks.get(first, {}))
-        with np.errstate(divide="ignore"):  # a zero total adds -inf
-            sums[0] += (n * model.log_terms(totals, chunk, **logs)).sum()
-
-    ll, *stats = mapreduce_slices(
-        ids, counts, model.chunk_rows, add_chunk,
-        lambda lo, hi: [np.zeros(()), *(model.zero_stats(lo, hi) if fused else ())], executor,
-        (model.band, k + 1, getattr(model, _ID_COLUMNS[model.band][1])) if fused else None)
-    return stats, ll
-
-
 def check_ids(model, **ids) -> None:
     """Raise :class:`DataError` for a non-integer id or one outside its vocabulary."""
     for name, i in ids.items():
@@ -456,7 +436,7 @@ def log_likelihood(model, corpus) -> float:
     -inf (with a warning) if an observed row has zero probability."""
     model.check_corpus(corpus)
     ids, counts = model.rows(corpus)
-    total = float(data_pass(model, ids, counts, fused=False)[1])
+    total = float(mapreduce_slices(model, ids, counts, fused=False)[1])
     if not math.isfinite(total):
         logger.warning(f"observed {_ROW_NAMES[len(ids)]} has zero probability; "
                        "log-likelihood is degenerate (-inf)")
@@ -487,6 +467,6 @@ def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
     hook = None if iteration_hook is None else (
         lambda iteration, ll: iteration_hook(model, iteration, ll))
     with executor or contextlib.nullcontext():
-        log = em_fit(lambda: data_pass(model, ids, counts, True, executor, plan), model.m_step,
-                     lambda: model.log_likelihood(corpus), cfg, hook)
+        log = em_fit(lambda: mapreduce_slices(model, ids, counts, True, executor, plan),
+                     model.m_step, lambda: model.log_likelihood(corpus), cfg, hook)
     return model, log

@@ -1,6 +1,7 @@
+import argparse
 import io
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,24 @@ class TestTrain:
         with pytest.raises(Stop):
             run("train", "corpus.tsv", "model.txt", "--model", kind)
         assert asdict(seen[0]) == asdict(TrainConfig(model=kind))
+
+    def test_every_config_field_but_model_has_a_flag_with_its_default(self):
+        parser = cli.build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        flags = {action.dest: action for action in commands.choices["train"]._actions}
+        defaults = TrainConfig()
+        for field in fields(TrainConfig):
+            if field.name == "model":
+                assert flags["model"].required and flags["model"].choices == MODEL_KINDS
+                continue
+            flag = flags[field.name]
+            assert flag.option_strings == [f"--{field.name.replace('_', '-')}"]
+            assert flag.default == getattr(defaults, field.name)
+            assert flag.type is type(getattr(defaults, field.name))
+        args = parser.parse_args(["train", "corpus.tsv", "model.txt", "--model", defaults.model])
+        assert TrainConfig(**{field.name: getattr(args, field.name)
+                              for field in fields(TrainConfig)}) == defaults
 
 
 class TestRank:

@@ -20,7 +20,7 @@ from tagtopics.itm import ItmModel, train_itm
 from tagtopics.plsa import train_plsa
 from tagtopics.sampling import planted_two_topic_spec, sample_corpus
 from tagtopics.modelio import read_model
-from tagtopics.training import (_SLICES, TrainConfig, chunk_edges, data_pass,
+from tagtopics.training import (_SLICES, TrainConfig, chunk_edges, mapreduce_slices,
                                 noisy_uniform_rows)
 
 def cfg(**kwargs):
@@ -216,8 +216,8 @@ class TestFactoredEStep:
                 for a in range(lo + chunk_rows, hi, chunk_rows)]
         assert any(ids["t"][a - 1] == ids["t"][a] for a in cuts)  # a run cut inside a slice
         with mock.patch.object(ItmModel, "chunk_rows", chunk_rows):
-            stats, ll = data_pass(model, ids, counts, fused=True)
-            assert data_pass(model, ids, counts, fused=False)[1] == ll
+            stats, ll = mapreduce_slices(model, ids, counts, fused=True)
+            assert mapreduce_slices(model, ids, counts, fused=False)[1] == ll
         expected, expected_ll = oracles.itm_mixture_e_step(model, ids, counts)
         for got, want in zip(stats, expected):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -239,7 +239,7 @@ class TestFactoredEStep:
                                                              (0, 1, 1), (1, 0, 1)]
         with pytest.raises(DegeneracyError,
                            match=r"^degenerate posterior for triple \(r=0, u=1, t=1\)$"):
-            data_pass(model, ids, counts, fused=True)
+            mapreduce_slices(model, ids, counts, fused=True)
 
     def test_a_zero_probability_row_gives_minus_inf_with_a_warning(self, caplog):
         corpus = make_corpus(["a\tu\tx", "a\tv\ty", "b\tu\ty", "b\tv\tx"])
@@ -286,7 +286,7 @@ def banded_rows(draw, order, n_interests=None):
 
 
 def dense_pass(model, ids, counts):
-    """A fused ``data_pass`` as it was before bands: each slice sums whole tables from
+    """A fused pass as it was before bands: each slice sums whole tables from
     zero in ``chunk_rows`` chunks, and the slice sums are added in slice order."""
     edges = sorted({len(counts) * i // _SLICES for i in range(_SLICES + 1)})
     parts = []
@@ -314,7 +314,7 @@ class TestTagBands:
         assert sum(long_tag in ids["t"][lo:hi] for lo, hi in zip(edges, edges[1:])) >= 3
         with (mock.patch.object(ItmModel, "chunk_rows", chunk_rows),
               ThreadPoolExecutor(threads) if threads else contextlib.nullcontext() as pool):
-            stats, ll = data_pass(model, ids, counts, True, pool)
+            stats, ll = mapreduce_slices(model, ids, counts, True, pool)
             expected, expected_ll = dense_pass(model, ids, counts)
         assert [(s.shape, s.tobytes()) for s in stats] == \
             [(s.shape, s.tobytes()) for s in expected]
@@ -342,7 +342,7 @@ class TestTagBands:
             for fused in (True, False):
                 with (pytest.raises(ValueError, match="^itm's E-step takes rows sorted by tag")
                       if descends else contextlib.nullcontext()):
-                    data_pass(model, ids, counts, fused, pool)
+                    mapreduce_slices(model, ids, counts, fused, pool)
 
     def test_each_slice_gets_only_its_band(self):
         corpus = random_corpus(5)
@@ -356,7 +356,7 @@ class TestTagBands:
             return zero_stats(lo, hi)
 
         with mock.patch.object(model, "zero_stats", recording):
-            data_pass(model, ids, counts, fused=True)
+            mapreduce_slices(model, ids, counts, fused=True)
         edges = sorted({len(counts) * i // _SLICES for i in range(_SLICES + 1)})
         assert bands == [(0, model.n_tags)] + [
             (ids["t"][lo], ids["t"][hi - 1] + 1) for lo, hi in zip(edges, edges[1:])]

@@ -111,6 +111,43 @@ def test_normalize_rows_rejects_an_array_it_cannot_divide_in_place(counts, what)
     assert np.array_equal(counts, before)
 
 
+class FakeModel:
+    """A stand-in for :class:`training.Model` with only what ``mapreduce_slices`` calls.
+    Its statistics are ``statistics``' zero arrays, the "r"-keyed one over its band alone,
+    and each allocation is recorded; ``step(chunk, n, stats, lo, **plan)`` is its E-step,
+    and ``log_terms`` gives back the totals that ``step`` returns."""
+
+    band = "r"
+
+    def __init__(self, chunk_rows, step, statistics=(("r", ()),), n_resources=12):
+        self.chunk_rows, self.step, self.stats = chunk_rows, step, list(statistics)
+        self.n_resources = n_resources  # the rows of the band statistic's total
+        self.zeros, self.copies = [], {"tag_given_topic": np.ones((1, 1))}
+
+    def statistics(self):
+        return self.stats
+
+    def zero_stats(self, lo, hi):
+        self.zeros.append((lo, hi, [np.zeros(((hi - lo,) if col == "r" else ()) + latent)
+                                    for col, latent in self.stats]))
+        return self.zeros[-1][2]
+
+    def transposed_tables(self):
+        return self.copies
+
+    def chunk_plan(self, ids):
+        # One plan entry per row: the pass looks up each chunk's by its first row.
+        return {"logs": "once per pass"}, {a: {"first": a} for a in range(len(ids["r"]))}
+
+    def e_step(self, chunk, n, stats, lo, **kwargs):
+        assert kwargs.pop("tag_given_topic") is self.copies["tag_given_topic"]
+        return self.step(chunk, n, stats, lo, **kwargs)
+
+    def log_terms(self, totals, chunk, logs):
+        assert logs == "once per pass"
+        return totals
+
+
 @pytest.mark.parametrize("n, chunk_rows, edges", [
     # Every slice spans several chunks; 2 divides none of the 5- and 6-row slices.
     (43, 2, [0, 5, 10, 16, 21, 26, 32, 37, 43]),
@@ -120,26 +157,31 @@ def test_normalize_rows_rejects_an_array_it_cannot_divide_in_place(counts, what)
 def test_mapreduce_slices_walks_each_slice_in_chunks(n, chunk_rows, edges):
     assert _SLICES == 8
     rows = np.arange(n)
-    chunks, zeros = [], []
+    chunks = []
 
-    def zero(lo, hi):
-        assert lo == hi == 0  # no band
-        zeros.append(np.zeros(1))
-        return [zeros[-1]]
-
-    def add_chunk(sums, chunk, counts, lo, first):
+    def step(chunk, counts, stats, lo, first):
         assert chunk.keys() == {"r", "t"}
         assert chunk["r"].tolist() == chunk["t"].tolist() == counts.tolist()
-        assert lo == 0
-        assert first == counts[0]  # the chunk's first row
+        assert first == counts[0]  # the chunk's part of the plan, by its first row
         chunks.append((int(counts[0]), int(counts[-1]) + 1))
-        sums[0] += counts.sum()
+        if stats is None:  # an L-only pass sums no band
+            assert lo == 0
+        else:
+            assert lo == edges[sum(e <= first for e in edges) - 1]  # its slice's least key
+            stats[0][chunk["r"] - lo] += counts
+        return np.ones(len(counts))
 
-    sums = mapreduce_slices({"r": rows, "t": rows.copy()}, rows, chunk_rows, add_chunk, zero)
+    model = FakeModel(chunk_rows, step, n_resources=n)
+    stats, ll = mapreduce_slices(model, {"r": rows, "t": rows.copy()}, rows, fused=True)
     assert chunks == [(a, min(a + chunk_rows, hi))
                       for lo, hi in zip(edges, edges[1:]) for a in range(lo, hi, chunk_rows)]
-    assert len(zeros) == len(edges)  # one zero() per slice walked, and the total's
-    assert sums[0] is zeros[0] and sums[0].tolist() == [rows.sum()]  # added into the total
+    # One zero_stats() for the total, then one per slice walked, over the slice's band.
+    assert [(lo, hi) for lo, hi, _ in model.zeros] == [(0, n), *zip(edges, edges[1:])]
+    assert stats[0] is model.zeros[0][2][0]  # added into the total
+    assert stats[0].tolist() == rows.tolist() and ll.tolist() == rows.sum()
+    walked, chunks[:], model.zeros[:] = chunks[:], [], []
+    assert mapreduce_slices(model, {"r": rows, "t": rows.copy()}, rows, fused=False) == ([], ll)
+    assert chunks == walked and not model.zeros  # the same chunks, and no statistics
 
 
 # One value per slice; their float sum depends on the order of addition.
@@ -152,20 +194,22 @@ def test_mapreduce_slices_adds_in_slice_order(threads):
     fold = functools.reduce(operator.add, values)
     assert fold != functools.reduce(operator.add, values[::-1])  # 2.0 against 5.0
 
-    def add_chunk(sums, chunk, counts, lo, first):
-        row = int(chunk["i"][0])
+    def step(chunk, counts, stats, lo, first):
+        row = int(chunk["r"][0])
         time.sleep(0.002 * (len(values) - row))  # later slices finish first
-        sums[0] += values[row]
-        sums[1] += [-values[row], 2.0 * values[row]]
+        stats[0][0] += values[row]
+        stats[1] += [-values[row], 2.0 * values[row]]
+        return np.array([values[row]])
 
     assert len(values) == _SLICES
     rows = np.arange(len(values))
+    model = FakeModel(1, step, [("r", ()), (None, (2,))])
     with ThreadPoolExecutor(threads) if threads else contextlib.nullcontext() as pool:
-        sums = mapreduce_slices({"i": rows}, rows, 1, add_chunk,
-                                lambda lo, hi: [np.zeros(1), np.zeros(2)], pool)
-    assert sums[0].tolist() == [fold]
-    assert sums[1].tolist() == [functools.reduce(operator.add, [-v for v in values]),
-                                functools.reduce(operator.add, [2.0 * v for v in values])]
+        stats, ll = mapreduce_slices(model, {"r": rows}, np.ones(len(rows)), True, pool)
+    assert ll.tolist() == fold
+    assert stats[0].tolist() == [*values, *[0.0] * 4]  # one row per key
+    assert stats[1].tolist() == [functools.reduce(operator.add, [-v for v in values]),
+                                 functools.reduce(operator.add, [2.0 * v for v in values])]
 
 
 @pytest.mark.parametrize("threads", [None, 2, 3])
@@ -176,23 +220,20 @@ def test_mapreduce_slices_adds_each_band_at_its_offset(threads):
     keys = np.array([4, 3, 3, 6, 5, 2, 3, 5, 9, 1, 5, 3, 8, 10, 7, 5])
     values = np.array([1.0, 1e16, 1.0, 2.0, -1e16, 3.0, 1.0, 1.0, 4.0, 5.0, 1e16, -1e16,
                        6.0, 7.0, -1e16, 8.0])
-    bands = []
 
-    def zero(lo, hi):
-        bands.append((lo, hi))
-        return [np.zeros(()), np.zeros((hi - lo, 2))]
-
-    def add_chunk(sums, chunk, counts, lo, first):
+    def step(chunk, counts, stats, lo, first):
         row = int(chunk["i"][0])
         time.sleep(0.002 * (len(keys) - row))  # later slices finish first
-        sums[0] += values[row]
-        sums[1][keys[row] - lo] += [values[row], -values[row]]
+        stats[0][keys[row] - lo] += [values[row], -values[row]]
+        return np.array([values[row]])
 
     rows = np.arange(len(keys))
+    model = FakeModel(1, step, [("r", (2,))])
     with ThreadPoolExecutor(threads) if threads else contextlib.nullcontext() as pool:
-        ll, stat = mapreduce_slices({"i": rows, "k": keys}, rows, 1, add_chunk, zero, pool,
-                                    band=("k", 1, 12))
+        (stat,), ll = mapreduce_slices(model, {"i": rows, "r": keys}, np.ones(len(rows)),
+                                       True, pool)
     pairs = keys.reshape(_SLICES, 2)
+    bands = [(lo, hi) for lo, hi, _ in model.zeros]
     assert bands[0] == (0, 12)  # the total
     assert sorted(bands[1:]) == sorted((int(p.min()), int(p.max()) + 1) for p in pairs)
     # Whole 12-row slice sums, added in slice order, as before bands.
@@ -574,19 +615,19 @@ def test_em_fit_rejects_a_non_finite_log_likelihood(lls, max_iters, message):
 @pytest.mark.parametrize("kind", sorted(TRAINERS))
 def test_em_run_to_max_iters_walks_the_data_max_iters_plus_one_times(
         kind, workers, toy_corpus, monkeypatch):
-    fused = []  # per data pass: does it sum statistics besides the log-likelihood?
+    passes = []  # per data pass: does it sum statistics besides the log-likelihood?
 
-    def counting(ids, counts, chunk_rows, add_chunk, zero, executor=None, band=None):
-        fused.append(len(zero(0, 0)) > 1)
-        assert (band is not None) == fused[-1]  # only a fused pass sums a band
-        return mapreduce_slices(ids, counts, chunk_rows, add_chunk, zero, executor, band)
+    def counting(model, ids, counts, fused, executor=None, plan=None):
+        passes.append(fused)
+        assert (plan is not None) == fused  # only train's fused passes walk its plan
+        return mapreduce_slices(model, ids, counts, fused, executor, plan)
 
     monkeypatch.setattr(training, "mapreduce_slices", counting)
     cfg = TrainConfig(model=kind, topics=2, interests=2, tol=1e-12, max_iters=4,
                       workers=workers)
     _, log = TRAINERS[kind](toy_corpus, cfg)
     assert log.iterations == 4 and not log.converged
-    assert fused == [True] * cfg.max_iters + [False]  # k fused passes, one LL-only pass
+    assert passes == [True] * cfg.max_iters + [False]  # k fused passes, one LL-only pass
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -785,7 +826,7 @@ def test_m_step_allocates_no_table(kind):
     corpus = random_corpus(3, n_resources=500, n_users=100, n_tags=3000, n_samples=5000)
     cfg = TrainConfig(model=kind, topics=64, interests=3, max_iters=2)
     model, _ = TRAINERS[kind](corpus, cfg)
-    stats, _ = training.data_pass(model, *model.rows(corpus), fused=True)
+    stats, _ = mapreduce_slices(model, *model.rows(corpus), fused=True)
     largest = max(getattr(model, attr).nbytes for attr, _, _ in model.TABLES)
     _, peak = traced_peak(lambda: model.m_step(stats))
     assert peak < largest / 10, (peak, largest)
@@ -841,7 +882,7 @@ def test_mixture_rows_have_the_bytes_of_the_column_gather(kind, topics, workers)
     ids, counts = model.rows(corpus)
     edges = [len(counts) * i // _SLICES for i in range(_SLICES + 1)]
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as executor:
-        training.data_pass(recording, ids, counts, True, executor)
+        mapreduce_slices(recording, ids, counts, True, executor)
     assert len(seen) == sum(-(-(b - a) // 37) for a, b in zip(edges, edges[1:]))
     copies = seen[0][1]
     assert sorted(copies) == sorted(attr for attr, _, dims in model.TABLES
