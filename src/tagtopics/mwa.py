@@ -57,8 +57,7 @@ class MwaModel(training.Model):
 
     def m_step(self, stats) -> None:
         expected_z, *expected = stats
-        expected_z /= expected_z.sum()
-        self.topic_probs = expected_z
+        self.topic_probs = normalize_rows(expected_z[None])[0]
         for table, stat in zip((self.resource_given_topic, self.user_given_topic,
                                 self.tag_given_topic), expected):
             np.copyto(table, stat.T)

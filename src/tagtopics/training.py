@@ -4,9 +4,9 @@
 initialization, then EM until the relative log-likelihood improvement drops
 below ``tol``.  One data pass at θₖ gives both L(θₖ) and the statistics for
 θₖ₊₁; a log-likelihood-only pass runs only after the last update ``max_iters``
-allows.  The trainer owns the config checks (the table budget included), the
-worker pool, the chunked fused pass, the map-reduce of its sums and the
-log-likelihood pass.  A model class subclasses :class:`Model`, which derives
+allows.  :func:`train` owns the config checks (the table budget included), the start,
+the data rows, their plan and the worker pool, and :func:`em_fit` walks every pass
+with them and runs the M-steps.  A model class subclasses :class:`Model`, which derives
 its seeded start, one-row posterior and statistics from its tables, and
 supplies only its own math: ``kind``/``DIMS``/``TABLES`` (its tables and file
 schema); ``mixture(*ids, **transposed)``, the unnormalised joint per row as
@@ -41,7 +41,6 @@ import contextlib
 import logging
 import math
 import warnings
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -221,34 +220,30 @@ def mapreduce_slices(model, ids: dict, counts, fused: bool, executor=None, plan=
     return stats, ll
 
 
-def em_fit(
-    pass_fn: Callable[[], tuple],
-    update_fn: Callable[[object], None],
-    ll_fn: Callable[[], float],
-    cfg: TrainConfig,
-    hook: Callable[[int, float], None] | None = None,
-) -> TrainLog:
-    """Drive EM until the log-likelihood stops improving.
+def em_fit(model, ids: dict, counts, plan, cfg: TrainConfig, executor=None,
+           hook=None) -> TrainLog:
+    """Drive EM on ``model`` until the log-likelihood stops improving.
 
-    ``pass_fn()`` walks the data at the current parameters θₖ and returns
-    ``(stats, L(θₖ))``.  L(θₖ) is recorded, ``hook(k, L(θₖ))`` sees θₖ (k >= 1),
-    and ``update_fn(stats)``, the M-step, runs only if the run goes on.  After
-    the last update ``max_iters`` allows, ``ll_fn()`` alone gives L.  A
-    non-finite L raises :class:`DegeneracyError`.
+    Iteration k is one :func:`mapreduce_slices` walk of the rows ``ids`` and ``counts``
+    at θₖ, with ``plan`` and on ``executor``: fused, giving L(θₖ) and the statistics for
+    θₖ₊₁, while ``max_iters`` allows an update, and for L alone after the last.  L(θₖ)
+    is recorded, ``hook(model, k, L(θₖ))`` sees θₖ (k >= 1), and ``model.m_step(stats)``
+    runs only if the run goes on.  A non-finite L raises :class:`DegeneracyError`.
     """
     history: list[float] = []
     for iteration in range(cfg.max_iters + 1):
-        stats, ll = pass_fn() if iteration < cfg.max_iters else (None, ll_fn())
+        fused = iteration < cfg.max_iters
+        stats, ll = mapreduce_slices(model, ids, counts, fused, executor, plan)
         ll = float(ll)
         if not math.isfinite(ll):
             raise DegeneracyError(f"log-likelihood is {ll} after iteration {iteration}")
         history.append(ll)
         if hook is not None and iteration:
-            hook(iteration, ll)
+            hook(model, iteration, ll)
         if iteration and abs(ll - history[-2]) <= cfg.tol * abs(history[-2]):
             return TrainLog(history, True)
-        if iteration < cfg.max_iters:
-            update_fn(stats)
+        if fused:
+            model.m_step(stats)
         del stats  # hold no statistics while the next pass sums its own
     return TrainLog(history, False)
 
@@ -449,7 +444,8 @@ def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
     The result depends on ``cfg.seed`` only, not on ``cfg.workers``.  The optional
     ``iteration_hook(model, k, ll)`` gets L(θₖ) for k >= 1 while the model holds θₖ.
     Each M-step updates the tables in place, so a hook must copy any table it keeps; the
-    rows and the fixed p(u) and p(r) are read once per training, so it must not change them."""
+    rows and the fixed p(u) and p(r) are read once per training, into the one plan that
+    every pass walks, the log-likelihood-only pass included, so it must not change them."""
     cfg.validate()
     if cfg.model != cls.kind:
         raise ConfigError(f"config is for model {cfg.model!r}, but this trainer fits {cls.kind!r}")
@@ -461,12 +457,7 @@ def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
                           f"{cfg.max_table_bytes}; lower topics/interests or raise max_table_bytes")
     model = cls.initial(corpus, cfg, np.random.default_rng(cfg.seed))
     ids, counts = model.rows(corpus)
-    plan = model.chunk_plan(ids)  # once per training: every fused pass walks the same rows
-    executor = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
-
-    hook = None if iteration_hook is None else (
-        lambda iteration, ll: iteration_hook(model, iteration, ll))
-    with executor or contextlib.nullcontext():
-        log = em_fit(lambda: mapreduce_slices(model, ids, counts, True, executor, plan),
-                     model.m_step, lambda: model.log_likelihood(corpus), cfg, hook)
-    return model, log
+    plan = model.chunk_plan(ids)  # once per training: every pass walks the same rows
+    pool = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else contextlib.nullcontext()
+    with pool as executor:
+        return model, em_fit(model, ids, counts, plan, cfg, executor, iteration_hook)

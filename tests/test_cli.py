@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import named_triples
-from tagtopics import cli
+from tagtopics import cli, training
 from tagtopics.corpus import Corpus, read_corpus
 from tagtopics.itm import train_itm
 from tagtopics.modelio import load_model
@@ -170,8 +170,14 @@ class TestTrain:
                                                            monkeypatch, capsys):
         corpus = tmp_path / "corpus.tsv"
         run("ingest", triple_file, corpus)
-        # Only the log-likelihood pass after the last update calls the method.
-        monkeypatch.setattr(PlsaModel, "log_likelihood", lambda self, corpus: float("-inf"))
+        walk = training.mapreduce_slices
+
+        def minus_inf_when_not_fused(model, ids, counts, fused, *args):
+            stats, ll = walk(model, ids, counts, fused, *args)
+            return stats, ll if fused else float("-inf")
+
+        # Only the log-likelihood pass after the last update is not fused.
+        monkeypatch.setattr(training, "mapreduce_slices", minus_inf_when_not_fused)
         model_path = tmp_path / "model.plsa"
         assert run("train", corpus, model_path, "--model", "plsa", "--topics", 2,
                    "--tol", 1e-300, "--max-iters", 2) == 3

@@ -152,8 +152,8 @@ class TestTrainItm:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_training_builds_its_tag_runs_once(self, workers):
-        # Once for the training's plan and once for the final log-likelihood pass,
-        # not once per pass: 3 fused passes walk the plan that train made.
+        # Once for the training's plan, not once per pass: 3 fused passes and the
+        # final log-likelihood pass walk the plan that train made.
         corpus = random_corpus(5)
         rows = len(ItmModel.rows(corpus)[1])
         with (mock.patch.object(ItmModel, "chunk_rows", 7),
@@ -162,7 +162,7 @@ class TestTrainItm:
         assert log.iterations == 3 and not log.converged
         chunks = [a for edges in chunk_edges(rows, 7) for a, _ in edges]
         assert len(chunks) > 2 * _SLICES  # several chunks per slice
-        assert runs.call_count == 2 * len(chunks)
+        assert runs.call_count == len(chunks)
 
     def test_memory_budget_guard(self, toy_corpus):
         with pytest.raises(ConfigError, match="budget"):

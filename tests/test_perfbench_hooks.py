@@ -1,5 +1,6 @@
 """The benchmark's tracer patches named hook points of the package; it must
-still find every one of them, and training must still call them."""
+still find every one of them, and the calls the benchmark makes must still reach
+them."""
 
 import os
 import subprocess
@@ -15,6 +16,7 @@ corpus = tagtopics.ingest_triples(["a\\tu1\\tx", "a\\tu2\\ty", "b\\tu1\\ty"])
 for kind in ("plsa", "mwa", "itm"):
     cfg = tagtopics.TrainConfig(model=kind, topics=2, interests=2, tol=1e-12, max_iters=2)
     model, _ = getattr(tagtopics, f"train_{kind}")(corpus, cfg)
+    model.log_likelihood(corpus)  # as perfbench/workloads.py times ll_s
     path = f"{sys.argv[1]}/model.{kind}"
     model.save(path)
     tagtopics.load_model(path).topic_distribution(0)

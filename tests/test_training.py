@@ -529,52 +529,56 @@ def test_mwa_topic_distributions_name_the_first_resource_without_support():
 
 
 class ScriptedEM:
-    """``em_fit`` callbacks that replay a list of log-likelihoods: ``passes``
-    holds each pass's statistics (a fresh object), ``updates`` what the
-    M-step received, and ``ll_calls`` counts the log-likelihood-only passes."""
+    """A model stand-in for ``em_fit`` whose data passes replay a list of
+    log-likelihoods through a patched ``training.mapreduce_slices``: ``passes``
+    holds each fused pass's statistics (a fresh object), ``updates`` what
+    ``m_step`` received, and ``ll_calls`` counts the log-likelihood-only passes."""
 
-    def __init__(self, lls):
+    def __init__(self, lls, monkeypatch):
         self.lls = iter(lls)
         self.passes, self.updates, self.ll_calls = [], [], 0
+        self.rows, self.plan = ({"r": np.arange(3)}, np.ones(3)), object()
+        monkeypatch.setattr(training, "mapreduce_slices", self.mapreduce_slices)
 
-    def pass_fn(self):
+    def mapreduce_slices(self, model, ids, counts, fused, executor=None, plan=None):
+        assert model is self and plan is self.plan
+        assert ids is self.rows[0] and counts is self.rows[1]
+        if not fused:
+            self.ll_calls += 1
+            return [], next(self.lls)
         self.passes.append(object())
         return self.passes[-1], next(self.lls)
 
-    def update_fn(self, stats):
+    def m_step(self, stats):
         self.updates.append(stats)
 
-    def ll_fn(self):
-        self.ll_calls += 1
-        return next(self.lls)
-
     def fit(self, hook=None, **cfg):
-        return em_fit(self.pass_fn, self.update_fn, self.ll_fn, TrainConfig(**cfg), hook)
+        return em_fit(self, *self.rows, self.plan, TrainConfig(**cfg), hook=hook)
 
 
-def test_em_fit_stops_on_plateau():
-    em = ScriptedEM([-10.0, -5.0, -5.0])
+def test_em_fit_stops_on_plateau(monkeypatch):
+    em = ScriptedEM([-10.0, -5.0, -5.0], monkeypatch)
     seen = []
-    log = em.fit(hook=lambda i, ll: seen.append((i, ll)), tol=1e-6, max_iters=50)
+    log = em.fit(hook=lambda model, i, ll: seen.append((model, i, ll)), tol=1e-6, max_iters=50)
     assert log.log_likelihoods == [-10.0, -5.0, -5.0]
     assert log.converged
     assert log.iterations == 2
-    assert seen == [(1, -5.0), (2, -5.0)]
+    assert seen == [(em, 1, -5.0), (em, 2, -5.0)]
 
 
-def test_em_fit_respects_max_iters():
-    em = ScriptedEM([-100.0 + i for i in range(100)])
+def test_em_fit_respects_max_iters(monkeypatch):
+    em = ScriptedEM([-100.0 + i for i in range(100)], monkeypatch)
     seen = []
-    log = em.fit(hook=lambda i, ll: seen.append((i, ll)), tol=1e-12, max_iters=5)
+    log = em.fit(hook=lambda model, i, ll: seen.append((model, i, ll)), tol=1e-12, max_iters=5)
     assert not log.converged
     assert log.iterations == 5
     assert log.log_likelihoods == [-100.0, -99.0, -98.0, -97.0, -96.0, -95.0]
-    assert seen == [(i, -100.0 + i) for i in range(1, 6)]
+    assert seen == [(em, i, -100.0 + i) for i in range(1, 6)]
 
 
 @pytest.mark.parametrize("max_iters", [1, 2, 5])
-def test_em_fit_to_max_iters_makes_k_passes_and_one_ll_pass(max_iters):
-    em = ScriptedEM([-100.0 + i for i in range(100)])
+def test_em_fit_to_max_iters_makes_k_passes_and_one_ll_pass(max_iters, monkeypatch):
+    em = ScriptedEM([-100.0 + i for i in range(100)], monkeypatch)
     em.fit(tol=1e-12, max_iters=max_iters)
     assert len(em.passes) == max_iters
     assert em.ll_calls == 1
@@ -582,9 +586,10 @@ def test_em_fit_to_max_iters_makes_k_passes_and_one_ll_pass(max_iters):
 
 
 @pytest.mark.parametrize("converge_at", [1, 2, 4])
-def test_em_fit_converging_at_j_makes_j_plus_one_passes_and_no_ll_pass(converge_at):
+def test_em_fit_converging_at_j_makes_j_plus_one_passes_and_no_ll_pass(converge_at,
+                                                                       monkeypatch):
     lls = [-100.0 + i for i in range(converge_at)] + [-100.0 + converge_at - 1]
-    em = ScriptedEM(lls)
+    em = ScriptedEM(lls, monkeypatch)
     log = em.fit(tol=1e-6, max_iters=50)
     assert log.converged and log.iterations == converge_at
     assert len(em.passes) == converge_at + 1
@@ -592,8 +597,8 @@ def test_em_fit_converging_at_j_makes_j_plus_one_passes_and_no_ll_pass(converge_
     assert len(em.updates) == converge_at  # the last pass's statistics are dropped
 
 
-def test_em_fit_updates_with_the_statistics_of_the_pass_before():
-    em = ScriptedEM([-100.0 + i for i in range(100)])
+def test_em_fit_updates_with_the_statistics_of_the_pass_before(monkeypatch):
+    em = ScriptedEM([-100.0 + i for i in range(100)], monkeypatch)
     em.fit(tol=1e-12, max_iters=4)
     assert len(em.updates) == len(em.passes) == 4
     assert all(got is made for got, made in zip(em.updates, em.passes))
@@ -604,8 +609,8 @@ def test_em_fit_updates_with_the_statistics_of_the_pass_before():
     ([float("-inf")], 5, "log-likelihood is -inf after iteration 0"),
     ([-10.0, -9.0, -8.0, float("-inf")], 3, "log-likelihood is -inf after iteration 3"),
 ], ids=["nan_first", "minus_inf_first", "minus_inf_last"])
-def test_em_fit_rejects_a_non_finite_log_likelihood(lls, max_iters, message):
-    em = ScriptedEM(lls)
+def test_em_fit_rejects_a_non_finite_log_likelihood(lls, max_iters, message, monkeypatch):
+    em = ScriptedEM(lls, monkeypatch)
     with pytest.raises(DegeneracyError, match=f"^{message}$"):
         em.fit(tol=1e-12, max_iters=max_iters)
     assert len(em.updates) == len(lls) - 1  # no update from a non-finite pass
@@ -615,19 +620,38 @@ def test_em_fit_rejects_a_non_finite_log_likelihood(lls, max_iters, message):
 @pytest.mark.parametrize("kind", sorted(TRAINERS))
 def test_em_run_to_max_iters_walks_the_data_max_iters_plus_one_times(
         kind, workers, toy_corpus, monkeypatch):
-    passes = []  # per data pass: does it sum statistics besides the log-likelihood?
+    cls, plans, pools, passes = MODEL_TYPES[kind], [], [], []
+    chunk_plan = cls.chunk_plan
+
+    def planning(model, ids):
+        plans.append(chunk_plan(model, ids))
+        return plans[-1]
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pools.append(self)
 
     def counting(model, ids, counts, fused, executor=None, plan=None):
-        passes.append(fused)
-        assert (plan is not None) == fused  # only train's fused passes walk its plan
+        passes.append((fused, plan, executor))
         return mapreduce_slices(model, ids, counts, fused, executor, plan)
 
+    def log_likelihood(model, corpus):
+        raise AssertionError("train walks its last pass itself")
+
+    monkeypatch.setattr(cls, "chunk_plan", planning)
+    monkeypatch.setattr(training, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(training, "mapreduce_slices", counting)
+    monkeypatch.setattr(training, "log_likelihood", log_likelihood)
     cfg = TrainConfig(model=kind, topics=2, interests=2, tol=1e-12, max_iters=4,
                       workers=workers)
     _, log = TRAINERS[kind](toy_corpus, cfg)
     assert log.iterations == 4 and not log.converged
-    assert passes == [True] * cfg.max_iters + [False]  # k fused passes, one LL-only pass
+    assert len(plans) == 1 and len(pools) == (workers > 1)
+    pool = pools[0] if pools else None
+    # k fused passes, then one LL-only pass, all on train's one plan and pool
+    assert [fused for fused, _, _ in passes] == [True] * cfg.max_iters + [False]
+    assert all(plan is plans[0] and executor is pool for _, plan, executor in passes)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
