@@ -15,7 +15,8 @@ write/read cycle reproduces the exact float64 values.  The text comes from a
 numpy Schubfach kernel, a block of :data:`BLOCK_VALUES` values at a time;
 the values it leaves out (zero, subnormals, non-finite values and
 magnitudes of 10 or more) go through ``repr`` itself.  :func:`save` writes
-only a model that passes its ``validate``.  Blank lines and ``#`` comments
+only a model that passes its ``validate``.  :func:`read_table` reads a table
+back a block at a time too, or steps over it.  Blank lines and ``#`` comments
 (``#`` as the first character, see :func:`skipped`) are skipped on read; any
 other line after the last table is an error.
 """
@@ -49,17 +50,12 @@ def tsv_records(lines):
             yield lineno, line.split("\t")
 
 
-def next_line(stream, what: str = "data") -> str:
-    """The next line of ``stream`` that is not :func:`skipped`."""
+def next_fields(stream, what: str) -> list[str]:
+    """Whitespace-split fields of the next line of ``stream`` that is not :func:`skipped`."""
     for line in stream:
         if not skipped(line):
-            return line
+            return line.split()
     raise DataError(f"unexpected end of file while reading {what}")
-
-
-def next_fields(stream, what: str = "data") -> list[str]:
-    """Whitespace-split fields of the next line that is not :func:`skipped`."""
-    return next_line(stream, what).split()
 
 
 # Rows at least this long are counted by numpy; below it, ``split`` costs less.
@@ -88,59 +84,47 @@ def parse_ints(fields: list[str], what: str) -> list[int]:
         raise DataError(f"{what}: expected integers, got {fields!r}") from None
 
 
-def parse_matrix(stream, n_rows: int, n_cols: int, what: str, first: int = 0,
-                 parse: bool = True) -> np.ndarray:
-    """The next ``n_rows`` rows of ``n_cols`` values of ``stream``, each value
-    through ``float``; errors name the rows from ``first`` on.  Each row's field count
-    comes from :func:`field_count`.  Unless ``parse``, only the field counts are
-    checked, and no row is returned."""
-    rows = []
-    for i in range(first, first + n_rows):
-        line = next_line(stream, f"{what} row {i}")
-        if (width := field_count(line)) != n_cols:
-            raise DataError(f"{what} row {i}: expected {n_cols} values, got {width}")
-        if not parse:
-            continue
-        try:
-            rows.append(np.array(line.split(), dtype=np.float64))
-        except ValueError:
-            raise DataError(f"{what} row {i}: non-numeric value") from None
-    return np.array(rows)
-
-
 # Values per block of a table read or write: enough that numpy does the work,
 # few enough that no block holds much of a file.
 BLOCK_VALUES = 2**14
 
 
-def read_table(lines, shape: tuple[int, ...], what: str, parse: bool = True) -> np.ndarray:
+def read_table(lines, shape: tuple[int, ...], what: str, parse: bool = True) -> np.ndarray | None:
     """The table of ``shape`` in the next rows of ``lines``, an iterator of
-    lines that are not :func:`skipped`.  Blocks of about :data:`BLOCK_VALUES`
-    values go through ``np.loadtxt``; a block that it refuses or reads to
-    another shape is read again by :func:`parse_matrix`, for ``float``'s
-    values of the tokens it refuses or the error of the block's first bad
-    row, numbered within the table.  A shape too large to allocate is a ``DataError``.
-    Unless ``parse``, :func:`parse_matrix` only steps over the rows, with the
-    same errors but those of the values' text, and returns no row."""
+    lines that are not :func:`skipped`; unless ``parse``, None, as the rows are
+    only stepped over.  Blocks of about :data:`BLOCK_VALUES` values are parsed
+    by ``np.loadtxt``.  A block that it refuses or reads to another shape, and
+    every block stepped over, is read row by row: :func:`field_count` counts
+    each row's values and, if parsed, ``float`` reads them, so the error is that
+    of the block's first bad or missing row, numbered within the table.  A
+    shape too large to allocate is a ``DataError``."""
     n_rows, n_cols = math.prod(shape[:-1]), shape[-1]
     try:
         table = np.empty((n_rows, n_cols))
     except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
         raise DataError(f"{what}: cannot allocate the declared shape {shape}") from None
-    if not parse:
-        return parse_matrix(lines, n_rows, n_cols, what, parse=False)
     step = max(BLOCK_VALUES // n_cols, 1)
     for first in range(0, n_rows, step):
         want = min(step, n_rows - first)
         block = list(islice(lines, want))
         rows = None
-        if len(block) == want:
+        if parse and len(block) == want:
             with contextlib.suppress(ValueError):
                 rows = np.loadtxt(block, dtype=np.float64, comments=None, ndmin=2)
-        if rows is None or rows.shape != (want, n_cols):
-            rows = parse_matrix(iter(block), want, n_cols, what, first)
-        table[first:first + want] = rows
-    return table.reshape(shape)
+        if rows is not None and rows.shape == (want, n_cols):
+            table[first:first + want] = rows
+            continue
+        for i, line in enumerate(block, start=first):
+            if (width := field_count(line)) != n_cols:
+                raise DataError(f"{what} row {i}: expected {n_cols} values, got {width}")
+            if parse:
+                try:
+                    table[i] = list(map(float, line.split()))
+                except ValueError:
+                    raise DataError(f"{what} row {i}: non-numeric value") from None
+        if len(block) < want:
+            raise DataError(f"unexpected end of file while reading {what} row {first + len(block)}")
+    return table.reshape(shape) if parse else None
 
 
 # Shortest round-trip text of float64 values, a block at a time.  The digits
@@ -343,8 +327,8 @@ def read_tables(cls, header: list[str], stream, only=None) -> tuple[dict, int, d
         shape = tuple(size[dim] for dim in dims)
         if min(shape) < 1:
             raise DataError(f"{label}: dimension must be positive, got {shape}")
-        if (table := read_table(lines, shape, label, only is None or attr in only)).size:
-            tables[attr] = table  # a table stepped over has no rows
+        if (table := read_table(lines, shape, label, only is None or attr in only)) is not None:
+            tables[attr] = table
     if not all(map(skipped, stream)):
         raise DataError(f"{cls.kind} model: data after the last table")
     validate(cls, tables)

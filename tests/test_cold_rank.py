@@ -216,9 +216,9 @@ EDITS = {
 
 
 def step_error(row: str, n_cols: int, parse: bool):
-    """The message of ``parse_matrix``'s error on the one-row ``row``, or None."""
+    """The message of ``read_table``'s error on the one-row ``row``, or None."""
     try:
-        _textio.parse_matrix(io.StringIO(row), 1, n_cols, "p(t|z)", parse=parse)
+        _textio.read_table(io.StringIO(row), (1, n_cols), "p(t|z)", parse=parse)
     except DataError as exc:
         return str(exc)
     return None

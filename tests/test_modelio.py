@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from helpers import ROW_SUM_EDGES
 from tagtopics import _textio
-from tagtopics._textio import parse_matrix, read_table, write_model
+from tagtopics._textio import read_table, write_model
 from tagtopics.errors import DataError
 from tagtopics.itm import train_itm
 from tagtopics.modelio import load_model, read_model
@@ -91,7 +91,7 @@ def float_bits(tokens) -> np.ndarray:
 
 def test_row_parse_has_the_bits_of_float_on_odd_tokens():
     tokens = ["1_0", "-0", "1e-400", "+.5", "5.", "\uff11"]  # the last is a fullwidth 1
-    rows = parse_matrix(io.StringIO(" ".join(tokens) + "\n"), 1, len(tokens), "t")
+    rows = read_table(io.StringIO(" ".join(tokens) + "\n"), (1, len(tokens)), "t")
     assert np.array_equal(rows[0].view(np.int64), float_bits(tokens))
 
 
@@ -100,7 +100,7 @@ def test_row_parse_has_the_bits_of_float_on_a_trained_model(toy_corpus):
         for attr, _, _ in model.TABLES:
             table = getattr(model, attr)
             tokens = list(map(repr, table.ravel().tolist()))
-            rows = parse_matrix(io.StringIO(" ".join(tokens) + "\n"), 1, len(tokens), attr)
+            rows = read_table(io.StringIO(" ".join(tokens) + "\n"), (1, len(tokens)), attr)
             assert np.array_equal(rows[0].view(np.int64), float_bits(tokens))
             assert np.array_equal(rows[0], table.ravel())
 
@@ -108,7 +108,7 @@ def test_row_parse_has_the_bits_of_float_on_a_trained_model(toy_corpus):
 @pytest.mark.parametrize("token", ["0x1", "abc"])
 def test_row_parse_rejects_what_float_rejects(token):
     with pytest.raises(DataError, match="p row 0: non-numeric value"):
-        parse_matrix(io.StringIO(f"0.5 {token}\n"), 1, 2, "p")
+        read_table(io.StringIO(f"0.5 {token}\n"), (1, 2), "p")
 
 
 def test_denormalized_table_rejected():
