@@ -21,6 +21,7 @@ import numpy as np
 
 from . import _textio
 from .errors import DataError
+from .training import check_index
 
 LN2 = float(np.log(2.0))
 
@@ -32,10 +33,8 @@ class TopicDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
+        probs = _vector(self.probs)
         object.__setattr__(self, "probs", probs)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("probs must be a non-empty 1-D vector")
         if not np.isfinite(probs).all() or (probs < 0).any():
             raise ValueError("probabilities must be finite and non-negative")
         total = float(probs.sum())
@@ -47,7 +46,13 @@ class TopicDistribution:
 
 
 def _vector(p) -> np.ndarray:
-    return p.probs if isinstance(p, TopicDistribution) else np.asarray(p, dtype=float)
+    """The probabilities of a :class:`TopicDistribution`, or ``p`` as floats, a
+    ``ValueError`` unless it is a non-empty 1-D vector."""
+    if isinstance(p, TopicDistribution):
+        return p.probs
+    if (probs := np.asarray(p, dtype=float)).ndim != 1 or probs.size == 0:
+        raise ValueError("probs must be a non-empty 1-D vector")
+    return probs
 
 
 def js_divergence(p, q) -> float:
@@ -157,6 +162,7 @@ def rank_rows(probs: np.ndarray, seed_row: int, keys=None) -> RankedList:
     from scipy.special import rel_entr  # here, on the calling thread, not in the pool
 
     probs = np.asarray(probs, dtype=float)
+    check_index("seed row", seed_row, len(probs))
     seed = probs[seed_row]
     if getattr(_held, "shape", None) != probs.shape:  # the pair goes when the shape changes
         _held.pair, _held.shape = (np.empty_like(probs), np.empty_like(probs)), probs.shape

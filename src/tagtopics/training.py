@@ -404,15 +404,20 @@ class Model:
         return tables["topic_given_resource"]  # the model's own table
 
 
+def check_index(what: str, i, n: int) -> None:
+    """Raise :class:`DataError` unless ``i``, named ``what``, is an int or a numpy
+    integer, but not a bool, from 0 to ``n - 1``."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise DataError(f"{what} must be an integer, got {i!r}")
+    if not 0 <= i < n:
+        raise DataError(f"unknown {what} {i}; expected 0 to {n - 1}")
+
+
 def check_ids(model, **ids) -> None:
     """Raise :class:`DataError` for a non-integer id or one outside its vocabulary."""
     for name, i in ids.items():
         what, dim, _ = _ID_COLUMNS[name]
-        n = getattr(model, dim)
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-            raise DataError(f"{what} id must be an integer, got {i!r}")
-        if not 0 <= i < n:
-            raise DataError(f"unknown {what} id {i}; expected 0 to {n - 1}")
+        check_index(f"{what} id", i, getattr(model, dim))
 
 
 def check_corpus(size: dict, corpus) -> None:

@@ -195,6 +195,54 @@ def test_cold_p_z_given_r_has_the_bits_of_a_full_load(path):
         assert np.array_equal(tables[attr], getattr(model, attr))
 
 
+def blocky_plsa_lines() -> list[str]:
+    """The lines of a plsa model file whose p(t|z) table, which ``rank`` steps
+    over, has 12 rows of 3 values."""
+    rng = np.random.default_rng(12)
+    model = MODEL_TYPES["plsa"](tag_given_topic=rng.dirichlet(np.ones(3), size=12),
+                                topic_given_resource=rng.dirichlet(np.ones(12), size=4),
+                                resource_probs=rng.dirichlet(np.ones(4)), seed=5)
+    buffer = io.StringIO()
+    _textio.write_model(model, buffer)
+    return buffer.getvalue().splitlines(keepends=True)
+
+
+def load_error(load, path):
+    """The message of ``load(path)``'s error, or None."""
+    try:
+        load(path)
+    except DataError as exc:
+        return str(exc)
+    return None
+
+
+# With 9 values per block, p(t|z) is stepped over in blocks of 3 rows: its first
+# row, the last row of block 1, the first row of block 2, and a row past block 3.
+@pytest.mark.parametrize("row", [0, 2, 3, 10])
+@pytest.mark.parametrize("edit, message", [
+    ("short", "p(t|z) row {row}: expected 3 values, got 2"),
+    ("long", "p(t|z) row {row}: expected 3 values, got 4"),
+    ("missing", "unexpected end of file while reading p(t|z) row {row}"),
+    ("non-numeric", None),
+])
+def test_a_stepped_over_table_fails_at_its_block_edges_as_a_full_load_does(
+        row, edit, message, tmp_path, monkeypatch):
+    monkeypatch.setattr(_textio, "BLOCK_VALUES", 9)
+    lines = blocky_plsa_lines()
+    at = layout("".join(lines), MODEL_TYPES["plsa"])[1]["p(t|z)"][row]
+    if edit == "missing":  # the file ends at the row
+        lines[at:] = []
+    else:
+        lines[at] = dict(ROW_EDITS)[edit](lines[at])
+    path = tmp_path / "model.plsa"
+    path.write_text("".join(lines))
+    if message is None:
+        assert load_error(load_model, path) == f"p(t|z) row {row}: non-numeric value"
+        assert load_error(load_ranked, path) is None
+    else:
+        assert load_error(load_ranked, path) == load_error(load_model, path) == message.format(row=row)
+
+
 # Rows of a few and of many values (above ``_textio._COUNT_ROW_CHARS``), plain and with one
 # separator replaced by other whitespace, or with a leading or trailing space: the
 # step-over must count each as ``split`` does.

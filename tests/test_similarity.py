@@ -121,6 +121,15 @@ class TestJsDivergence:
         with pytest.raises(ValueError, match="length mismatch"):
             js_divergence([0.5, 0.5], [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("p, q", [
+        ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]),  # would flatten to ln 2
+        ([], []),
+        (0.5, 0.5),
+    ], ids=["2-D", "empty", "scalar"])
+    def test_a_raw_array_not_a_vector_rejected(self, p, q):
+        with pytest.raises(ValueError, match=r"^probs must be a non-empty 1-D vector$"):
+            js_divergence(p, q)
+
 
 class TestRankBySeed:
     def test_duplicate_of_seed_ranks_first(self):
@@ -286,6 +295,24 @@ class TestRankRows:
         want = oracles.rank_by_seed(dict(enumerate(probs)), seed)
         assert [(row, div.hex()) for row, div in ranked.entries] == \
             [(row, div.hex()) for row, div in want]
+
+    @pytest.mark.parametrize("seed_row, message", [
+        (-1, "unknown seed row -1; expected 0 to 2"),
+        (3, "unknown seed row 3; expected 0 to 2"),
+        (1.5, "seed row must be an integer, got 1.5"),
+        (True, "seed row must be an integer, got True"),
+    ])
+    def test_a_seed_row_not_of_the_matrix_rejected(self, seed_row, message):
+        probs = np.array([[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]])
+        with pytest.raises(DataError) as info:
+            rank_rows(probs, seed_row)
+        assert str(info.value) == message
+
+    def test_a_numpy_integer_seed_row_ranks_as_an_int(self):
+        probs = np.array([[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]])
+        ranked = rank_rows(probs, np.int64(2))
+        assert ranked.seed == 2
+        assert ranked.entries == rank_rows(probs, 2).entries
 
     def test_rank_by_seed_ranks_the_stack_in_id_order(self):
         rows = {9: [0.2, 0.8], -1: [0.5, 0.5], 4: [0.9, 0.1]}
