@@ -39,7 +39,7 @@ import numpy as np
 from . import _textio, training
 from .corpus import Corpus
 from .similarity import TopicDistribution
-# perfbench/tracing.py patches em_fit and mapreduce_slices by model module.
+# em_fit, mapreduce_slices and normalize_rows are here for perfbench/tracing.py to patch.
 from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
                        mapreduce_slices, normalize_rows)
 
@@ -132,14 +132,6 @@ class ItmModel(training.Model):
             tag_stat *= tags
             stats[2][run_tags - lo] += tag_stat
         return totals
-
-    def m_step(self, stats) -> None:
-        expected_ui, expected_rz, expected_t = stats
-        rows = self.tag_given_interest_topic.reshape(-1, self.n_tags)  # a view: C-contiguous
-        np.copyto(rows, expected_t.reshape(self.n_tags, -1).T)
-        normalize_rows(rows)
-        self.interest_given_user = normalize_rows(expected_ui)
-        self.topic_given_resource = normalize_rows(expected_rz)
 
     def log_terms(self, mix, ids, logs=None) -> np.ndarray:
         log_u, log_r = logs or (np.log(self.user_probs), np.log(self.resource_probs))

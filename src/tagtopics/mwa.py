@@ -20,7 +20,7 @@ from . import _textio, training
 from .corpus import Corpus
 from .errors import DegeneracyError
 from .similarity import TopicDistribution
-# perfbench/tracing.py patches em_fit and mapreduce_slices by model module.
+# em_fit, mapreduce_slices and normalize_rows are here for perfbench/tracing.py to patch.
 from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
                        mapreduce_slices, normalize_rows)
 
@@ -54,14 +54,6 @@ class MwaModel(training.Model):
                 * training.gather_rows(by_id["resource_given_topic"], rr)
                 * training.gather_rows(by_id["user_given_topic"], uu)
                 * training.gather_rows(by_id["tag_given_topic"], tt))
-
-    def m_step(self, stats) -> None:
-        expected_z, *expected = stats
-        self.topic_probs = normalize_rows(expected_z[None])[0]
-        for table, stat in zip((self.resource_given_topic, self.user_given_topic,
-                                self.tag_given_topic), expected):
-            np.copyto(table, stat.T)
-            normalize_rows(table)
 
     def log_terms(self, mix, ids) -> np.ndarray:
         return np.log(mix)

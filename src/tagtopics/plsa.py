@@ -22,7 +22,7 @@ import numpy as np
 from . import _textio, training
 from .corpus import Corpus
 from .similarity import TopicDistribution
-# perfbench/tracing.py patches em_fit and mapreduce_slices by model module.
+# em_fit, mapreduce_slices and normalize_rows are here for perfbench/tracing.py to patch.
 from .training import (TrainConfig, TrainLog, em_fit,  # noqa: F401
                        mapreduce_slices, normalize_rows)
 
@@ -54,11 +54,6 @@ class PlsaModel(training.Model):
         pass's row-major copy, see ``Model.transposed_tables``) or else a transposed view."""
         tags = (transposed or self.transposed_tables(copy=False))["tag_given_topic"]
         return self.topic_given_resource.take(rr, axis=0) * training.gather_rows(tags, tt)
-
-    def m_step(self, stats) -> None:
-        np.copyto(self.tag_given_topic, stats[0].T)
-        normalize_rows(self.tag_given_topic)
-        self.topic_given_resource = normalize_rows(stats[1])
 
     def log_terms(self, mix, ids) -> np.ndarray:
         return np.log(mix * self.resource_probs[ids["r"]])

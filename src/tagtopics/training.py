@@ -7,12 +7,11 @@ below ``tol``.  One data pass at θₖ gives both L(θₖ) and the statistics fo
 allows.  :func:`train` owns the config checks (the table budget included), the start,
 the data rows, their plan and the worker pool, and :func:`em_fit` walks every pass
 with them and runs the M-steps.  A model class subclasses :class:`Model`, which derives
-its seeded start, one-row posterior and statistics from its tables, and
+its seeded start, one-row posterior, statistics and M-step from its tables, and
 supplies only its own math: ``kind``/``DIMS``/``TABLES`` (its tables and file
 schema); ``mixture(*ids, **transposed)``, the unnormalised joint per row as
 [n, latent...], which gathers from the pass's row-major copies of its (latent, ids)
-tables when ``transposed`` gives them (see :meth:`Model.transposed_tables`);
-``m_step(stats)``, the update from the statistics, which allocates no table; and
+tables when ``transposed`` gives them (see :meth:`Model.transposed_tables`); and
 ``log_terms(mix, ids, **logs)``, log p(row) from the mixture summed per row.  It may
 replace the defaults of :class:`Model`: ``DRAWS``, the start's draw order; ``band``, the
 id column its data rows are sorted on; ``chunk_rows``, which fixes the summation order;
@@ -20,9 +19,9 @@ id column its data rows are sorted on; ``chunk_rows``, which fixes the summation
 and each chunk's ``plan`` (itm's tag runs); and the per-chunk step ``e_step(chunk, n,
 stats, lo, **transposed, **plan)``, which returns the rows' mixture totals and, given
 ``stats``, adds the statistics of the n-weighted posteriors (itm's forms no posterior
-and gets no copies).  No class overrides :meth:`Model.initial` or :meth:`Model.rows`,
-which derives the rows from ``DIMS`` and ``band``.  Every scatter of statistic rows by
-repeating ids goes through :func:`add_rows`.
+and gets no copies).  No class overrides :meth:`Model.initial`, :meth:`Model.rows`,
+which derives the rows from ``DIMS`` and ``band``, or :meth:`Model.m_step`.  Every
+scatter of statistic rows by repeating ids goes through :func:`add_rows`.
 
 Every pass, fused or L-only, is one call of :func:`mapreduce_slices`, which holds
 its summation order (``_SLICES`` fixed slices summed from zero in
@@ -40,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -266,7 +266,8 @@ class Model:
 
     Each subclass keeps its own one-line ``validate``, ``check_corpus``,
     ``log_likelihood``, ``topic_distribution`` and ``save``, because
-    ``perfbench/tracing.py`` patches them from each class ``__dict__``.
+    ``perfbench/tracing.py`` patches them from each class ``__dict__``; for the same
+    reason :meth:`m_step` looks ``normalize_rows`` up in the subclass's module.
     """
 
     kind: str
@@ -350,6 +351,23 @@ class Model:
             for j, (col, latent) in sorted(enumerate(self.statistics()),
                                            key=lambda stat: stat[1][0] != self.band)}
         return [stats[j] for j in sorted(stats)]
+
+    def m_step(self, stats) -> None:
+        """Each table with a latent axis becomes its statistic (in :meth:`statistics` order)
+        normalised over its last axis, and no table is allocated: one whose id axis is last
+        (p(t|z), p(t|i,z)) copies its [ids, latent...] statistic in transposed, and every
+        other statistic, in table layout (p(z) as one row), becomes the table.
+        ``normalize_rows`` is the model module's (the tracer patches it there), or else ours."""
+        normalize = getattr(sys.modules[type(self).__module__], "normalize_rows", normalize_rows)
+        tables = [table for table in self.TABLES if not set(table[2]).isdisjoint(_LATENT)]
+        for (attr, _, dims), stat in zip(tables, stats):
+            if dims[-1] in _LATENT:
+                normalize(stat.reshape(-1, stat.shape[-1]))  # a view: p(z) is [1, K]
+                setattr(self, attr, stat)
+            else:
+                rows = getattr(self, attr).reshape(-1, stat.shape[0])  # a view: C-contiguous
+                np.copyto(rows, stat.reshape(stat.shape[0], -1).T)
+                normalize(rows)
 
     def transposed_tables(self, copy: bool = True) -> dict:
         """Each two-axis table over (latent, ids), keyed by attribute, as [ids, latent] for
