@@ -20,6 +20,7 @@ import numpy as np
 
 from ._textio import atomic_write, read_text, skipped, tsv_records
 from .errors import ConfigError, DataError
+from .training import check_index
 
 # Default frequency window for the tag reduction: drop tags seen fewer than
 # ten or more than ten thousand times, and every triple carrying them.
@@ -60,8 +61,7 @@ class Vocab:
             raise DataError(f"unknown vocabulary entry {entry!r}") from None
 
     def name_of(self, ident: int) -> str:
-        if not 0 <= ident < len(self.entries):
-            raise DataError(f"vocabulary id {ident} out of range 0..{len(self.entries) - 1}")
+        check_index("vocabulary id", ident, len(self.entries))
         return self.entries[ident]
 
     def __len__(self) -> int:

@@ -162,6 +162,8 @@ def rank_rows(probs: np.ndarray, seed_row: int, keys=None) -> RankedList:
     from scipy.special import rel_entr  # here, on the calling thread, not in the pool
 
     probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 2 or not probs.shape[1]:
+        raise ValueError(f"probs must be an [R, K] matrix with K >= 1, got shape {probs.shape}")
     check_index("seed row", seed_row, len(probs))
     seed = probs[seed_row]
     if getattr(_held, "shape", None) != probs.shape:  # the pair goes when the shape changes

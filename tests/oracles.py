@@ -26,7 +26,10 @@ its bytes.  :data:`INITIAL` holds each model's seeded start (with
 derived from ``TABLES``, the sampler through the package's ``_draw_rows``,
 ``renumber`` and ``merge_rows``, so the derived ones can be held to their
 bytes.  :data:`ROWS` holds each model's data rows as its class spelled them
-out before ``Model.rows`` derived them from ``DIMS`` and ``band``.
+out before ``Model.rows`` derived them from ``DIMS`` and ``band``, and
+:data:`M_STEP_V1` each model's M-step as its class spelled it out before
+``Model.m_step`` derived it from ``TABLES``, through the package's
+``normalize_rows``, so the derived one can be held to its bytes.
 """
 
 import math
@@ -327,6 +330,36 @@ def mwa_mixture_v1(model, rr, uu, tt):
 
 
 MIXTURE_V1 = {"plsa": plsa_mixture_v1, "mwa": mwa_mixture_v1}
+
+
+def plsa_m_step_v1(model, stats):
+    """``PlsaModel.m_step``: p(t|z) from its transposed statistic, p(z|r) from its own."""
+    np.copyto(model.tag_given_topic, stats[0].T)
+    training.normalize_rows(model.tag_given_topic)
+    model.topic_given_resource = training.normalize_rows(stats[1])
+
+
+def mwa_m_step_v1(model, stats):
+    """``MwaModel.m_step``: p(z) as one row, then p(r|z), p(u|z) and p(t|z) transposed."""
+    expected_z, *expected = stats
+    model.topic_probs = training.normalize_rows(expected_z[None])[0]
+    for table, stat in zip((model.resource_given_topic, model.user_given_topic,
+                            model.tag_given_topic), expected):
+        np.copyto(table, stat.T)
+        training.normalize_rows(table)
+
+
+def itm_m_step_v1(model, stats):
+    """``ItmModel.m_step``: p(t|i,z) from its [T, I, K] statistic first, then p(i|u), p(z|r)."""
+    expected_ui, expected_rz, expected_t = stats
+    rows = model.tag_given_interest_topic.reshape(-1, model.n_tags)  # a view: C-contiguous
+    np.copyto(rows, expected_t.reshape(model.n_tags, -1).T)
+    training.normalize_rows(rows)
+    model.interest_given_user = training.normalize_rows(expected_ui)
+    model.topic_given_resource = training.normalize_rows(expected_rz)
+
+
+M_STEP_V1 = {"plsa": plsa_m_step_v1, "mwa": mwa_m_step_v1, "itm": itm_m_step_v1}
 
 
 def plsa_rows(corpus):

@@ -35,6 +35,22 @@ class TestVocab:
         with pytest.raises(DataError):
             vocab.name_of(5)
 
+    @pytest.mark.parametrize("ident, message", [
+        (True, "vocabulary id must be an integer, got True"),
+        (1.0, "vocabulary id must be an integer, got 1.0"),
+        (-1, "unknown vocabulary id -1; expected 0 to 1"),
+        (2, "unknown vocabulary id 2; expected 0 to 1"),
+    ])
+    def test_an_id_not_of_the_vocabulary_rejected(self, ident, message):
+        vocab = Vocab(["a", "b"])
+        with pytest.raises(DataError) as info:
+            vocab.name_of(ident)
+        assert str(info.value) == message
+
+    def test_a_numpy_integer_id_names_as_an_int(self):
+        vocab = Vocab(["a", "b"])
+        assert [vocab.name_of(np.int64(1)), vocab.name_of(np.uint8(0))] == ["b", "a"]
+
 
 class TestIngest:
     def test_duplicate_lines_merge(self):

@@ -4,6 +4,7 @@ import os
 import pickle
 import select
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -308,6 +309,14 @@ class TestRankRows:
             rank_rows(probs, seed_row)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("probs", [np.ones((3, 0)), np.ones(3), np.ones((2, 2, 2)),
+                                       np.float64(1.0)], ids=["no-topics", "1-D", "3-D", "0-D"])
+    def test_a_matrix_not_of_r_rows_and_k_topics_rejected(self, probs):
+        with pytest.raises(ValueError) as info:
+            rank_rows(probs, 0)
+        assert str(info.value) == ("probs must be an [R, K] matrix with K >= 1, "
+                                   f"got shape {np.shape(probs)}")
+
     def test_a_numpy_integer_seed_row_ranks_as_an_int(self):
         probs = np.array([[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]])
         ranked = rank_rows(probs, np.int64(2))
@@ -458,6 +467,33 @@ class TestSplitRanking:
             os.close(read_end)
             os.waitpid(pid, 0)
         assert pickle.loads(b"".join(chunks)) == want
+
+
+FORK_AFTER_THE_SHARED_POOL = """
+import os, signal, sys
+import numpy as np
+from tagtopics import similarity
+probs = np.random.default_rng(5).dirichlet(np.ones(8), size=2 * similarity.MIN_BLOCK_ROWS + 7)
+want = similarity.rank_rows(probs, 3).entries
+assert similarity._pool is not None, "the shared pool did not start"
+pid = os.fork()
+if pid == 0:
+    signal.alarm(5)  # a child that queues work for the parent's threads waits forever
+    os._exit(0 if similarity.rank_rows(probs, 3).entries == want else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork hooks here")
+@pytest.mark.skipif(similarity._cores() < 2, reason="one core: rank_rows uses no pool")
+def test_a_child_forked_after_the_shared_pool_started_ranks_on_a_pool_of_its_own():
+    """In a fresh interpreter, so that the module's own pool is the one forked."""
+    src = os.path.dirname(os.path.dirname(similarity.__file__))
+    done = subprocess.run([sys.executable, "-c", FORK_AFTER_THE_SHARED_POOL],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"], done.stderr
 
 
 class TestWarmScratch:
