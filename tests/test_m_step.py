@@ -68,13 +68,12 @@ def test_a_subclass_elsewhere_trains_as_its_base(kind, workers, monkeypatch):
     base = MODEL_TYPES[kind]
     sub = type(f"Local{base.__name__}", (base,), {})
     assert sub.__module__ == __name__
-    calls = []
+    calls, normalize = [], training.normalize_rows
 
     def counted(counts):
         calls.append(counts.shape)
         return normalize(counts)
 
-    normalize = training.normalize_rows
     monkeypatch.setattr(training, "normalize_rows", counted)
     corpus = random_corpus(7, n_samples=400)
     cfg = TrainConfig(model=kind, topics=3, interests=2, tol=1e-12, max_iters=4, seed=5,
