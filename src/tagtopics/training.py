@@ -63,14 +63,18 @@ _LATENT = ("n_topics", "n_interests")  # the latent sizes in DIMS
 _INIT_NOISE = 0.1
 
 _SLICES = 8  # row slices per data pass; fixed, since they fix the summation order
+MIN_PARALLEL_ROWS = 4096  # rows per chunk and slice for a pass to run on threads
 
 
 @dataclass
 class TrainConfig:
     """Knobs shared by every trainer.
 
-    ``interests`` only matters for the interest-topic model; ``workers``
-    changes the speed, never the result.  ``max_table_bytes`` bounds the
+    ``interests`` only matters for the interest-topic model.  ``workers`` bounds the
+    threads a data pass runs on and changes the speed, never the result.  Chunks or
+    slices under :data:`MIN_PARALLEL_ROWS` rows make many small numpy calls that hand
+    the GIL back and forth, slower on two threads than on one, and each thread's heap
+    costs memory, so such a pass runs on one.  ``max_table_bytes`` bounds the
     size (8 bytes a value) of the parameter tables a trainer allocates.  A data
     pass also holds one row-major copy of each latent-first table (see
     ``Model.transposed_tables``): pLSA's p(t|z), and mwa's p(r|z), p(u|z) and
@@ -464,7 +468,10 @@ def log_likelihood(model, corpus) -> float:
 def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
     """Fit model class ``cls`` to ``corpus`` by EM; returns ``(model, TrainLog)``.
 
-    The result depends on ``cfg.seed`` only, not on ``cfg.workers``.  The optional
+    The result depends on ``cfg.seed`` only, not on ``cfg.workers``, an upper bound: the
+    pool is made only for chunks and slices of :data:`MIN_PARALLEL_ROWS` rows or more
+    (pLSA's and mwa's on a large corpus, never itm's at I*K > 64), since smaller ones
+    run slower on threads (see :class:`TrainConfig`).  The optional
     ``iteration_hook(model, k, ll)`` gets L(θₖ) for k >= 1 while the model holds θₖ.
     Each M-step updates the tables in place, so a hook must copy any table it keeps; the
     rows and the fixed p(u) and p(r) are read once per training, into the one plan that
@@ -481,6 +488,7 @@ def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
     model = cls.initial(corpus, cfg, np.random.default_rng(cfg.seed))
     ids, counts = model.rows(corpus)
     plan = model.chunk_plan(ids)  # once per training: every pass walks the same rows
-    pool = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else contextlib.nullcontext()
+    pooled = cfg.workers > 1 and min(model.chunk_rows, len(counts) // _SLICES) >= MIN_PARALLEL_ROWS
+    pool = ThreadPoolExecutor(cfg.workers) if pooled else contextlib.nullcontext()
     with pool as executor:
         return model, em_fit(model, ids, counts, plan, cfg, executor, iteration_hook)
