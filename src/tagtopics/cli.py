@@ -125,8 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="corpus file from `ingest`")
     p.add_argument("output", help="model file to write")
     p.add_argument("--model", choices=MODEL_KINDS, required=True)
-    helps = {"interests": "itm only", "tol": "relative log-likelihood improvement threshold",
-             "workers": "most threads per data pass; passes of small chunks run on one"}
+    helps = {"interests": "itm only", "tol": "relative log-likelihood improvement threshold"}
     for field in fields(TrainConfig):  # --topics .. --max-table-bytes; --model is above
         if field.name != "model":
             p.add_argument(f"--{field.name.replace('_', '-')}", type=type(field.default),

@@ -80,6 +80,7 @@ class ItmModel(training.Model):
     # tables for the same seed (the p(i|u) rows normalize to 1.0).
     DRAWS = ("tag_given_interest_topic", "topic_given_resource", "interest_given_user")
     band = "t"  # the id column ``rows`` sorts on
+    threaded = False  # slower on two threads than on one at every size and I*K measured
 
     def validate(self) -> None:
         _textio.validate(self, vars(self))

@@ -15,13 +15,14 @@ tables when ``transposed`` gives them (see :meth:`Model.transposed_tables`); and
 ``log_terms(mix, ids, **logs)``, log p(row) from the mixture summed per row.  It may
 replace the defaults of :class:`Model`: ``DRAWS``, the start's draw order; ``band``, the
 id column its data rows are sorted on; ``chunk_rows``, which fixes the summation order;
-``chunk_plan(ids)``, built once per training, the ``logs`` (itm's log p(u) and log p(r))
-and each chunk's ``plan`` (itm's tag runs); and the per-chunk step ``e_step(chunk, n,
-stats, lo, **transposed, **plan)``, which returns the rows' mixture totals and, given
-``stats``, adds the statistics of the n-weighted posteriors (itm's forms no posterior
-and gets no copies).  No class overrides :meth:`Model.initial`, :meth:`Model.rows`,
-which derives the rows from ``DIMS`` and ``band``, or :meth:`Model.m_step`.  Every
-scatter of statistic rows by repeating ids goes through :func:`add_rows`.
+``threaded``, false to run every pass on one thread (itm's); ``chunk_plan(ids)``, built
+once per training, the ``logs`` (itm's log p(u) and log p(r)) and each chunk's ``plan``
+(itm's tag runs); and the per-chunk step ``e_step(chunk, n, stats, lo, **transposed,
+**plan)``, which returns the rows' mixture totals and, given ``stats``, adds the
+statistics of the n-weighted posteriors (itm's forms no posterior and gets no copies).
+No class overrides :meth:`Model.initial`, :meth:`Model.rows`, which derives the rows from
+``DIMS`` and ``band``, or :meth:`Model.m_step`.  Every scatter of statistic rows by
+repeating ids goes through :func:`add_rows`.
 
 Every pass, fused or L-only, is one call of :func:`mapreduce_slices`, which holds
 its summation order (``_SLICES`` fixed slices summed from zero in
@@ -63,18 +64,15 @@ _LATENT = ("n_topics", "n_interests")  # the latent sizes in DIMS
 _INIT_NOISE = 0.1
 
 _SLICES = 8  # row slices per data pass; fixed, since they fix the summation order
-MIN_PARALLEL_ROWS = 4096  # rows per chunk and slice for a pass to run on threads
 
 
 @dataclass
 class TrainConfig:
     """Knobs shared by every trainer.
 
-    ``interests`` only matters for the interest-topic model.  ``workers`` bounds the
-    threads a data pass runs on and changes the speed, never the result.  Chunks or
-    slices under :data:`MIN_PARALLEL_ROWS` rows make many small numpy calls that hand
-    the GIL back and forth, slower on two threads than on one, and each thread's heap
-    costs memory, so such a pass runs on one.  ``max_table_bytes`` bounds the
+    ``interests`` only matters for the interest-topic model.  ``workers`` counts the
+    threads a data pass runs on, the caller's included (itm's, slower on two, runs on
+    one); it changes the speed, never the result.  ``max_table_bytes`` bounds the
     size (8 bytes a value) of the parameter tables a trainer allocates.  A data
     pass also holds one row-major copy of each latent-first table (see
     ``Model.transposed_tables``): pLSA's p(t|z), and mwa's p(r|z), p(u|z) and
@@ -185,11 +183,27 @@ def chunk_edges(n_rows: int, chunk_rows: int) -> list:
             for first, end in zip(edges, edges[1:])]
 
 
+def shared_map(executor, fn, items: list):
+    """``map(fn, items)`` on ``executor``'s threads and the caller's: while the next result
+    is not ready, the caller computes the next item that no pool thread has begun."""
+    futures, mine, ahead = [executor.submit(fn, item) for item in items], {}, 0
+    try:
+        for i, future in enumerate(futures):
+            while not future.done() and ahead < len(items):
+                if futures[ahead].cancel():
+                    mine[ahead] = fn(items[ahead])
+                ahead += 1
+            yield mine.pop(i) if i in mine else future.result()
+    finally:
+        for future in futures:  # after an error, no pool thread begins another item
+            future.cancel()
+
+
 def mapreduce_slices(model, ids: dict, counts, fused: bool, executor=None, plan=None) -> tuple:
     """One walk of the data rows at the current parameters: ``(stats, L)``, with ``stats``
     empty unless ``fused``.  Each of the ``_SLICES`` fixed slices is summed from zero in its
-    chunks a..b-1 (:func:`chunk_edges`) in row order, on ``executor``'s threads (in turn if
-    it is ``None``), and the slice sums are added in slice order.  A chunk goes through
+    chunks a..b-1 (:func:`chunk_edges`) in row order, by :func:`shared_map` on ``executor``
+    (in turn if ``None``), and the slice sums are added in slice order.  A chunk goes through
     ``model.e_step``, with the row-major copies ``model.transposed_tables()`` makes once per
     pass and its part of ``plan`` (``model.chunk_plan(ids)`` if ``None``), then its L
     through ``model.log_terms``.  A fused slice sums the statistic keyed by the ``band``
@@ -214,8 +228,8 @@ def mapreduce_slices(model, ids: dict, counts, fused: bool, executor=None, plan=
 
     stats = model.zero_stats(0, getattr(model, _ID_COLUMNS[model.band][1])) if fused else []
     ll = np.zeros(())
-    for lo, part, part_ll in (executor.map if executor else map)(
-            walk, chunk_edges(len(counts), model.chunk_rows)):
+    slices = chunk_edges(len(counts), model.chunk_rows)
+    for lo, part, part_ll in shared_map(executor, walk, slices) if executor else map(walk, slices):
         ll += part_ll
         for total, value, (col, _) in zip(stats, part, model.statistics()):
             total = total[lo:lo + len(value)] if col == model.band else total
@@ -281,6 +295,7 @@ class Model:
     RANKED = ("topic_given_resource",)  # the tables ``topic_distributions_of`` reads
     chunk_rows = 1 << 15
     band = "r"  # the id column ``rows`` sorts on
+    threaded = True  # whether :func:`train` runs a pass on ``cfg.workers`` threads
 
     def __init__(self, *, seed: int = 0, **tables):
         names = [attr for attr, _, _ in self.TABLES]
@@ -468,10 +483,7 @@ def log_likelihood(model, corpus) -> float:
 def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
     """Fit model class ``cls`` to ``corpus`` by EM; returns ``(model, TrainLog)``.
 
-    The result depends on ``cfg.seed`` only, not on ``cfg.workers``, an upper bound: the
-    pool is made only for chunks and slices of :data:`MIN_PARALLEL_ROWS` rows or more
-    (pLSA's and mwa's on a large corpus, never itm's at I*K > 64), since smaller ones
-    run slower on threads (see :class:`TrainConfig`).  The optional
+    The result depends on ``cfg.seed`` only, not on ``cfg.workers``.  The optional
     ``iteration_hook(model, k, ll)`` gets L(θₖ) for k >= 1 while the model holds θₖ.
     Each M-step updates the tables in place, so a hook must copy any table it keeps; the
     rows and the fixed p(u) and p(r) are read once per training, into the one plan that
@@ -488,7 +500,7 @@ def train(cls, corpus, cfg: TrainConfig, iteration_hook=None):
     model = cls.initial(corpus, cfg, np.random.default_rng(cfg.seed))
     ids, counts = model.rows(corpus)
     plan = model.chunk_plan(ids)  # once per training: every pass walks the same rows
-    pooled = cfg.workers > 1 and min(model.chunk_rows, len(counts) // _SLICES) >= MIN_PARALLEL_ROWS
-    pool = ThreadPoolExecutor(cfg.workers) if pooled else contextlib.nullcontext()
+    threaded = cls.threaded and cfg.workers > 1  # the caller is one of the workers
+    pool = ThreadPoolExecutor(cfg.workers - 1) if threaded else contextlib.nullcontext()
     with pool as executor:
         return model, em_fit(model, ids, counts, plan, cfg, executor, iteration_hook)

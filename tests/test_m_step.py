@@ -58,7 +58,6 @@ def test_m_step_has_the_bytes_of_the_model_classes_own(kind, seed):
     ours.validate()
 
 
-@pytest.mark.usefixtures("threads_at_any_size")
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_a_subclass_elsewhere_trains_as_its_base(kind, workers, monkeypatch):

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import io
 import operator
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -616,13 +617,43 @@ def test_em_fit_rejects_a_non_finite_log_likelihood(lls, max_iters, message, mon
     assert len(em.updates) == len(lls) - 1  # no update from a non-finite pass
 
 
-@pytest.mark.parametrize("gate", ["default", "lowered"])
-@pytest.mark.parametrize("workers", [1, 2])
+def test_shared_map_yields_in_order_and_the_caller_computes_what_no_thread_began():
+    items, calls, caller = list(range(_SLICES)), [], threading.get_ident()
+
+    def fn(item):
+        time.sleep(0.002 * (len(items) - item))  # later items finish first
+        calls.append((item, threading.get_ident()))
+        return -item
+
+    with ThreadPoolExecutor(1) as pool:
+        assert list(training.shared_map(pool, fn, items)) == [-item for item in items]
+    assert sorted(item for item, _ in calls) == items  # each item once
+    assert len({thread for _, thread in calls}) == 2  # the pool's one thread and the caller
+    assert any(thread == caller for _, thread in calls)
+
+
+def test_shared_map_begins_no_item_after_an_error():
+    release, calls, caller = threading.Event(), [], threading.get_ident()
+
+    def fn(item):
+        if threading.get_ident() == caller:
+            raise DegeneracyError(f"item {item}")
+        release.wait()  # the pool's one thread holds its first item until the error is out
+        calls.append(item)
+
+    with ThreadPoolExecutor(1) as pool:
+        with pytest.raises(DegeneracyError, match="^item [01]$"):
+            list(training.shared_map(pool, fn, list(range(_SLICES))))
+        release.set()
+    assert len(calls) <= 1  # the item the thread had begun, if any
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("kind", sorted(TRAINERS))
 def test_em_run_to_max_iters_walks_the_data_max_iters_plus_one_times(
-        kind, workers, gate, toy_corpus, monkeypatch):
-    """Every pass walks train's one plan, and its one pool if it makes one: only at
-    workers > 1 with the gate lowered, since the toy corpus is below the default gate."""
+        kind, workers, toy_corpus, monkeypatch):
+    """Every pass walks train's one plan, and its one pool if it makes one: of
+    ``workers - 1`` threads, as the caller computes too, and none for itm."""
     cls, plans, pools, passes = MODEL_TYPES[kind], [], [], []
     chunk_plan = cls.chunk_plan
 
@@ -631,8 +662,9 @@ def test_em_run_to_max_iters_walks_the_data_max_iters_plus_one_times(
         return plans[-1]
 
     class Pool(ThreadPoolExecutor):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, threads):
+            super().__init__(threads)
+            self.threads = threads
             pools.append(self)
 
     def counting(model, ids, counts, fused, executor=None, plan=None):
@@ -646,45 +678,19 @@ def test_em_run_to_max_iters_walks_the_data_max_iters_plus_one_times(
     monkeypatch.setattr(training, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(training, "mapreduce_slices", counting)
     monkeypatch.setattr(training, "log_likelihood", log_likelihood)
-    if gate == "lowered":
-        monkeypatch.setattr(training, "MIN_PARALLEL_ROWS", 0)
     cfg = TrainConfig(model=kind, topics=2, interests=2, tol=1e-12, max_iters=4,
                       workers=workers)
     _, log = TRAINERS[kind](toy_corpus, cfg)
     assert log.iterations == 4 and not log.converged
-    assert len(plans) == 1 and len(pools) == (workers > 1 and gate == "lowered")
+    assert len(plans) == 1
+    assert [pool.threads for pool in pools] == ([workers - 1] if workers > 1 and kind != "itm"
+                                                else [])
     pool = pools[0] if pools else None
     # k fused passes, then one LL-only pass, all on train's one plan and pool
     assert [fused for fused, _, _ in passes] == [True] * cfg.max_iters + [False]
     assert all(plan is plans[0] and executor is pool for _, plan, executor in passes)
 
 
-def gate_corpus(n_rows: int) -> Corpus:
-    """``n_rows`` distinct triples of one user over 64 tags: ``n_rows`` data rows for
-    every kind, pLSA's (r, t) pairs included."""
-    k = np.arange(n_rows)
-    return Corpus(Vocab(f"r{r}" for r in range(-(-n_rows // 64))), Vocab(["u"]),
-                  Vocab(f"t{t}" for t in range(64)), k // 64, np.zeros_like(k), k % 64,
-                  np.ones_like(k))
-
-
-@pytest.mark.parametrize("kind", sorted(TRAINERS))
-def test_train_makes_a_pool_only_when_its_chunks_and_slices_reach_the_gate(kind, monkeypatch):
-    """At workers=2, K=40 and I=10, pLSA's and mwa's 2**15-row chunks get a pool once a
-    slice holds ``MIN_PARALLEL_ROWS`` rows; itm's 655-row chunks never reach the gate."""
-    executors = []
-
-    def fit(model, ids, counts, plan, cfg, executor, hook):
-        executors.append(executor)
-
-    monkeypatch.setattr(training, "em_fit", fit)
-    cfg = TrainConfig(model=kind, topics=40, interests=10, workers=2)
-    for n_rows in (_SLICES * training.MIN_PARALLEL_ROWS - 1, _SLICES * training.MIN_PARALLEL_ROWS):
-        TRAINERS[kind](gate_corpus(n_rows), cfg)
-    assert [isinstance(pool, ThreadPoolExecutor) for pool in executors] == [False, kind != "itm"]
-
-
-@pytest.mark.usefixtures("threads_at_any_size")
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", sorted(TRAINERS))
 def test_iteration_hook_sees_the_parameters_its_log_likelihood_belongs_to(
@@ -710,7 +716,6 @@ def scaling_corpus():
                          n_samples=4000)
 
 
-@pytest.mark.usefixtures("threads_at_any_size")
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", sorted(TRAINERS))
 def test_counts_times_a_power_of_two_train_the_same_tables_and_scale_each_ll(kind, workers):
@@ -970,7 +975,6 @@ def test_posterior_has_the_bytes_of_the_column_gather_and_copies_no_table(kind):
         assert peak < smallest / 10, (peak, smallest)
 
 
-@pytest.mark.usefixtures("threads_at_any_size")
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_a_trained_model_holds_its_tables_and_seed_alone(kind, workers, toy_corpus):
